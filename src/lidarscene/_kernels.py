@@ -1,137 +1,126 @@
-"""Loop-style ray-intersection kernels, jitted by numba when enabled.
+"""Breadth-first BVH traversal of many rays at once, in plain numpy.
 
-The scalar Moller-Trumbore arithmetic here is written with exactly the
-same operation order as the vectorized numpy brute force in ``raycast``,
-so both paths agree to within ~1 ulp on the intersection parameter (the
-jit backend may contract multiply-adds into fused ops) and exactly on the
+``render_rays`` follows the wavefront scheme of Aila & Laine, "Understanding
+the Efficiency of Ray Traversal on GPUs" (HPG 2009): it keeps a frontier of
+live (ray, node) pairs, slab-tests all of them in one pass, replaces each
+surviving internal node by its two children and sends each surviving leaf to
+a Moller-Trumbore test against the leaf's triangles. The triangle test uses
+the same component expressions, in the same order, as the all-triangle
+oracle ``raycast.intersect_brute``, so both give bit-identical t and the same
 winning triangle index.
 """
 
 import numpy as np
 
-from .accel import maybe_njit
-
 T_MIN = 1e-4  # self-hit epsilon along the ray
 TIE_EPS = 1e-9  # |dt| window inside which the lower triangle index wins
 DET_EPS = 1e-12
-MAX_STACK = 128
 
 
-@maybe_njit(inline="always")
-def _ray_triangle(ox, oy, oz, dx, dy, dz, v0, e1, e2, t_max):
-    """Two-sided Moller-Trumbore; returns t > T_MIN or -1.0 on miss."""
-    px = dy * e2[2] - dz * e2[1]
-    py = dz * e2[0] - dx * e2[2]
-    pz = dx * e2[1] - dy * e2[0]
-    det = e1[0] * px + e1[1] * py + e1[2] * pz
-    if abs(det) < DET_EPS:
-        return -1.0
-    inv = 1.0 / det
-    tx = ox - v0[0]
-    ty = oy - v0[1]
-    tz = oz - v0[2]
-    u = (tx * px + ty * py + tz * pz) * inv
-    if u < 0.0 or u > 1.0:
-        return -1.0
-    qx = ty * e1[2] - tz * e1[1]
-    qy = tz * e1[0] - tx * e1[2]
-    qz = tx * e1[1] - ty * e1[0]
-    v = (dx * qx + dy * qy + dz * qz) * inv
-    if v < 0.0 or u + v > 1.0:
-        return -1.0
-    t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv
-    if t <= T_MIN or t > t_max:
-        return -1.0
-    return t
+def _slab_hits(o, inv, bmin, bmax, t_max):
+    """Rows whose ray may meet the box in (0, t_max]. A zero direction
+    component gives inv = +-inf, and 0 * inf = NaN where the origin lies on
+    a slab plane: np.minimum/np.maximum carry the NaN and np.fmax/np.fmin
+    then skip that axis, so it never culls a pair."""
+    with np.errstate(invalid="ignore"):
+        lo = (bmin - o) * inv
+        hi = (bmax - o) * inv
+        near = np.minimum(lo, hi)
+        far = np.maximum(lo, hi)
+    t_near = np.fmax(np.fmax(near[:, 0], near[:, 1]), near[:, 2])
+    t_far = np.fmin(np.fmin(far[:, 0], far[:, 1]), far[:, 2])
+    return (t_near <= t_far) & (t_far > 0.0) & (t_near <= t_max + TIE_EPS)
 
 
-@maybe_njit(inline="always")
-def _ray_box(ox, oy, oz, idx, idy, idz, bmin, bmax):
-    """Slab test; returns (hit, entry_t) for an infinite-length ray."""
-    t0 = (bmin[0] - ox) * idx
-    t1 = (bmax[0] - ox) * idx
-    tmin = min(t0, t1)
-    tmax = max(t0, t1)
-    t0 = (bmin[1] - oy) * idy
-    t1 = (bmax[1] - oy) * idy
-    tmin = max(tmin, min(t0, t1))
-    tmax = min(tmax, max(t0, t1))
-    t0 = (bmin[2] - oz) * idz
-    t1 = (bmax[2] - oz) * idz
-    tmin = max(tmin, min(t0, t1))
-    tmax = min(tmax, max(t0, t1))
-    return tmax >= tmin and tmax > 0.0, tmin
+def _triangle_hits(o, d, v0, e1, e2, t_max):
+    """Two-sided Moller-Trumbore per (ray, triangle) row: t of a hit in
+    (T_MIN, t_max], inf elsewhere."""
+    px = d[:, 1] * e2[:, 2] - d[:, 2] * e2[:, 1]
+    py = d[:, 2] * e2[:, 0] - d[:, 0] * e2[:, 2]
+    pz = d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]
+    det = e1[:, 0] * px + e1[:, 1] * py + e1[:, 2] * pz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / det
+        tx = o[:, 0] - v0[:, 0]
+        ty = o[:, 1] - v0[:, 1]
+        tz = o[:, 2] - v0[:, 2]
+        u = (tx * px + ty * py + tz * pz) * inv
+        qx = ty * e1[:, 2] - tz * e1[:, 1]
+        qy = tz * e1[:, 0] - tx * e1[:, 2]
+        qz = tx * e1[:, 1] - ty * e1[:, 0]
+        v = (d[:, 0] * qx + d[:, 1] * qy + d[:, 2] * qz) * inv
+        t = (e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz) * inv
+    ok = (
+        (np.abs(det) >= DET_EPS)
+        & (u >= 0.0) & (u <= 1.0)
+        & (v >= 0.0) & (u + v <= 1.0)
+        & (t > T_MIN) & (t <= t_max)
+    )
+    return np.where(ok, t, np.inf)
 
 
-@maybe_njit
-def traverse(
-    ox, oy, oz, dx, dy, dz, t_max,
-    nodes_min, nodes_max, node_left, node_right, node_start, node_count,
-    perm, tri_v0, tri_e1, tri_e2,
-):
-    """Nearest hit of one ray against the BVH.
-
-    Returns (t, triangle_index); t < 0 means miss. Ties within TIE_EPS
-    resolve to the lower triangle index, matching the brute-force rule.
-    """
-    best_t = np.inf
-    best_i = -1
-    if len(node_count) == 0:
-        return -1.0, -1
-    idx = 1.0 / dx if dx != 0.0 else np.inf
-    idy = 1.0 / dy if dy != 0.0 else np.inf
-    idz = 1.0 / dz if dz != 0.0 else np.inf
-    stack = np.empty(MAX_STACK, dtype=np.int64)
-    stack[0] = 0
-    top = 1
-    while top > 0:
-        top -= 1
-        node = stack[top]
-        hit, entry = _ray_box(ox, oy, oz, idx, idy, idz, nodes_min[node], nodes_max[node])
-        if not hit or entry > min(best_t, t_max) + TIE_EPS:
-            continue
-        if node_count[node] > 0:  # leaf
-            for k in range(node_start[node], node_start[node] + node_count[node]):
-                tri = perm[k]
-                t = _ray_triangle(
-                    ox, oy, oz, dx, dy, dz, tri_v0[tri], tri_e1[tri], tri_e2[tri], t_max
-                )
-                if t < 0.0:
-                    continue
-                if t < best_t - TIE_EPS:
-                    best_t = t
-                    best_i = tri
-                elif t <= best_t + TIE_EPS:
-                    if tri < best_i:
-                        best_i = tri
-                    if t < best_t:
-                        best_t = t
-        else:
-            stack[top] = node_left[node]
-            stack[top + 1] = node_right[node]
-            top += 2
-    if best_i < 0:
-        return -1.0, -1
-    return best_t, best_i
+def _segment_starts(key):
+    """True at the first row of each run of equal values in sorted ``key``."""
+    return np.concatenate([[True], key[1:] != key[:-1]])
 
 
-@maybe_njit(parallel=False)
 def render_rays(
     origins, dirs, t_max,
     nodes_min, nodes_max, node_left, node_right, node_start, node_count,
     perm, tri_v0, tri_e1, tri_e2,
 ):
-    """Traverse many rays; returns (t, triangle_index) arrays (miss: -1)."""
-    n = origins.shape[0]
-    ts = np.empty(n, dtype=np.float64)
-    idxs = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        t, idx = traverse(
-            origins[i, 0], origins[i, 1], origins[i, 2],
-            dirs[i, 0], dirs[i, 1], dirs[i, 2], t_max,
-            nodes_min, nodes_max, node_left, node_right, node_start, node_count,
-            perm, tri_v0, tri_e1, tri_e2,
-        )
-        ts[i] = t
-        idxs[i] = idx
-    return ts, idxs
+    """Nearest hit of every ray against the BVH: (t, triangle_index) arrays,
+    -1 for a miss. Of the hits within TIE_EPS of a ray's minimum t, the
+    lowest triangle index wins, as in the brute-force oracle."""
+    origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    n = len(origins)
+    out_t = np.full(n, -1.0)
+    out_i = np.full(n, -1, dtype=np.int64)
+    if n == 0 or len(node_count) == 0:
+        return out_t, out_i
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+
+    ray = np.arange(n)
+    node = np.zeros(n, dtype=np.int64)
+    hit_ray, hit_tri, hit_t = [], [], []
+    while len(ray):
+        keep = _slab_hits(origins[ray], inv[ray], nodes_min[node], nodes_max[node], t_max)
+        ray, node = ray[keep], node[keep]
+        count = node_count[node]
+        leaf = count > 0
+        if leaf.any():
+            # One row per (ray, triangle) of the leaf: row k of a leaf pair
+            # with first row f reads perm[start + k - f].
+            count = count[leaf]
+            first = np.cumsum(count) - count
+            slot = np.arange(count.sum()) - np.repeat(first - node_start[node[leaf]], count)
+            r = np.repeat(ray[leaf], count)
+            tri = perm[slot]
+            t = _triangle_hits(origins[r], dirs[r], tri_v0[tri], tri_e1[tri], tri_e2[tri], t_max)
+            found = np.isfinite(t)
+            hit_ray.append(r[found])
+            hit_tri.append(tri[found])
+            hit_t.append(t[found])
+        inner = ~leaf
+        ray = np.concatenate([ray[inner], ray[inner]])
+        node = np.concatenate([node_left[node[inner]], node_right[node[inner]]])
+
+    if not hit_ray:
+        return out_t, out_i
+    ray, tri, t = np.concatenate(hit_ray), np.concatenate(hit_tri), np.concatenate(hit_t)
+    # Sorting by (ray, t) puts each ray's minimum t first in its run; keep
+    # the hits within TIE_EPS of it, then sort those by (ray, triangle).
+    order = np.lexsort((t, ray))
+    ray, tri, t = ray[order], tri[order], t[order]
+    starts = _segment_starts(ray)
+    t_min = t[starts][np.cumsum(starts) - 1]
+    win = t <= t_min + TIE_EPS
+    ray, tri, t = ray[win], tri[win], t[win]
+    order = np.lexsort((tri, ray))
+    ray, tri, t = ray[order], tri[order], t[order]
+    starts = _segment_starts(ray)
+    out_t[ray[starts]] = t[starts]
+    out_i[ray[starts]] = tri[starts]
+    return out_t, out_i

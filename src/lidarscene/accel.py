@@ -1,38 +1,12 @@
-"""Optional numba acceleration.
+"""The two names that ``perfbench/run.py`` records in its environment block.
 
-Hot kernels are written twice: a loop-style version decorated with
-:func:`maybe_njit` and, where it matters, a vectorized pure-numpy path.
-Set ``LIDARSCENE_DISABLE_NUMBA=1`` to force the numpy path (useful for
-debugging and for the benchmark in ``benchmarks/``).
+The package has one pure-numpy raycast path and jits nothing. The benchmark
+still reports whether Numba is installed (``HAS_NUMBA``, probed without
+importing it) and in use (``NUMBA_ENABLED``, always False), so that results
+from hosts with and without it stay comparable.
 """
 
-import os
+from importlib.util import find_spec
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
-
-
-def _env_disabled():
-    return os.environ.get("LIDARSCENE_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
-
-
-#: True when jitted kernels are in use.
-NUMBA_ENABLED = HAS_NUMBA and not _env_disabled()
-
-
-def maybe_njit(*args, **kwargs):
-    """``numba.njit`` when acceleration is enabled, identity otherwise."""
-    if NUMBA_ENABLED:
-        return numba.njit(*args, cache=True, **kwargs)
-    if args and callable(args[0]):
-        return args[0]
-
-    def deco(fn):
-        return fn
-
-    return deco
+HAS_NUMBA = find_spec("numba") is not None
+NUMBA_ENABLED = False

@@ -18,6 +18,10 @@ from . import extraction, layout as layout_mod, meshing, metrics, raycast, score
 from .config import load_config
 from .layout import Pose, SceneParams
 
+#: Semantic ids are divided by this to form the conditioning channel, in
+#: training and in sampling alike, whatever palette a layout file declares.
+SEMANTIC_DENOM = max(len(layout_mod.DEFAULT_PALETTE) - 1, 1)
+
 
 def _parse_pose(text: str) -> Pose:
     parts = [float(tok) for tok in text.replace(",", " ").split()]
@@ -50,12 +54,13 @@ def cmd_gen_scenes(args):
     print(f"wrote {args.num} layouts to {out}")
 
 
-def _render_one(scene, spec, pose, args, cfg):
+def _render_one(scene, spec, pose, args, cfg, frame=0):
+    """Render one frame; raydrop draws from seed ``args.seed + frame``."""
     img, cos = raycast.render_conditional(
         scene, spec, pose, tessellation=cfg["render.tessellation"], return_incidence=True
     )
     if args.raydrop:
-        img = raycast.apply_raydrop(img, cfg.raydrop_params(), cos, seed=args.seed)
+        img = raycast.apply_raydrop(img, cfg.raydrop_params(), cos, seed=args.seed + frame)
     return img
 
 
@@ -74,7 +79,7 @@ def cmd_render(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for i, pose in enumerate(poses):
-            img = _render_one(scene, spec, pose, args, cfg)
+            img = _render_one(scene, spec, pose, args, cfg, frame=i)
             sensor.write_lri(out / f"frame_{i:05d}.lri", img)
             if args.cloud:
                 cloud = raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose)
@@ -126,8 +131,7 @@ def _load_training_images(data_dir):
             cimg = sensor.read_lri(cond_path)
             depth_n = sensor.normalize_depth(cimg.data[0], cimg.spec)
             sem = cimg.data[1] if cimg.channels > 1 else np.zeros_like(depth_n)
-            denom = max(len(layout_mod.DEFAULT_PALETTE) - 1, 1)
-            conds.append(np.stack([depth_n, sem / denom]))
+            conds.append(np.stack([depth_n, sem / SEMANTIC_DENOM]))
     return np.array(images, dtype=np.float32), (np.array(conds, dtype=np.float32) if conds else None)
 
 
@@ -174,8 +178,7 @@ def cmd_sample(args):
         pose = _parse_pose(args.pose) if args.pose else Pose()
         cimg = raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"])
         depth_n = sensor.normalize_depth(cimg.depth, spec)
-        denom = max(len(scene.palette) - 1, 1)
-        cond = np.stack([depth_n, cimg.data[1] / denom]).astype(np.float32)
+        cond = np.stack([depth_n, cimg.data[1] / SEMANTIC_DENOM]).astype(np.float32)
         if state.adapter is None:
             raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)

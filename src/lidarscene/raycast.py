@@ -1,7 +1,7 @@
 """Layout rendering by raycasting: BVH construction, ray-triangle queries
-(with a vectorized brute-force twin used as oracle and numpy fallback),
-conditional range-image rendering, surface-sampling ablation and the
-parametric raydrop model.
+(one breadth-first BVH traversal in ``_kernels``, and a vectorized
+all-triangle scan kept as its independent oracle), conditional range-image
+rendering, surface-sampling ablation and the parametric raydrop model.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .accel import NUMBA_ENABLED
 from .layout import Layout, Pose
 from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles
@@ -143,12 +142,10 @@ def intersect(bvh: BVH, mesh: TriangleMesh, ray: Ray, t_max: float) -> Hit | Non
     lower triangle index."""
     d = ray.direction
     o = np.asarray(ray.origin, dtype=np.float64)
-    t, tri = _kernels.traverse(
-        o[0], o[1], o[2], d[0], d[1], d[2], float(t_max), *_traverse_args(bvh)
-    )
-    if tri < 0:
+    ts, tris = _kernels.render_rays(o[None], d[None], float(t_max), *_traverse_args(bvh))
+    if tris[0] < 0:
         return None
-    return _make_hit(mesh, bvh, o, d, float(t), int(tri))
+    return _make_hit(mesh, bvh, o, d, float(ts[0]), int(tris[0]))
 
 
 def _make_hit(mesh, bvh, origin, direction, t, tri):
@@ -176,8 +173,8 @@ def _make_hit(mesh, bvh, origin, direction, t, tri):
 
 
 def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float, chunk: int = 2**22):
-    """Vectorized all-triangle scan: the independent oracle (and the pure
-    numpy render path). Returns (t, triangle_index) arrays; miss is -1."""
+    """Vectorized all-triangle scan: the independent oracle for the BVH
+    traversal. Returns (t, triangle_index) arrays; miss is -1."""
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     n_rays = len(origins)
@@ -190,7 +187,7 @@ def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float, chunk: int 
     for lo in range(0, n_rays, rows):
         o = origins[lo:lo + rows, None, :]
         d = dirs[lo:lo + rows, None, :]
-        # Component expressions mirror the scalar kernel exactly.
+        # Component expressions mirror _kernels._triangle_hits exactly.
         px = d[..., 1] * e2[:, 2] - d[..., 2] * e2[:, 1]
         py = d[..., 2] * e2[:, 0] - d[..., 0] * e2[:, 2]
         pz = d[..., 0] * e2[:, 1] - d[..., 1] * e2[:, 0]
@@ -252,11 +249,8 @@ def render_conditional(
     """
     mesh = mesh_layout(layout, tessellation)
     origins, dirs = _sensor_rays(spec, pose)
-    if NUMBA_ENABLED and mesh.num_triangles > 0:
-        bvh = build_bvh(mesh)
-        ts, idxs = _kernels.render_rays(origins, dirs, float(spec.max_range), *_traverse_args(bvh))
-    else:
-        ts, idxs = intersect_brute(mesh, origins, dirs, float(spec.max_range))
+    bvh = build_bvh(mesh)
+    ts, idxs = _kernels.render_rays(origins, dirs, float(spec.max_range), *_traverse_args(bvh))
     hit = idxs >= 0
     depth = np.where(hit, ts, 0.0).reshape(spec.rows, spec.cols)
     if mesh.num_triangles:
@@ -268,8 +262,7 @@ def render_conditional(
         return img
     cos = np.zeros(len(ts))
     if hit.any():
-        v0, e1, e2 = _triangle_soup(mesh)
-        normals = np.cross(e1[idxs[hit]], e2[idxs[hit]])
+        normals = np.cross(bvh.tri_e1[idxs[hit]], bvh.tri_e2[idxs[hit]])
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
     return img, cos.reshape(spec.rows, spec.cols)

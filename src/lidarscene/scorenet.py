@@ -364,23 +364,12 @@ def _perturb(batch, schedule: NoiseSchedule, rng):
 def loss_uncond(model: ScoreModel, batch, schedule: NoiseSchedule, rng):
     """Denoising score-matching loss (level drawn uniformly per sample,
     per-term weight sigma^2/2). Accumulates parameter gradients."""
-    batch = np.asarray(batch, dtype=model.config.dtype)
-    if batch.shape[0] == 0:
-        raise ScoreNetError("empty batch")
-    noisy, noise, sigma = _perturb(batch, schedule, rng)
-    score = model.forward(noisy, sigma)
-    resid = score + noise / sigma[:, None, None, None]
-    per_sample = 0.5 * sigma**2 * (resid.astype(np.float64) ** 2).sum(axis=(1, 2, 3))
-    loss = float(per_sample.mean())
-    if not math.isfinite(loss):
-        raise ScoreNetError("non-finite loss")
-    dscore = (sigma**2)[:, None, None, None] * resid / batch.shape[0]
-    model.backward(dscore)
-    return loss
+    return loss_cond(model, None, batch, None, schedule, rng)
 
 
-def loss_cond(model: ScoreModel, adapter: ControlAdapter, batch, cond_batch, schedule, rng):
-    """Conditional variant of the score-matching loss. Gradients reach all
+def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_batch, schedule, rng):
+    """Score-matching loss through the conditional pathway (the
+    unconditional one when ``adapter`` is None). Gradients reach all
     parameters; training masks updates to adapter/fusion only."""
     batch = np.asarray(batch, dtype=model.config.dtype)
     if batch.shape[0] == 0:
@@ -472,7 +461,9 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     """Adam training loop, deterministic given the seed. `dataset` is an
     (N, C, H, W) array for phase 'uncond', or a tuple (images, conds) for
     conditional phases. Phase 'ab' splits the steps evenly between
-    zero-conv-only and full-adapter fine-tuning."""
+    zero-conv-only and full-adapter fine-tuning. A non-finite loss raises
+    ScoreNetError naming the step and phase; parameters keep the values of
+    the last good step."""
     conditional = config.phase != "uncond"
     if conditional:
         images, conds = dataset
@@ -506,9 +497,8 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
                     loss = loss_cond(state.model, state.adapter, images[idx], conds[idx], state.schedule, rng)
                 else:
                     loss = loss_uncond(state.model, images[idx], state.schedule, rng)
-            except ScoreNetError:
-                # Divergence: stop and keep the last good parameters.
-                return losses
+            except ScoreNetError as exc:
+                raise ScoreNetError(f"training failed at step {state.step + 1} (phase {phase}): {exc}") from exc
             state.optimizer.step(allowed=allowed)
             state.step += 1
             losses.append(loss)
@@ -616,6 +606,16 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
+    """Read an LDCK file; a truncated or corrupt file raises ScoreNetError."""
+    try:
+        return _read_checkpoint(path)
+    except ScoreNetError:
+        raise
+    except (struct.error, KeyError, ValueError) as exc:
+        raise ScoreNetError(f"{path}: truncated or corrupt checkpoint ({exc!r})") from exc
+
+
+def _read_checkpoint(path) -> TrainState:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _CKPT_MAGIC:
@@ -637,11 +637,11 @@ def load_checkpoint(path) -> TrainState:
             if len(raw) != nbytes:
                 raise ScoreNetError(f"{path}: truncated tensor {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
-        meta = {}
-        for line in f.read().decode().splitlines():
-            if "=" in line:
-                key, val = line.split("=", 1)
-                meta[key] = val
+        block = f.read().decode()
+    # The block is newline-terminated, so a cut inside it shows.
+    if not block.endswith("\n"):
+        raise ScoreNetError(f"{path}: truncated config block")
+    meta = dict(line.split("=", 1) for line in block.splitlines() if "=" in line)
 
     cfg = ModelConfig(
         in_channels=int(meta["in_channels"]),
@@ -652,7 +652,7 @@ def load_checkpoint(path) -> TrainState:
     )
     schedule = NoiseSchedule(float(meta["sigma_max"]), float(meta["sigma_min"]), int(meta["levels"]))
     model = ScoreModel(cfg)
-    adapter = ControlAdapter(model) if meta.get("has_adapter") == "1" else None
+    adapter = ControlAdapter(model) if meta["has_adapter"] == "1" else None
     params = dict(model.named_params())
     if adapter is not None:
         params.update(adapter.named_params())
@@ -661,5 +661,7 @@ def load_checkpoint(path) -> TrainState:
         missing = set(params) - set(tensors)
         raise ScoreNetError(f"{path}: tensor name mismatch (unknown={sorted(unknown)[:3]}, missing={sorted(missing)[:3]})")
     for name, p in params.items():
+        if tensors[name].shape != p.value.shape:
+            raise ScoreNetError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {p.value.shape}")
         p.value = tensors[name].astype(np.float32).copy()
     return TrainState(model=model, schedule=schedule, adapter=adapter, step=int(meta["step"]))

@@ -236,8 +236,10 @@ def read_lri(path, origin_height: float = 1.73) -> RangeImage:
         magic = f.read(4)
         if magic != _LRI_MAGIC:
             raise SensorError(f"{path}: bad magic {magic!r}, expected LRI1")
-        h, w, c = struct.unpack("<III", f.read(12))
-        pitch_max, pitch_min, max_range = struct.unpack("<ddd", f.read(24))
+        header = f.read(36)
+        if len(header) != 36:
+            raise SensorError(f"{path}: truncated header")
+        h, w, c, pitch_max, pitch_min, max_range = struct.unpack("<IIIddd", header)
         raw = f.read(4 * c * h * w)
         if len(raw) != 4 * c * h * w:
             raise SensorError(f"{path}: truncated payload")

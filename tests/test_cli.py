@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lidarscene import layout as layout_mod, scorenet, sensor
+from lidarscene import cli, layout as layout_mod, raycast, scorenet, sensor
 from lidarscene.cli import main
 from lidarscene.layout import Pose, SceneParams, SemanticPrimitive
 
@@ -98,6 +98,23 @@ def test_render_raydrop_drops_pixels(tmp_path, scene_file, small_cfg):
     assert int((b > 0).sum()) <= int((a > 0).sum())
 
 
+def test_render_trajectory_raydrop_seeds_each_frame(tmp_path, scene_file, small_cfg):
+    traj = tmp_path / "traj.txt"
+    traj.write_text("0 0 0 0\n0 0 0 0\n")
+    out = tmp_path / "frames"
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--trajectory", str(traj),
+               "--raydrop", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    a, b = (sensor.read_lri(out / f"frame_{i:05d}.lri") for i in range(2))
+    np.testing.assert_array_equal(a.semantic, b.semantic)
+    assert ((a.depth > 0) != (b.depth > 0)).any()
+    # frame 0 keeps the single-frame render's drop mask
+    single = tmp_path / "single.lri"
+    main(["render", "--layout", scene_file, "--sensor", small_cfg, "--raydrop", "--seed", "3",
+          "--out", str(single)])
+    assert single.read_bytes() == (out / "frame_00000.lri").read_bytes()
+
+
 def test_render_surface_sample(tmp_path, scene_file, small_cfg):
     out = tmp_path / "surf.xyz"
     rc = main(["render", "--layout", scene_file, "--sensor", small_cfg,
@@ -188,6 +205,61 @@ def test_train_sample_eval_pipeline(tmp_path, train_cfg, scene_file):
     text = csv.read_text().splitlines()
     names = {ln.split(",")[0] for ln in text[1:]}
     assert {"jsd", "mmd", "frechet", "box_recall", "bev_iou"} <= names
+
+
+def test_train_divergence_exits_nonzero_without_checkpoint(tmp_path, train_cfg, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    nan = sensor.RangeImage(sensor.SensorSpec(rows=16, cols=64), np.full((16, 64), np.nan))
+    sensor.write_lri(data / "img_nan.lri", nan)
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", str(data), "--config", train_cfg, "--steps", "4", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "step" in err[0] and "phase uncond" in err[0] and "non-finite loss" in err[0]
+    assert not out.exists()
+
+
+def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypatch):
+    # a layout with its own, shorter palette: "car" is id 2 here, not 3
+    palette = (
+        layout_mod.SemanticLabel(0, "ground", (81, 0, 81)),
+        layout_mod.SemanticLabel(1, "road", (128, 64, 128)),
+        layout_mod.SemanticLabel(2, "car", (0, 0, 142)),
+    )
+    scene = layout_mod.Layout(palette, (SemanticPrimitive(2, "cuboid", (6.0, 0.0, 0.75), (4.0, 1.8, 1.5)),))
+    scene_path = tmp_path / "short.layout"
+    layout_mod.save_layout(scene_path, scene)
+    cfg = cli.load_config(train_cfg)
+    model = scorenet.ScoreModel(cfg.model_config(), seed=0)
+    state = scorenet.TrainState(model, cfg.noise_schedule(), adapter=scorenet.ControlAdapter(model))
+    ckpt = tmp_path / "ctrl.ldck"
+    scorenet.save_checkpoint(ckpt, state)
+
+    seen = []
+    real = scorenet.model_score_fn
+
+    def spy(model, adapter=None, cond=None):
+        seen.append(cond)
+        return real(model, adapter=adapter, cond=cond)
+
+    monkeypatch.setattr(scorenet, "model_score_fn", spy)
+    rc = main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--layout", str(scene_path),
+               "--num", "1", "--out", str(tmp_path / "s")])
+    assert rc == 0
+
+    # the same render, stored as a training pair, goes through the loader
+    spec = cfg.sensor_spec()
+    img = raycast.render_conditional(layout_mod.load_layout(scene_path), spec, tessellation=cfg["render.tessellation"])
+    data = tmp_path / "pairs"
+    data.mkdir()
+    sensor.write_lri(data / "x.lri", sensor.RangeImage(spec, img.depth))
+    sensor.write_lri(data / "x.cond.lri", img)
+    _, conds = cli._load_training_images(data)
+    assert (seen[0][1] > 0).any()
+    np.testing.assert_allclose(seen[0][1], conds[0, 1], rtol=1e-6)
+    np.testing.assert_allclose(seen[0][1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
 
 
 def test_train_controlnet_requires_base(tmp_path, train_cfg):

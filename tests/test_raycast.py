@@ -110,17 +110,40 @@ def test_bvh_structure(scene_mesh, scene_bvh):
 
 def test_bvh_matches_brute_force(scene_mesh, scene_bvh):
     """The central oracle: BVH traversal must agree with the all-triangle
-    scan on thousands of random rays — indices exactly, t within 1e-9 (the
-    jitted kernel may fuse multiply-adds, shifting t by ~1 ulp)."""
+    scan on thousands of random rays, traced in one call: indices exactly,
+    t within 1e-9."""
     origins, dirs = random_rays(4000, 2)
     bt, bi = intersect_brute(scene_mesh, origins, dirs, 200.0)
-    for k in range(len(origins)):
-        t, tri = _kernels.traverse(
-            *origins[k], *dirs[k], 200.0, *raycast._traverse_args(scene_bvh)
-        )
-        assert tri == bi[k], f"ray {k}: bvh tri {tri} vs brute {bi[k]}"
-        if tri >= 0:
-            assert abs(t - bt[k]) < 1e-9, f"ray {k}: bvh t {t!r} vs brute {bt[k]!r}"
+    kt, ki = _kernels.render_rays(origins, dirs, 200.0, *raycast._traverse_args(scene_bvh))
+    np.testing.assert_array_equal(ki, bi)
+    hit = bi >= 0
+    assert hit.sum() > 1000
+    np.testing.assert_allclose(kt[hit], bt[hit], rtol=0, atol=1e-9)
+    assert (kt[~hit] == -1.0).all()
+
+
+def test_axis_parallel_ray_on_slab_plane_is_not_culled():
+    # The ray runs in the plane y = 0, which is the box's min-y face: the
+    # y slab is 0 * inf = NaN and must not cull the hit on the triangle edge.
+    mesh = TriangleMesh([[0, 0, -1], [0, 1, -1], [0, 0, 1]], [[0, 1, 2]], [4])
+    bvh = build_bvh(mesh)
+    origins, dirs = [[-3.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
+    bt, bi = intersect_brute(mesh, origins, dirs, 10.0)
+    kt, ki = _kernels.render_rays(origins, dirs, 10.0, *raycast._traverse_args(bvh))
+    assert bi[0] == 0 and ki[0] == 0
+    assert kt[0] == bt[0] == pytest.approx(3.0)
+    # parallel to a face of the box and outside it: culled, and a miss
+    kt, ki = _kernels.render_rays([[-3.0, -0.5, 0.0]], dirs, 10.0, *raycast._traverse_args(bvh))
+    assert ki[0] == -1 and kt[0] == -1.0
+
+
+def test_render_rays_empty_inputs():
+    empty = build_bvh(TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), []))
+    t, i = _kernels.render_rays([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 10.0, *raycast._traverse_args(empty))
+    assert t.tolist() == [-1.0] and i.tolist() == [-1]
+    mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (5.0, 0, 0), (1, 1, 1)))
+    t, i = _kernels.render_rays(np.empty((0, 3)), np.empty((0, 3)), 10.0, *raycast._traverse_args(build_bvh(mesh)))
+    assert t.shape == i.shape == (0,)
 
 
 def test_render_rays_kernel_matches_brute(scene_mesh, scene_bvh):
@@ -199,15 +222,27 @@ def test_render_translation_origin_height():
     assert img.depth[row].max() == pytest.approx(expect, rel=1e-6)
 
 
-def test_numpy_fallback_path_matches(monkeypatch, scene_mesh):
+def test_render_conditional_matches_brute_force_render():
+    """Depth, semantics and incidence of the rendered image equal an
+    all-triangle render of the same sensor rays."""
     lay = generate_random_scene(1)
     spec = SensorSpec(rows=8, cols=64)
-    monkeypatch.setattr(raycast, "NUMBA_ENABLED", True)
-    with_bvh = render_conditional(lay, spec, tessellation=16)
-    monkeypatch.setattr(raycast, "NUMBA_ENABLED", False)
-    fallback = render_conditional(lay, spec, tessellation=16)
-    np.testing.assert_array_equal(with_bvh.semantic, fallback.semantic)
-    np.testing.assert_allclose(with_bvh.depth, fallback.depth, rtol=0, atol=1e-9)
+    pose = Pose((2.0, -3.0, 0.0), 0.4)
+    img, cos = render_conditional(lay, spec, pose, tessellation=16, return_incidence=True)
+    mesh = mesh_layout(lay, 16)
+    origins, dirs = raycast._sensor_rays(spec, pose)
+    bt, bi = intersect_brute(mesh, origins, dirs, spec.max_range)
+    hit = bi >= 0
+    assert hit.any() and not hit.all()
+    labels = np.where(hit, mesh.triangle_labels[np.maximum(bi, 0)], 0)
+    np.testing.assert_array_equal(img.semantic.ravel(), labels)
+    np.testing.assert_array_equal(img.depth.ravel() > 0, hit)
+    np.testing.assert_allclose(img.depth.ravel(), np.where(hit, bt, 0.0), rtol=0, atol=1e-9)
+    v0 = mesh.vertices[mesh.triangles[bi[hit], 0]]
+    n = np.cross(mesh.vertices[mesh.triangles[bi[hit], 1]] - v0, mesh.vertices[mesh.triangles[bi[hit], 2]] - v0)
+    expect = np.zeros(len(bi))
+    expect[hit] = np.abs(np.sum(dirs[hit] * n, axis=1) / np.linalg.norm(n, axis=1))
+    np.testing.assert_allclose(cos.ravel(), expect, rtol=0, atol=1e-9)
 
 
 def test_empty_scene_renders_empty():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,66 @@ def test_checkpoint_truncated(tmp_path):
     clipped.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     with pytest.raises(ScoreNetError):
         load_checkpoint(clipped)
+
+
+def test_checkpoint_truncated_at_every_offset_raises_scorenet_error(tmp_path):
+    model = ScoreModel(ModelConfig(widths=(2, 2), emb_dim=4, blocks_per_level=1), seed=24)
+    state = TrainState(model=model, schedule=NoiseSchedule(), adapter=ControlAdapter(model, seed=25), step=12)
+    path = tmp_path / "full.ldck"
+    save_checkpoint(path, state)
+    full = path.read_bytes()
+    clipped = tmp_path / "clipped.ldck"
+    for size in range(len(full)):
+        clipped.write_bytes(full[:size])
+        with pytest.raises(ScoreNetError):
+            load_checkpoint(clipped)
+    clipped.write_bytes(full)
+    back = load_checkpoint(clipped)
+    assert back.step == 12 and back.model.param_checksum() == model.param_checksum()
+
+
+def test_checkpoint_wrong_tensor_shape(tmp_path):
+    small = ScoreModel(ModelConfig(widths=(2, 2), emb_dim=4, blocks_per_level=1), seed=26)
+    wide = ScoreModel(ModelConfig(widths=(2, 2), emb_dim=8, blocks_per_level=1), seed=26)
+    a, b = tmp_path / "a.ldck", tmp_path / "b.ldck"
+    save_checkpoint(a, TrainState(model=small, schedule=NoiseSchedule()))
+    save_checkpoint(b, TrainState(model=wide, schedule=NoiseSchedule()))
+    # a's tensors under b's config block: same names, other shapes
+    raw_a, raw_b = a.read_bytes(), b.read_bytes()
+    a.write_bytes(raw_a[: raw_a.index(b"in_channels=")] + raw_b[raw_b.index(b"in_channels="):])
+    with pytest.raises(ScoreNetError, match="shape"):
+        load_checkpoint(a)
+
+
+def test_loss_uncond_equals_cond_without_adapter():
+    model = ScoreModel(SMALL32, seed=27)
+    images = make_dataset(n=4, seed=14)
+    a = loss_uncond(model, images, NoiseSchedule(), np.random.default_rng(np.random.Philox(3)))
+    grads = {k: p.grad.copy() for k, p in model.named_params().items()}
+    for p in model.named_params().values():
+        p.grad[...] = 0.0
+    b = loss_cond(model, None, images, None, NoiseSchedule(), np.random.default_rng(np.random.Philox(3)))
+    assert a == b
+    for k, p in model.named_params().items():
+        np.testing.assert_array_equal(p.grad, grads[k])
+
+
+@pytest.mark.parametrize("phase", ["uncond", "ab"])
+def test_train_divergence_raises_with_step_and_phase(phase):
+    model = ScoreModel(SMALL32, seed=28)
+    images = make_dataset(n=4, seed=15)
+    images[2, 0, 3, 5] = np.nan
+    state = TrainState(model=model, schedule=NoiseSchedule())
+    dataset = images
+    if phase != "uncond":
+        state.adapter = ControlAdapter(model, seed=29)
+        dataset = (images, make_dataset(n=4, shape=(2, 8, 16), seed=16))
+    with pytest.raises(ScoreNetError, match=r"non-finite loss") as err:
+        train(state, dataset, TrainConfig(steps=6, batch_size=2, seed=1, phase=phase))
+    step, named = re.search(r"at step (\d+) \(phase (\w+)\)", str(err.value)).groups()
+    # the failing step is the one after the last completed step
+    assert int(step) == state.step + 1
+    assert named == phase if phase == "uncond" else named in ("a", "b")
 
 
 def test_conditional_loss_pathway_runs():

@@ -203,6 +203,20 @@ def test_lri_bad_magic(tmp_path):
         sensor.read_lri(path)
 
 
+def test_lri_truncated_at_every_offset_raises_sensor_error(tmp_path):
+    img = RangeImage(SensorSpec(rows=2, cols=4), np.ones((2, 2, 4)))
+    path = tmp_path / "full.lri"
+    sensor.write_lri(path, img)
+    full = path.read_bytes()
+    clipped = tmp_path / "clipped.lri"
+    for size in range(len(full)):
+        clipped.write_bytes(full[:size])
+        with pytest.raises(sensor.SensorError):
+            sensor.read_lri(clipped)
+    clipped.write_bytes(full)
+    np.testing.assert_array_equal(sensor.read_lri(clipped).data, img.data)
+
+
 def test_pgm_export(tmp_path):
     spec = SensorSpec(rows=4, cols=8)
     img = RangeImage(spec, np.full((1, 4, 8), 40.0))
