@@ -6,11 +6,20 @@ Every layer caches its forward inputs and consumes them in ``backward``,
 which accumulates parameter gradients and returns the input gradient.
 Gradient correctness is enforced by central finite differences in the
 test suite.
+
+``Conv2d`` is one im2col + GEMM (Chellapilla et al., 2006): ``_im2col``
+turns the zero-padded input into one column per pixel holding its k x k
+patch, so the forward pass and the weight gradient are matrix products with
+those columns. The input gradient needs no scatter back (col2im):
+dx[c, y, x] = sum_{o,i,j} w[o, c, i, j] dy[o, y+p-i, x+p-j] with p = k // 2
+is itself a same-padded convolution, of dy with the kernel flipped in both
+spatial axes and its channel axes swapped, so it runs through ``_im2col``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Param:
@@ -25,6 +34,17 @@ class Param:
 
 def _uniform(rng, scale, shape, dtype):
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
+
+
+def _im2col(x, k):
+    """(B, C, H, W) -> (B, C*k*k, H*W): the k x k patch around every pixel of
+    the zero-padded input, rows ordered (c, i, j) like a (cout, cin, k, k)
+    kernel flattened per output channel."""
+    b, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, C, H, W, k, k) view
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w)
 
 
 class Conv2d:
@@ -44,52 +64,28 @@ class Conv2d:
     def named_params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-    def _im2col(self, x):
-        b, c, h, w = x.shape
-        k = self.ksize
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = np.empty((b, c, k, k, h, w), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
-        return cols.reshape(b, c * k * k, h * w)
-
     def forward(self, x):
         b, _, h, w = x.shape
-        cols = self._im2col(x)
-        wm = self.w.value.reshape(self.cout, -1)
-        y = np.einsum("oc,bcn->bon", wm, cols, optimize=True)
-        y += self.b.value[None, :, None]
+        cols = _im2col(x, self.ksize)
+        y = self.w.value.reshape(self.cout, -1) @ cols + self.b.value[:, None]
         self._cache = (cols, x.shape)
         return y.reshape(b, self.cout, h, w)
 
     def backward(self, dy):
         cols, xshape = self._cache
         b, c, h, w = xshape
-        k = self.ksize
-        p = k // 2
         dyf = dy.reshape(b, self.cout, h * w)
-        self.w.grad += np.einsum("bon,bcn->oc", dyf, cols, optimize=True).reshape(self.w.value.shape)
+        self.w.grad += (dyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.value.shape)
         self.b.grad += dyf.sum(axis=(0, 2))
-        wm = self.w.value.reshape(self.cout, -1)
-        dcols = np.einsum("oc,bon->bcn", wm, dyf, optimize=True).reshape(b, c, k, k, h, w)
-        dxp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=dy.dtype)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + h, j : j + w] += dcols[:, :, i, j]
-        return dxp[:, :, p : p + h, p : p + w] if p else dxp
+        wt = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return (wt @ _im2col(dy, self.ksize)).reshape(xshape)
 
 
 class Dense:
-    def __init__(self, cin, cout, rng=None, dtype=np.float32, zero_init=False):
+    def __init__(self, cin, cout, rng=None, dtype=np.float32):
         scale = 1.0 / np.sqrt(cin)
-        if zero_init:
-            self.w = Param(np.zeros((cin, cout), dtype=dtype))
-            self.b = Param(np.zeros(cout, dtype=dtype))
-        else:
-            self.w = Param(_uniform(rng, scale, (cin, cout), dtype))
-            self.b = Param(_uniform(rng, scale, (cout,), dtype))
+        self.w = Param(_uniform(rng, scale, (cin, cout), dtype))
+        self.b = Param(_uniform(rng, scale, (cout,), dtype))
         self._x = None
 
     def named_params(self, prefix):
@@ -145,9 +141,7 @@ def avgpool2(x):
 
 
 def avgpool2_backward(dy):
-    b, c, h, w = dy.shape
-    dx = np.repeat(np.repeat(dy, 2, axis=2), 2, axis=3)
-    return (dx / 4.0).astype(dy.dtype)
+    return upnearest2(dy) / 4.0
 
 
 def upnearest2(x):
@@ -155,8 +149,7 @@ def upnearest2(x):
 
 
 def upnearest2_backward(dy):
-    b, c, h, w = dy.shape
-    return dy.reshape(b, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    return 4.0 * avgpool2(dy)
 
 
 def sinusoidal_embedding(log_sigma, dim, dtype):
@@ -168,22 +161,23 @@ def sinusoidal_embedding(log_sigma, dim, dtype):
 
 
 class Adam:
-    """Adam over a dict of Params; an optional mask restricts updates."""
+    """Adam over a dict of Params; an optional mask restricts updates, and
+    each parameter's bias correction counts only its own updates."""
 
     def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
-        self.t = 0
+        self.t = dict.fromkeys(params, 0)
 
     def step(self, allowed=None):
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
         for name, p in self.params.items():
             if allowed is not None and name not in allowed:
                 continue
+            self.t[name] += 1
+            b1t = 1.0 - self.beta1 ** self.t[name]
+            b2t = 1.0 - self.beta2 ** self.t[name]
             g = p.grad
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g

@@ -67,10 +67,6 @@ class BVH:
     tri_e1: np.ndarray
     tri_e2: np.ndarray
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.count)
-
 
 def _triangle_soup(mesh: TriangleMesh):
     v0 = mesh.vertices[mesh.triangles[:, 0]]

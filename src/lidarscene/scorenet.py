@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -210,11 +211,7 @@ class ControlAdapter:
         return out
 
     def fusion_param_names(self, prefix="adapter"):
-        names = set()
-        for i, z in enumerate(self.zero_fusions):
-            names.update(z.named_params(f"{prefix}.zero{i}"))
-        names.update(self.zero_mid.named_params(f"{prefix}.zmid"))
-        return names
+        return {n for n in self.named_params(prefix) if n.startswith((f"{prefix}.zero", f"{prefix}.zmid"))}
 
 
 class ScoreModel:
@@ -587,22 +584,32 @@ def _config_block(state: TrainState):
 
 def save_checkpoint(path, state: TrainState):
     """LDCK: magic, u32 version, u32 tensor count; per tensor u16 name
-    length, name, u8 ndim, u32 dims, f32 data; then a key=value block."""
+    length, name, u8 ndim, u32 dims, f32 data; then a key=value block.
+    Written to `path`.tmp and renamed over `path`, so a failed save keeps the
+    previous file. Resume is not exact: the Adam moments and step counts and
+    the data RNG are not saved, so a resumed run starts them afresh."""
     tensors = {name: p.value for name, p in state.model.named_params().items()}
     if state.adapter is not None:
         tensors.update({name: p.value for name, p in state.adapter.named_params().items()})
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(tensors)))
-        for name in sorted(tensors):
-            value = np.asarray(tensors[name], dtype=np.float32)
-            nb = name.encode()
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", value.ndim))
-            f.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            f.write(value.astype("<f4").tobytes())
-        f.write(_config_block(state))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<II", _CKPT_VERSION, len(tensors)))
+            for name in sorted(tensors):
+                value = np.asarray(tensors[name], dtype=np.float32)
+                nb = name.encode()
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", value.ndim))
+                f.write(struct.pack(f"<{value.ndim}I", *value.shape))
+                f.write(value.astype("<f4").tobytes())
+            f.write(_config_block(state))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):  # absent when open() itself failed
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:

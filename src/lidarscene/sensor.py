@@ -14,6 +14,7 @@ Conventions (fixed, documented, round-trip tested):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -203,8 +204,8 @@ def point_cloud_to_range_image(cloud: LabeledPointCloud, spec: SensorSpec) -> Ra
 def normalize_depth(d, spec: SensorSpec):
     """Log-scale depth to [0, 1]; 0 maps to 0 and max_range to 1."""
     d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0) or np.any(d > spec.max_range):
-        raise SensorError("depth outside [0, max_range]")
+    if not np.all((d >= 0) & (d <= spec.max_range)):  # False for NaN too
+        raise SensorError("depth not finite or outside [0, max_range]")
     return np.log1p(d) / math.log(spec.max_range + 1.0)
 
 
@@ -240,10 +241,11 @@ def read_lri(path, origin_height: float = 1.73) -> RangeImage:
         if len(header) != 36:
             raise SensorError(f"{path}: truncated header")
         h, w, c, pitch_max, pitch_min, max_range = struct.unpack("<IIIddd", header)
-        raw = f.read(4 * c * h * w)
-        if len(raw) != 4 * c * h * w:
-            raise SensorError(f"{path}: truncated payload")
-        data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(c, h, w)
+        if c == 0:
+            raise SensorError(f"{path}: header has 0 channels")
+        if 4 * c * h * w > os.fstat(f.fileno()).st_size - f.tell():
+            raise SensorError(f"{path}: truncated payload for a {h}x{w}x{c} header")
+        data = np.frombuffer(f.read(4 * c * h * w), dtype="<f4").astype(np.float64).reshape(c, h, w)
     spec = SensorSpec(h, w, pitch_max, pitch_min, max_range, origin_height)
     return RangeImage(spec, data)
 

@@ -207,7 +207,20 @@ def test_train_sample_eval_pipeline(tmp_path, train_cfg, scene_file):
     assert {"jsd", "mmd", "frechet", "box_recall", "bev_iou"} <= names
 
 
-def test_train_divergence_exits_nonzero_without_checkpoint(tmp_path, train_cfg, capsys):
+def test_train_divergence_exits_nonzero_without_checkpoint(tmp_path, capsys):
+    data = _write_training_data(tmp_path)
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(TRAIN_CFG + "train.lr = 1e30\n")  # finite data, a step size that overflows
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", data, "--config", str(cfg), "--steps", "4", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "step" in err[0] and "phase uncond" in err[0] and "non-finite loss" in err[0]
+    assert not out.exists()
+
+
+def test_train_rejects_nan_depths_at_load(tmp_path, train_cfg, capsys):
     data = tmp_path / "data"
     data.mkdir()
     nan = sensor.RangeImage(sensor.SensorSpec(rows=16, cols=64), np.full((16, 64), np.nan))
@@ -217,7 +230,7 @@ def test_train_divergence_exits_nonzero_without_checkpoint(tmp_path, train_cfg, 
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "step" in err[0] and "phase uncond" in err[0] and "non-finite loss" in err[0]
+    assert "not finite" in err[0] and "step" not in err[0]
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from lidarscene import scorenet
 from lidarscene.scorenet import (
     ControlAdapter,
     ModelConfig,
@@ -347,3 +348,25 @@ def test_conditional_loss_pathway_runs():
     conds = make_dataset(n=4, shape=(2, 8, 16), seed=13)
     loss = loss_cond(model, adapter, images, conds, NoiseSchedule(), rng)
     assert math.isfinite(loss) and loss > 0
+
+
+def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = ScoreModel(SMALL32, seed=30)
+    state = TrainState(model=model, schedule=NoiseSchedule(), step=3)
+    path = tmp_path / "ckpt.ldck"
+    save_checkpoint(path, state)
+    before = path.read_bytes()
+
+    for p in model.named_params().values():
+        p.value = p.value + 1.0
+    state.step = 4
+
+    def fail(_state):  # raises after every tensor is written
+        raise OSError("disk full")
+
+    monkeypatch.setattr(scorenet, "_config_block", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, state)
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).step == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.ldck"]

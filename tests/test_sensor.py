@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -181,6 +182,11 @@ def test_normalize_depth_out_of_range():
         normalize_depth(-0.1, spec)
     with pytest.raises(sensor.SensorError):
         normalize_depth(spec.max_range + 1.0, spec)
+    for bad in (np.nan, np.inf, -np.inf):
+        d = np.full((2, 3), 5.0)
+        d[1, 2] = bad
+        with pytest.raises(sensor.SensorError, match="not finite"):
+            normalize_depth(d, spec)
 
 
 def test_lri_roundtrip(tmp_path):
@@ -215,6 +221,14 @@ def test_lri_truncated_at_every_offset_raises_sensor_error(tmp_path):
             sensor.read_lri(clipped)
     clipped.write_bytes(full)
     np.testing.assert_array_equal(sensor.read_lri(clipped).data, img.data)
+
+
+@pytest.mark.parametrize("dims, match", [((2, 4, 0), "0 channels"), ((2**31, 2**31, 1), "truncated payload")])
+def test_lri_bad_header_dims_raise_sensor_error(tmp_path, dims, match):
+    path = tmp_path / "bad.lri"
+    path.write_bytes(sensor._LRI_MAGIC + struct.pack("<IIIddd", *dims, 0.03, -0.4, 80.0) + b"\x00" * 64)
+    with pytest.raises(sensor.SensorError, match=match):
+        sensor.read_lri(path)
 
 
 def test_pgm_export(tmp_path):
