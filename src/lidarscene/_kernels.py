@@ -64,20 +64,17 @@ def _segment_starts(key):
     return np.concatenate([[True], key[1:] != key[:-1]])
 
 
-def render_rays(
-    origins, dirs, t_max,
-    nodes_min, nodes_max, node_left, node_right, node_start, node_count,
-    perm, tri_v0, tri_e1, tri_e2,
-):
-    """Nearest hit of every ray against the BVH: (t, triangle_index) arrays,
-    -1 for a miss. Of the hits within TIE_EPS of a ray's minimum t, the
-    lowest triangle index wins, as in the brute-force oracle."""
+def render_rays(origins, dirs, t_max, bvh):
+    """Nearest hit of every ray against ``bvh`` (a ``raycast.BVH``):
+    (t, triangle_index) arrays, -1 for a miss. Of the hits within TIE_EPS of
+    a ray's minimum t, the lowest triangle index wins, as in the brute-force
+    oracle."""
     origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     n = len(origins)
     out_t = np.full(n, -1.0)
     out_i = np.full(n, -1, dtype=np.int64)
-    if n == 0 or len(node_count) == 0:
+    if n == 0 or len(bvh.count) == 0:
         return out_t, out_i
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
@@ -86,26 +83,26 @@ def render_rays(
     node = np.zeros(n, dtype=np.int64)
     hit_ray, hit_tri, hit_t = [], [], []
     while len(ray):
-        keep = _slab_hits(origins[ray], inv[ray], nodes_min[node], nodes_max[node], t_max)
+        keep = _slab_hits(origins[ray], inv[ray], bvh.nodes_min[node], bvh.nodes_max[node], t_max)
         ray, node = ray[keep], node[keep]
-        count = node_count[node]
+        count = bvh.count[node]
         leaf = count > 0
         if leaf.any():
             # One row per (ray, triangle) of the leaf: row k of a leaf pair
             # with first row f reads perm[start + k - f].
             count = count[leaf]
             first = np.cumsum(count) - count
-            slot = np.arange(count.sum()) - np.repeat(first - node_start[node[leaf]], count)
+            slot = np.arange(count.sum()) - np.repeat(first - bvh.start[node[leaf]], count)
             r = np.repeat(ray[leaf], count)
-            tri = perm[slot]
-            t = _triangle_hits(origins[r], dirs[r], tri_v0[tri], tri_e1[tri], tri_e2[tri], t_max)
+            tri = bvh.perm[slot]
+            t = _triangle_hits(origins[r], dirs[r], bvh.tri_v0[tri], bvh.tri_e1[tri], bvh.tri_e2[tri], t_max)
             found = np.isfinite(t)
             hit_ray.append(r[found])
             hit_tri.append(tri[found])
             hit_t.append(t[found])
         inner = ~leaf
         ray = np.concatenate([ray[inner], ray[inner]])
-        node = np.concatenate([node_left[node[inner]], node_right[node[inner]]])
+        node = np.concatenate([bvh.left[node[inner]], bvh.right[node[inner]]])
 
     if not hit_ray:
         return out_t, out_i

@@ -38,9 +38,11 @@ def _read_trajectory(path):
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{ln}: trajectory lines are 'x y z yaw_deg'")
-            poses.append(Pose(tuple(float(p) for p in parts[:3]), math.radians(float(parts[3]))))
+            try:
+                x, y, z, yaw = (float(p) for p in parts)
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: trajectory lines are 'x y z yaw_deg', got {line!r}") from None
+            poses.append(Pose((x, y, z), math.radians(yaw)))
     return poses
 
 
@@ -98,8 +100,7 @@ def cmd_render(args):
 def cmd_extract(args):
     cfg = load_config(args.config)
     cloud = sensor.read_point_cloud(args.cloud)
-    palette = layout_mod.DEFAULT_PALETTE
-    result = extraction.extract_layout(cloud, params_by_label=cfg.cluster_params(palette), palette=palette)
+    result = extraction.extract_layout(cloud, params_by_label=cfg.cluster_params(layout_mod.DEFAULT_PALETTE))
     layout_mod.save_layout(args.out, result)
     print(f"extracted {len(result.primitives)} primitives to {args.out}")
 
@@ -116,6 +117,13 @@ def cmd_unproject(args):
     print(f"wrote {len(cloud)} pseudo points to {args.out}")
 
 
+def _normalized_depth(img, path):
+    try:
+        return sensor.normalize_depth(img.depth, img.spec)
+    except sensor.SensorError as exc:
+        raise sensor.SensorError(f"{path}: {exc}") from None
+
+
 def _load_training_images(data_dir):
     """Normalized depth channels of all *.lri files (conditioning frames
     named *.cond.lri are paired separately)."""
@@ -125,11 +133,11 @@ def _load_training_images(data_dir):
     images, conds = [], []
     for path in targets:
         img = sensor.read_lri(path)
-        images.append(sensor.normalize_depth(img.depth, img.spec)[None])
+        images.append(_normalized_depth(img, path)[None])
         cond_path = path.with_name(path.stem + ".cond.lri")
         if cond_path.exists():
             cimg = sensor.read_lri(cond_path)
-            depth_n = sensor.normalize_depth(cimg.data[0], cimg.spec)
+            depth_n = _normalized_depth(cimg, cond_path)
             sem = cimg.data[1] if cimg.channels > 1 else np.zeros_like(depth_n)
             conds.append(np.stack([depth_n, sem / SEMANTIC_DENOM]))
     return np.array(images, dtype=np.float32), (np.array(conds, dtype=np.float32) if conds else None)
@@ -138,10 +146,7 @@ def _load_training_images(data_dir):
 def cmd_train(args):
     cfg = load_config(args.config)
     images, conds = _load_training_images(args.data)
-    train_cfg = cfg.train_config(
-        phase=args.phase if args.controlnet else "uncond",
-        checkpoint_path=args.out,
-    )
+    train_cfg = cfg.train_config(phase=args.phase if args.controlnet else "uncond")
     if args.steps is not None:
         train_cfg.steps = args.steps
     if args.seed is not None:

@@ -1,14 +1,19 @@
 """key=value configuration files with a published schema.
 
 UTF-8 text, one ``key = value`` pair per line, ``#`` comments. Unknown
-keys are rejected; absent keys take their defaults.
+keys are rejected; absent keys take their defaults. Each field of the
+dataclass a section builds (``SECTIONS``) is the key ``section.field``, with
+the field's own default and a parser taken from the default's type; the
+exceptions are written once, below.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from .extraction import ClusterParams
+from .extraction import DEFAULT_CLUSTER_PARAMS, ClusterParams
+from .meshing import DEFAULT_TESSELLATION
 from .raycast import RaydropParams
 from .scorenet import ModelConfig, NoiseSchedule, SamplerConfig, TrainConfig
 from .sensor import SensorSpec
@@ -22,41 +27,48 @@ def _widths(text):
     return tuple(int(w) for w in text.split(","))
 
 
-#: key -> (parser, default). The single source of truth for valid keys.
-SCHEMA = {
-    "sensor.rows": (int, 64),
-    "sensor.cols": (int, 1024),
-    "sensor.pitch_max_deg": (float, 2.0),
-    "sensor.pitch_min_deg": (float, -24.8),
-    "sensor.max_range": (float, 80.0),
-    "sensor.origin_height": (float, 1.73),
-    "schedule.sigma_max": (float, 1.0),
-    "schedule.sigma_min": (float, 0.01),
-    "schedule.levels": (int, 10),
-    "sampler.eps0": (float, 2e-5),
-    "sampler.steps_per_level": (int, 5),
-    "model.in_channels": (int, 1),
-    "model.cond_channels": (int, 2),
-    "model.widths": (_widths, (16, 16, 32, 32)),
-    "model.emb_dim": (int, 32),
-    "model.blocks_per_level": (int, 2),
-    "train.steps": (int, 1000),
-    "train.lr": (float, 1e-3),
-    "train.batch_size": (int, 8),
-    "train.seed": (int, 0),
-    "train.log_every": (int, 100),
-    "train.checkpoint_every": (int, 0),
-    "render.tessellation": (int, 32),
-    "raydrop.p0": (float, 0.02),
-    "raydrop.p1": (float, 0.08),
-    "raydrop.p2": (float, 0.15),
-    "cluster.car.eps": (float, 0.8),
-    "cluster.car.min_pts": (int, 10),
-    "cluster.vegetation.eps": (float, 1.5),
-    "cluster.vegetation.min_pts": (int, 10),
-    "cluster.building.eps": (float, 2.0),
-    "cluster.building.min_pts": (int, 20),
+#: section -> the dataclass its keys build.
+SECTIONS = {
+    "sensor": SensorSpec,
+    "schedule": NoiseSchedule,
+    "sampler": SamplerConfig,
+    "model": ModelConfig,
+    "train": TrainConfig,
+    "raydrop": RaydropParams,
 }
+_NOT_KEYS = {"model.dtype", "train.phase"}  # set in code only
+#: SensorSpec holds radians; the file keeps degrees under ``<field>_deg``.
+_IN_DEGREES = {"sensor.pitch_max", "sensor.pitch_min"}
+
+
+def _fields(section):
+    """(field, key) of every field of the section's dataclass that is a key."""
+    for f in dataclasses.fields(SECTIONS[section]):
+        key = f"{section}.{f.name}"
+        if key in _IN_DEGREES:
+            yield f, key + "_deg"
+        elif key not in _NOT_KEYS:
+            yield f, key
+
+
+def _schema():
+    schema = {}
+    for section in SECTIONS:
+        for f, key in _fields(section):
+            if key.endswith("_deg"):
+                schema[key] = (float, math.degrees(f.default))
+            else:
+                schema[key] = (_widths if isinstance(f.default, tuple) else type(f.default), f.default)
+    # Settings of functions rather than dataclasses.
+    schema["render.tessellation"] = (int, DEFAULT_TESSELLATION)
+    for name, (eps, min_pts) in DEFAULT_CLUSTER_PARAMS.items():
+        schema[f"cluster.{name}.eps"] = (float, eps)
+        schema[f"cluster.{name}.min_pts"] = (int, min_pts)
+    return schema
+
+
+#: key -> (parser, default). The single source of truth for valid keys.
+SCHEMA = _schema()
 
 
 class Config:
@@ -72,48 +84,31 @@ class Config:
     def __getitem__(self, key):
         return self.values[key]
 
+    def _build(self, section, **overrides):
+        """The section's dataclass from its keys, with ``overrides`` on top."""
+        kwargs = {
+            f.name: math.radians(self[key]) if key.endswith("_deg") else self[key]
+            for f, key in _fields(section)
+        }
+        return SECTIONS[section](**{**kwargs, **overrides})
+
     def sensor_spec(self) -> SensorSpec:
-        return SensorSpec(
-            rows=self["sensor.rows"],
-            cols=self["sensor.cols"],
-            pitch_max=math.radians(self["sensor.pitch_max_deg"]),
-            pitch_min=math.radians(self["sensor.pitch_min_deg"]),
-            max_range=self["sensor.max_range"],
-            origin_height=self["sensor.origin_height"],
-        )
+        return self._build("sensor")
 
     def noise_schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(
-            self["schedule.sigma_max"], self["schedule.sigma_min"], self["schedule.levels"]
-        )
+        return self._build("schedule")
 
     def sampler_config(self) -> SamplerConfig:
-        return SamplerConfig(self["sampler.eps0"], self["sampler.steps_per_level"])
+        return self._build("sampler")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            in_channels=self["model.in_channels"],
-            cond_channels=self["model.cond_channels"],
-            widths=self["model.widths"],
-            emb_dim=self["model.emb_dim"],
-            blocks_per_level=self["model.blocks_per_level"],
-        )
+        return self._build("model")
 
     def train_config(self, **overrides) -> TrainConfig:
-        cfg = TrainConfig(
-            steps=self["train.steps"],
-            lr=self["train.lr"],
-            batch_size=self["train.batch_size"],
-            seed=self["train.seed"],
-            log_every=self["train.log_every"],
-            checkpoint_every=self["train.checkpoint_every"],
-        )
-        for key, val in overrides.items():
-            setattr(cfg, key, val)
-        return cfg
+        return self._build("train", **overrides)
 
     def raydrop_params(self) -> RaydropParams:
-        return RaydropParams(self["raydrop.p0"], self["raydrop.p1"], self["raydrop.p2"])
+        return self._build("raydrop")
 
     def cluster_params(self, palette) -> dict:
         out = {}

@@ -160,28 +160,18 @@ def fit_box(points):
     return (cx, cy, float(mid[2])), tuple(extents), yaw
 
 
-def extract_layout(
-    cloud: LabeledPointCloud,
-    params_by_label: dict | None = None,
-    shape_by_label: dict | None = None,
-    palette=None,
-) -> Layout:
-    """Cluster each label's points and fit one primitive per cluster.
-    Plane-shaped labels (ground, road) instead get a single plane spanning
-    their XY AABB at the median z."""
-    palette = tuple(palette) if palette is not None else tuple(DEFAULT_PALETTE)
-    by_name = {lab.name: lab for lab in palette}
+def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None) -> Layout:
+    """Cluster the points of each DEFAULT_PALETTE label and fit one primitive
+    per cluster, with DEFAULT_CLUSTER_PARAMS unless ``params_by_label``
+    (label id -> ClusterParams) overrides them. Plane-shaped labels (ground,
+    road) instead get a single plane spanning their XY AABB at the median z."""
+    palette = tuple(DEFAULT_PALETTE)
     params = {
-        by_name[name].id: ClusterParams(*vals)
-        for name, vals in DEFAULT_CLUSTER_PARAMS.items()
-        if name in by_name
+        lab.id: ClusterParams(*DEFAULT_CLUSTER_PARAMS[lab.name])
+        for lab in palette
+        if lab.name in DEFAULT_CLUSTER_PARAMS
     }
-    if params_by_label:
-        params.update({lid: (p if isinstance(p, ClusterParams) else ClusterParams(*p))
-                       for lid, p in params_by_label.items()})
-    shapes = {by_name[name].id: shape for name, shape in DEFAULT_SHAPE_MAP.items() if name in by_name}
-    if shape_by_label:
-        shapes.update(shape_by_label)
+    params.update(params_by_label or {})
 
     prims = []
     for lab in palette:
@@ -189,7 +179,7 @@ def extract_layout(
         if not mask.any():
             continue
         pts = cloud.points[mask]
-        shape = shapes.get(lab.id, "cuboid")
+        shape = DEFAULT_SHAPE_MAP[lab.name]
         if shape == "plane":
             lo = pts[:, :2].min(axis=0)
             hi = pts[:, :2].max(axis=0)
@@ -198,8 +188,7 @@ def extract_layout(
             center = ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, z)
             prims.append(SemanticPrimitive(lab.id, "plane", center, extents))
             continue
-        cp = params.get(lab.id, ClusterParams(1.0, 10))
-        ids = dbscan(pts, cp)
+        ids = dbscan(pts, params[lab.id])
         for cid in range(ids.max() + 1 if len(ids) else 0):
             cluster_pts = pts[ids == cid]
             center, extents, yaw = fit_box(cluster_pts)

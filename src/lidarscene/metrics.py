@@ -15,6 +15,14 @@ from .layout import Layout, Pose
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec
 
 
+#: Bins of the ``log_depth_features`` histogram.
+DEPTH_FEATURE_BINS = 64
+#: A car counts toward box recall when at least this many points fall in its
+#: box, grown by CAR_DILATION meters in XY and upward.
+CAR_MIN_POINTS = 20
+CAR_DILATION = 0.5
+
+
 class MetricError(ValueError):
     pass
 
@@ -113,14 +121,15 @@ def frechet(a, b) -> float:
     return max(dist, 0.0)
 
 
-def log_depth_features(img: RangeImage, bins: int = 64) -> np.ndarray:
-    """Built-in feature extractor: 64-bin histogram of normalized log
-    depths over returned pixels. A stand-in so Frechet-style comparisons
-    run without a pretrained backbone (not a perceptual feature)."""
+def log_depth_features(img: RangeImage) -> np.ndarray:
+    """Built-in feature extractor: DEPTH_FEATURE_BINS-bin histogram of
+    normalized log depths over returned pixels. A stand-in so Frechet-style
+    comparisons run without a pretrained backbone (not a perceptual
+    feature)."""
     depth = img.depth[img.depth > 0]
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, 1.0, DEPTH_FEATURE_BINS + 1)
     if len(depth) == 0:
-        return np.zeros(bins)
+        return np.zeros(DEPTH_FEATURE_BINS)
     norm = np.log1p(depth) / math.log(img.spec.max_range + 1.0)
     counts, _ = np.histogram(np.clip(norm, 0.0, 1.0), bins=edges)
     return counts / counts.sum()
@@ -142,17 +151,15 @@ def layout_consistency(
     cloud: LabeledPointCloud,
     spec: SensorSpec = SensorSpec(),
     pose: Pose = Pose(),
-    min_points: int = 20,
-    dilation: float = 0.5,
 ):
     """(box_recall, bev_iou) of a cloud against its conditioning layout.
 
-    box_recall: fraction of car primitives whose box, dilated by 0.5 m in
-    XY and upward, contains at least `min_points` cloud points. The box
-    floor is lifted 0.1 m so ground returns under an absent car never
-    count toward its recall. bev_iou: IoU of the occupied BEV cells (1 m
-    resolution) of the cloud versus the layout's own raycast cloud. The
-    cloud is taken in world frame.
+    box_recall: fraction of car primitives whose box, dilated by
+    CAR_DILATION in XY and upward, contains at least CAR_MIN_POINTS cloud
+    points. The box floor is lifted 0.1 m so ground returns under an absent
+    car never count toward its recall. bev_iou: IoU of the occupied BEV
+    cells (1 m resolution) of the cloud versus the layout's own raycast
+    cloud. The cloud is taken in world frame.
     """
     from .raycast import render_point_cloud
 
@@ -164,22 +171,21 @@ def layout_consistency(
         hits = 0
         for prim in cars:
             z_lo = prim.center[2] - prim.extents[2] / 2.0 + 0.1
-            z_hi = prim.center[2] + prim.extents[2] / 2.0 + dilation
+            z_hi = prim.center[2] + prim.extents[2] / 2.0 + CAR_DILATION
             ext = (
-                prim.extents[0] + 2.0 * dilation,
-                prim.extents[1] + 2.0 * dilation,
+                prim.extents[0] + 2.0 * CAR_DILATION,
+                prim.extents[1] + 2.0 * CAR_DILATION,
                 z_hi - z_lo,
             )
             center = (prim.center[0], prim.center[1], (z_lo + z_hi) / 2.0)
-            if int(_points_in_box(cloud.points, center, ext, prim.yaw).sum()) >= min_points:
+            if int(_points_in_box(cloud.points, center, ext, prim.yaw).sum()) >= CAR_MIN_POINTS:
                 hits += 1
         box_recall = hits / len(cars)
     else:
         box_recall = 1.0
 
     ref_cloud = render_point_cloud(layout, spec, pose)
-    res = int(round((160.0) / 1.0))
-    grid = BevGrid((-80.0, 80.0), (-80.0, 80.0), res)
+    grid = BevGrid((-80.0, 80.0), (-80.0, 80.0), 160)
     occ_a = bev_histogram(cloud, grid).probs > 0
     occ_b = bev_histogram(ref_cloud, grid).probs > 0
     union = np.logical_or(occ_a, occ_b).sum()

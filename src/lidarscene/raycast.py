@@ -17,6 +17,8 @@ from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles
 
 LEAF_SIZE = 4
+#: Ray-triangle pairs per batch of ``intersect_brute``.
+BRUTE_CHUNK = 2**22
 T_MIN = _kernels.T_MIN
 TIE_EPS = _kernels.TIE_EPS
 
@@ -100,12 +102,12 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         count.append(0)
         return len(count) - 1
 
-    def build(lo, hi, depth):
+    def build(lo, hi):
         node = new_node()
         idx = perm[lo:hi]
         nodes_min[node] = tri_min[idx].min(axis=0)
         nodes_max[node] = tri_max[idx].max(axis=0)
-        if hi - lo <= LEAF_SIZE or depth >= 62:
+        if hi - lo <= LEAF_SIZE:
             start[node] = lo
             count[node] = hi - lo
             return node
@@ -113,11 +115,11 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         order = np.argsort(centroids[idx, axis], kind="stable")
         perm[lo:hi] = idx[order]
         mid = (lo + hi) // 2
-        left[node] = build(lo, mid, depth + 1)
-        right[node] = build(mid, hi, depth + 1)
+        left[node] = build(lo, mid)
+        right[node] = build(mid, hi)
         return node
 
-    build(0, n, 0)
+    build(0, n)
     return BVH(
         np.array(nodes_min), np.array(nodes_max),
         np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
@@ -126,19 +128,12 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
     )
 
 
-def _traverse_args(bvh: BVH):
-    return (
-        bvh.nodes_min, bvh.nodes_max, bvh.left, bvh.right, bvh.start, bvh.count,
-        bvh.perm, bvh.tri_v0, bvh.tri_e1, bvh.tri_e2,
-    )
-
-
 def intersect(bvh: BVH, mesh: TriangleMesh, ray: Ray, t_max: float) -> Hit | None:
     """Nearest hit along the ray, or None. Ties within 1e-9 resolve to the
     lower triangle index."""
     d = ray.direction
     o = np.asarray(ray.origin, dtype=np.float64)
-    ts, tris = _kernels.render_rays(o[None], d[None], float(t_max), *_traverse_args(bvh))
+    ts, tris = _kernels.render_rays(o[None], d[None], float(t_max), bvh)
     if tris[0] < 0:
         return None
     return _make_hit(mesh, bvh, o, d, float(ts[0]), int(tris[0]))
@@ -168,7 +163,7 @@ def _make_hit(mesh, bvh, origin, direction, t, tri):
     )
 
 
-def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float, chunk: int = 2**22):
+def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):
     """Vectorized all-triangle scan: the independent oracle for the BVH
     traversal. Returns (t, triangle_index) arrays; miss is -1."""
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
@@ -179,7 +174,7 @@ def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float, chunk: int 
     if mesh.num_triangles == 0:
         return out_t, out_i
     v0, e1, e2 = _triangle_soup(mesh)
-    rows = max(1, chunk // mesh.num_triangles)
+    rows = max(1, BRUTE_CHUNK // mesh.num_triangles)
     for lo in range(0, n_rays, rows):
         o = origins[lo:lo + rows, None, :]
         d = dirs[lo:lo + rows, None, :]
@@ -246,7 +241,7 @@ def render_conditional(
     mesh = mesh_layout(layout, tessellation)
     origins, dirs = _sensor_rays(spec, pose)
     bvh = build_bvh(mesh)
-    ts, idxs = _kernels.render_rays(origins, dirs, float(spec.max_range), *_traverse_args(bvh))
+    ts, idxs = _kernels.render_rays(origins, dirs, float(spec.max_range), bvh)
     hit = idxs >= 0
     depth = np.where(hit, ts, 0.0).reshape(spec.rows, spec.cols)
     if mesh.num_triangles:

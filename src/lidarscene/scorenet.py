@@ -429,8 +429,6 @@ class TrainConfig:
     seed: int = 0
     phase: str = "uncond"  # uncond | a | b | ab
     log_every: int = 100
-    checkpoint_every: int = 0
-    checkpoint_path: str | None = None
 
 
 @dataclass
@@ -501,12 +499,6 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
             losses.append(loss)
             if log is not None and state.step % config.log_every == 0:
                 log(f"step {state.step} phase {phase} loss {loss:.4f}")
-            if (
-                config.checkpoint_every
-                and config.checkpoint_path
-                and state.step % config.checkpoint_every == 0
-            ):
-                save_checkpoint(config.checkpoint_path, state)
     return losses
 
 

@@ -218,36 +218,41 @@ def denormalize_depth(n, spec: SensorSpec):
 # File formats
 
 
-_LRI_MAGIC = b"LRI1"
+_LRI_MAGIC = b"LRI2"
+#: Header after the magic, per version. LRI1 files predate the stored sensor
+#: height and read back with SensorSpec's default.
+_LRI_HEADERS = {b"LRI1": "<IIIddd", _LRI_MAGIC: "<IIIdddd"}
 
 
 def write_lri(path, img: RangeImage):
-    """Binary range-image file: magic LRI1, u32 H W C, f64 pitch_max
-    pitch_min max_range, then C*H*W little-endian f32 (channel-major)."""
+    """Binary range-image file: magic LRI2, u32 H W C, f64 pitch_max
+    pitch_min max_range origin_height, then C*H*W little-endian f32
+    (channel-major)."""
     spec = img.spec
     with open(path, "wb") as f:
         f.write(_LRI_MAGIC)
-        f.write(struct.pack("<III", spec.rows, spec.cols, img.channels))
-        f.write(struct.pack("<ddd", spec.pitch_max, spec.pitch_min, spec.max_range))
+        f.write(struct.pack(_LRI_HEADERS[_LRI_MAGIC], spec.rows, spec.cols, img.channels,
+                            spec.pitch_max, spec.pitch_min, spec.max_range, spec.origin_height))
         f.write(img.data.astype("<f4").tobytes())
 
 
-def read_lri(path, origin_height: float = 1.73) -> RangeImage:
+def read_lri(path) -> RangeImage:
+    """Read an LRI2 or LRI1 file."""
     with open(path, "rb") as f:
         magic = f.read(4)
-        if magic != _LRI_MAGIC:
-            raise SensorError(f"{path}: bad magic {magic!r}, expected LRI1")
-        header = f.read(36)
-        if len(header) != 36:
+        if magic not in _LRI_HEADERS:
+            raise SensorError(f"{path}: bad magic {magic!r}, expected LRI1 or LRI2")
+        size = struct.calcsize(_LRI_HEADERS[magic])
+        header = f.read(size)
+        if len(header) != size:
             raise SensorError(f"{path}: truncated header")
-        h, w, c, pitch_max, pitch_min, max_range = struct.unpack("<IIIddd", header)
+        h, w, c, *geometry = struct.unpack(_LRI_HEADERS[magic], header)
         if c == 0:
             raise SensorError(f"{path}: header has 0 channels")
         if 4 * c * h * w > os.fstat(f.fileno()).st_size - f.tell():
             raise SensorError(f"{path}: truncated payload for a {h}x{w}x{c} header")
         data = np.frombuffer(f.read(4 * c * h * w), dtype="<f4").astype(np.float64).reshape(c, h, w)
-    spec = SensorSpec(h, w, pitch_max, pitch_min, max_range, origin_height)
-    return RangeImage(spec, data)
+    return RangeImage(SensorSpec(h, w, *geometry), data)
 
 
 def write_pgm(path, img: RangeImage):
@@ -277,6 +282,9 @@ def read_point_cloud(path) -> LabeledPointCloud:
             parts = line.split()
             if len(parts) != 4:
                 raise SensorError(f"{path}:{ln}: expected 'x y z label_id'")
-            pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-            labels.append(int(parts[3]))
+            try:
+                pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
+                labels.append(int(parts[3]))
+            except ValueError as exc:
+                raise SensorError(f"{path}:{ln}: {exc}") from None
     return LabeledPointCloud(np.array(pts).reshape(-1, 3), np.array(labels, dtype=np.int64))

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from lidarscene import _kernels, raycast
 from lidarscene.extraction import ClusterParams, dbscan, extract_layout, fit_box
@@ -112,8 +113,7 @@ def test_criterion_02_raycast_oracle():
     dirs = rng.standard_normal((n, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     bt, bi = intersect_brute(mesh, origins, dirs, 200.0)
-    args = raycast._traverse_args(bvh)
-    kt, ki = _kernels.render_rays(origins, dirs, 200.0, *args)
+    kt, ki = _kernels.render_rays(origins, dirs, 200.0, bvh)
     idx_ok = bool(np.array_equal(ki, bi))
     hit = bi >= 0
     t_err = float(np.abs(kt[hit] - bt[hit]).max()) if hit.any() else 0.0
@@ -322,6 +322,7 @@ def _sample_to_world_cloud(x_row):
     return raycast.sensor_to_world(range_image_to_point_cloud(img), C10_SPEC, C10_POSE)
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end():
     t0 = time.time()
     train_n, held_n = 500, 32

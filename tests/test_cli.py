@@ -231,6 +231,7 @@ def test_train_rejects_nan_depths_at_load(tmp_path, train_cfg, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "not finite" in err[0] and "step" not in err[0]
+    assert "img_nan.lri" in err[0]
     assert not out.exists()
 
 
@@ -310,3 +311,13 @@ def test_eval_empty_dir_exits_nonzero(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     rc = main(["eval", "--gen", str(tmp_path / "empty"), "--ref", str(tmp_path / "empty")])
     assert rc == 1
+
+
+def test_render_bad_trajectory_line_names_file_and_line(tmp_path, scene_file, small_cfg, capsys):
+    traj = tmp_path / "poses.txt"
+    traj.write_text("0 0 0 0\n1 x 0 0\n")
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg,
+               "--trajectory", str(traj), "--out", str(tmp_path / "frames")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {traj}:2: ")

@@ -82,3 +82,37 @@ def test_load_config_file(tmp_path):
     sc = load_config(path).sampler_config()
     assert sc.eps0 == 1e-4
     assert sc.steps_per_level == 20
+
+
+def test_accessor_defaults_equal_dataclass_defaults():
+    from lidarscene.raycast import RaydropParams
+    from lidarscene.scorenet import ModelConfig, NoiseSchedule, SamplerConfig, TrainConfig
+    from lidarscene.sensor import SensorSpec
+
+    cfg = Config()
+    assert cfg.sensor_spec() == SensorSpec()
+    assert cfg.noise_schedule() == NoiseSchedule()
+    assert cfg.sampler_config() == SamplerConfig()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.raydrop_params() == RaydropParams()
+
+
+def test_sensor_pitch_keys_are_degrees():
+    assert Config()["sensor.pitch_max_deg"] == 2.0
+    assert Config()["sensor.pitch_min_deg"] == -24.8
+    spec = parse_config("sensor.pitch_min_deg = -10").sensor_spec()
+    assert spec.pitch_min == math.radians(-10.0)
+
+
+def test_written_defaults_parse_back_equal():
+    def fmt(val):
+        return ",".join(str(v) for v in val) if isinstance(val, tuple) else repr(val)
+
+    text = "".join(f"{key} = {fmt(val)}\n" for key, val in Config().values.items())
+    assert parse_config(text).values == Config().values
+
+
+def test_checkpoint_every_is_not_a_key():
+    with pytest.raises(ConfigError, match="unknown config key 'train.checkpoint_every'"):
+        parse_config("train.checkpoint_every = 5")

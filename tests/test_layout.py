@@ -110,6 +110,32 @@ def test_roundtrip_property(cx, sx, yaw_deg, shape):
     np.testing.assert_allclose(back.yaw, prim.yaw, rtol=1e-8, atol=1e-12)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EXTENT = st.floats(1e-3, 1e4)
+
+
+@st.composite
+def _layouts(draw):
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True), min_size=1, max_size=6, unique=True))
+    rgb = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
+    palette = tuple(lo.SemanticLabel(i, name, draw(rgb)) for i, name in enumerate(names))
+    prim = st.builds(
+        SemanticPrimitive,
+        label=st.integers(0, len(names) - 1),
+        shape=st.sampled_from(sorted(lo.SHAPES)),
+        center=st.tuples(_FINITE, _FINITE, _FINITE),
+        extents=st.tuples(_EXTENT, _EXTENT, _EXTENT),
+        yaw=st.floats(-10.0, 10.0),
+    )
+    return Layout(palette, tuple(draw(st.lists(prim, max_size=8))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lay=_layouts())
+def test_parse_serialize_roundtrip_property(lay):
+    assert_layouts_close(parse_layout(serialize_layout(lay)), lay)
+
+
 def test_layout_rejects_unknown_label():
     with pytest.raises(LayoutError):
         Layout(primitives=(SemanticPrimitive(99, "cuboid", (0, 0, 0), (1, 1, 1)),))

@@ -114,7 +114,7 @@ def test_bvh_matches_brute_force(scene_mesh, scene_bvh):
     t within 1e-9."""
     origins, dirs = random_rays(4000, 2)
     bt, bi = intersect_brute(scene_mesh, origins, dirs, 200.0)
-    kt, ki = _kernels.render_rays(origins, dirs, 200.0, *raycast._traverse_args(scene_bvh))
+    kt, ki = _kernels.render_rays(origins, dirs, 200.0, scene_bvh)
     np.testing.assert_array_equal(ki, bi)
     hit = bi >= 0
     assert hit.sum() > 1000
@@ -129,27 +129,27 @@ def test_axis_parallel_ray_on_slab_plane_is_not_culled():
     bvh = build_bvh(mesh)
     origins, dirs = [[-3.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
     bt, bi = intersect_brute(mesh, origins, dirs, 10.0)
-    kt, ki = _kernels.render_rays(origins, dirs, 10.0, *raycast._traverse_args(bvh))
+    kt, ki = _kernels.render_rays(origins, dirs, 10.0, bvh)
     assert bi[0] == 0 and ki[0] == 0
     assert kt[0] == bt[0] == pytest.approx(3.0)
     # parallel to a face of the box and outside it: culled, and a miss
-    kt, ki = _kernels.render_rays([[-3.0, -0.5, 0.0]], dirs, 10.0, *raycast._traverse_args(bvh))
+    kt, ki = _kernels.render_rays([[-3.0, -0.5, 0.0]], dirs, 10.0, bvh)
     assert ki[0] == -1 and kt[0] == -1.0
 
 
 def test_render_rays_empty_inputs():
     empty = build_bvh(TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), []))
-    t, i = _kernels.render_rays([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 10.0, *raycast._traverse_args(empty))
+    t, i = _kernels.render_rays([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 10.0, empty)
     assert t.tolist() == [-1.0] and i.tolist() == [-1]
     mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (5.0, 0, 0), (1, 1, 1)))
-    t, i = _kernels.render_rays(np.empty((0, 3)), np.empty((0, 3)), 10.0, *raycast._traverse_args(build_bvh(mesh)))
+    t, i = _kernels.render_rays(np.empty((0, 3)), np.empty((0, 3)), 10.0, build_bvh(mesh))
     assert t.shape == i.shape == (0,)
 
 
 def test_render_rays_kernel_matches_brute(scene_mesh, scene_bvh):
     spec = SensorSpec(rows=16, cols=64, max_range=80.0)
     origins, dirs = raycast._sensor_rays(spec, Pose())
-    kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, *raycast._traverse_args(scene_bvh))
+    kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, scene_bvh)
     bt, bi = intersect_brute(scene_mesh, origins, dirs, spec.max_range)
     np.testing.assert_array_equal(ki, bi)
     hit = ki >= 0

@@ -1,8 +1,11 @@
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lidarscene import sensor
 from lidarscene.sensor import (
@@ -226,9 +229,55 @@ def test_lri_truncated_at_every_offset_raises_sensor_error(tmp_path):
 @pytest.mark.parametrize("dims, match", [((2, 4, 0), "0 channels"), ((2**31, 2**31, 1), "truncated payload")])
 def test_lri_bad_header_dims_raise_sensor_error(tmp_path, dims, match):
     path = tmp_path / "bad.lri"
-    path.write_bytes(sensor._LRI_MAGIC + struct.pack("<IIIddd", *dims, 0.03, -0.4, 80.0) + b"\x00" * 64)
-    with pytest.raises(sensor.SensorError, match=match):
-        sensor.read_lri(path)
+    for magic, geometry in ((b"LRI1", (0.03, -0.4, 80.0)), (b"LRI2", (0.03, -0.4, 80.0, 1.73))):
+        header = struct.pack(sensor._LRI_HEADERS[magic], *dims, *geometry)
+        path.write_bytes(magic + header + b"\x00" * 64)
+        with pytest.raises(sensor.SensorError, match=match):
+            sensor.read_lri(path)
+
+
+def test_lri_keeps_origin_height(tmp_path):
+    img = RangeImage(SensorSpec(rows=2, cols=3, origin_height=2.5), np.ones((1, 2, 3)))
+    path = tmp_path / "tall.lri"
+    sensor.write_lri(path, img)
+    assert sensor.read_lri(path).spec.origin_height == 2.5
+
+
+def test_lri_v1_reads_with_default_height(tmp_path):
+    data = np.arange(6, dtype="<f4").reshape(1, 2, 3)
+    path = tmp_path / "v1.lri"
+    path.write_bytes(b"LRI1" + struct.pack("<IIIddd", 2, 3, 1, 0.03, -0.4, 50.0) + data.tobytes())
+    back = sensor.read_lri(path)
+    assert back.spec == SensorSpec(rows=2, cols=3, pitch_max=0.03, pitch_min=-0.4, max_range=50.0)
+    assert back.spec.origin_height == SensorSpec().origin_height
+    np.testing.assert_array_equal(back.data, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 6)),
+    pitch_max=st.floats(-1.5, 1.5),
+    fov=st.floats(1e-6, 3.0),
+    max_range=st.floats(1e-3, 1e4),
+    origin_height=st.floats(-100.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lri_roundtrip_keeps_every_header_field(tmp_path_factory, shape, pitch_max, fov, max_range, origin_height, seed):
+    c, h, w = shape
+    spec = SensorSpec(h, w, pitch_max, pitch_max - fov, max_range, origin_height)
+    data = np.random.default_rng(seed).uniform(0.0, max_range, shape).astype(np.float32)
+    path = tmp_path_factory.mktemp("lri") / "img.lri"
+    sensor.write_lri(path, RangeImage(spec, data))
+    back = sensor.read_lri(path)
+    assert back.spec == spec
+    np.testing.assert_array_equal(back.data, data)
+
+
+def test_read_point_cloud_names_file_and_line(tmp_path):
+    path = tmp_path / "cloud.xyz"
+    path.write_text("# x y z label_id\n1 2 3 0\n4 x 6 1\n")
+    with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: could not convert")):
+        sensor.read_point_cloud(path)
 
 
 def test_pgm_export(tmp_path):
