@@ -31,18 +31,22 @@ def _parse_pose(text: str) -> Pose:
 
 
 def _read_trajectory(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     poses = []
-    with open(path) as f:
-        for ln, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                x, y, z, yaw = (float(p) for p in parts)
-            except ValueError:
-                raise ValueError(f"{path}:{ln}: trajectory lines are 'x y z yaw_deg', got {line!r}") from None
-            poses.append(Pose((x, y, z), math.radians(yaw)))
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            x, y, z, yaw = (float(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"{path}:{ln}: trajectory lines are 'x y z yaw_deg', got {line!r}") from None
+        poses.append(Pose((x, y, z), math.radians(yaw)))
     return poses
 
 
@@ -117,9 +121,19 @@ def cmd_unproject(args):
     print(f"wrote {len(cloud)} pseudo points to {args.out}")
 
 
-def _normalized_depth(img, path):
+def _control_image(img):
+    """The 2-channel condition of a rendered frame, as f32: normalized
+    depth, then semantic id / SEMANTIC_DENOM (0 without a semantic channel)."""
+    depth_n = sensor.normalize_depth(img.depth, img.spec)
+    sem = img.semantic if img.semantic is not None else np.zeros_like(depth_n)
+    return np.stack([depth_n, sem / SEMANTIC_DENOM]).astype(np.float32)
+
+
+def _encode_lri(path, encode):
+    """``encode`` of the range image in ``path``; a rejection names the file."""
+    img = sensor.read_lri(path)
     try:
-        return sensor.normalize_depth(img.depth, img.spec)
+        return encode(img)
     except sensor.SensorError as exc:
         raise sensor.SensorError(f"{path}: {exc}") from None
 
@@ -132,14 +146,10 @@ def _load_training_images(data_dir):
         raise ValueError(f"no .lri files in {data_dir}")
     images, conds = [], []
     for path in targets:
-        img = sensor.read_lri(path)
-        images.append(_normalized_depth(img, path)[None])
+        images.append(_encode_lri(path, lambda img: sensor.normalize_depth(img.depth, img.spec)[None]))
         cond_path = path.with_name(path.stem + ".cond.lri")
         if cond_path.exists():
-            cimg = sensor.read_lri(cond_path)
-            depth_n = _normalized_depth(cimg, cond_path)
-            sem = cimg.data[1] if cimg.channels > 1 else np.zeros_like(depth_n)
-            conds.append(np.stack([depth_n, sem / SEMANTIC_DENOM]))
+            conds.append(_encode_lri(cond_path, _control_image))
     return np.array(images, dtype=np.float32), (np.array(conds, dtype=np.float32) if conds else None)
 
 
@@ -181,9 +191,7 @@ def cmd_sample(args):
     if args.layout:
         scene = layout_mod.load_layout(args.layout)
         pose = _parse_pose(args.pose) if args.pose else Pose()
-        cimg = raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"])
-        depth_n = sensor.normalize_depth(cimg.depth, spec)
-        cond = np.stack([depth_n, cimg.data[1] / SEMANTIC_DENOM]).astype(np.float32)
+        cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
         if state.adapter is None:
             raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)

@@ -143,5 +143,9 @@ def parse_config(text: str) -> Config:
 def load_config(path=None) -> Config:
     if path is None:
         return Config()
-    with open(path, encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config(text)

@@ -189,8 +189,12 @@ def serialize_layout(layout: Layout) -> str:
 
 
 def load_layout(path) -> Layout:
-    with open(path, encoding="utf-8") as f:
-        return parse_layout(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise LayoutError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_layout(text)
 
 
 def save_layout(path, layout: Layout):

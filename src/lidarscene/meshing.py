@@ -46,9 +46,6 @@ class TriangleMesh:
         c = self.vertices[self.triangles[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
-    def surface_area(self) -> float:
-        return float(self.triangle_areas().sum())
-
 
 def empty_mesh() -> TriangleMesh:
     return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -148,13 +145,3 @@ def mesh_layout(layout: Layout, tessellation: int = DEFAULT_TESSELLATION) -> Tri
         offset += len(m.vertices)
     return TriangleMesh(np.vstack(verts), np.vstack(faces), np.concatenate(labels))
 
-
-def write_off(path, mesh: TriangleMesh):
-    """ASCII OFF export for debugging."""
-    with open(path, "w") as f:
-        f.write("OFF\n")
-        f.write(f"{len(mesh.vertices)} {mesh.num_triangles} 0\n")
-        for x, y, z in mesh.vertices:
-            f.write(f"{x:.6f} {y:.6f} {z:.6f}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"3 {a} {b} {c}\n")

@@ -24,26 +24,6 @@ TIE_EPS = _kernels.TIE_EPS
 
 
 @dataclass(frozen=True)
-class Ray:
-    origin: tuple
-    yaw: float
-    pitch: float
-
-    @property
-    def direction(self) -> np.ndarray:
-        return angles_to_direction(self.yaw, self.pitch)
-
-
-@dataclass(frozen=True)
-class Hit:
-    depth: float  # ray parameter t (meters for unit-direction rays)
-    triangle: int
-    label: int
-    barycentric: tuple  # (w0, w1, w2), sums to 1
-    normal: tuple  # unit geometric normal
-
-
-@dataclass(frozen=True)
 class RaydropParams:
     """Per-pixel drop probability p0 + p1*(d/max_range) + p2*(1-|cos theta|),
     clamped to [0, 1]."""
@@ -125,41 +105,6 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
         np.array(start, dtype=np.int64), np.array(count, dtype=np.int64),
         perm, np.ascontiguousarray(v0), np.ascontiguousarray(e1), np.ascontiguousarray(e2),
-    )
-
-
-def intersect(bvh: BVH, mesh: TriangleMesh, ray: Ray, t_max: float) -> Hit | None:
-    """Nearest hit along the ray, or None. Ties within 1e-9 resolve to the
-    lower triangle index."""
-    d = ray.direction
-    o = np.asarray(ray.origin, dtype=np.float64)
-    ts, tris = _kernels.render_rays(o[None], d[None], float(t_max), bvh)
-    if tris[0] < 0:
-        return None
-    return _make_hit(mesh, bvh, o, d, float(ts[0]), int(tris[0]))
-
-
-def _make_hit(mesh, bvh, origin, direction, t, tri):
-    v0 = bvh.tri_v0[tri]
-    e1 = bvh.tri_e1[tri]
-    e2 = bvh.tri_e2[tri]
-    p = origin + t * direction
-    # Barycentrics from the linear system p - v0 = w1*e1 + w2*e2.
-    d00 = e1 @ e1
-    d01 = e1 @ e2
-    d11 = e2 @ e2
-    rv = p - v0
-    denom = d00 * d11 - d01 * d01
-    w1 = (d11 * (rv @ e1) - d01 * (rv @ e2)) / denom
-    w2 = (d00 * (rv @ e2) - d01 * (rv @ e1)) / denom
-    n = np.cross(e1, e2)
-    n = n / np.linalg.norm(n)
-    return Hit(
-        depth=t,
-        triangle=tri,
-        label=int(mesh.triangle_labels[tri]),
-        barycentric=(1.0 - w1 - w2, w1, w2),
-        normal=tuple(n),
     )
 
 

@@ -10,7 +10,7 @@ zero-initialized 1x1 convolutions, so the conditional forward starts out
 bit-identical to the unconditional one.
 
 Everything is plain numpy with hand-written backward passes (see ``nn``);
-training math runs in f32, finite-difference checks in f64.
+training math runs in f32; an f64 model serves finite-difference gradient checks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import hashlib
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -383,40 +383,6 @@ def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_bat
     return loss
 
 
-def finite_diff_check(model: ScoreModel, x, sigma, target, cond=None, adapter=None, eps=1e-3):
-    """Max relative error of reverse-mode gradients of the scalar loss
-    0.5*||S - target||^2 against central finite differences. The model
-    must be built with f64 parameters."""
-    params = model.named_params()
-    if adapter is not None:
-        params.update(adapter.named_params())
-
-    def scalar_loss():
-        s = model.forward(x, sigma, cond=cond, adapter=adapter)
-        return 0.5 * float(((s - target) ** 2).sum())
-
-    for p in params.values():
-        p.grad[...] = 0.0
-    s = model.forward(x, sigma, cond=cond, adapter=adapter)
-    model.backward(s - target)
-
-    worst = 0.0
-    for p in params.values():
-        flat = p.value.reshape(-1)
-        gflat = p.grad.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = scalar_loss()
-            flat[j] = orig - eps
-            down = scalar_loss()
-            flat[j] = orig
-            fd = (up - down) / (2.0 * eps)
-            denom = max(abs(fd), abs(gflat[j]), 1e-8)
-            worst = max(worst, abs(fd - gflat[j]) / denom)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Training
 
@@ -557,21 +523,30 @@ _CKPT_MAGIC = b"LDCK"
 _CKPT_VERSION = 1
 
 
+def _block_fields(cls):
+    """Fields of ``ModelConfig`` or ``NoiseSchedule`` kept in the config
+    block; a tuple field is written comma-separated."""
+    return [f for f in fields(cls) if f.name != "dtype"]
+
+
 def _config_block(state: TrainState):
-    cfg = state.model.config
-    lines = [
-        f"in_channels={cfg.in_channels}",
-        f"cond_channels={cfg.cond_channels}",
-        f"widths={','.join(str(w) for w in cfg.widths)}",
-        f"emb_dim={cfg.emb_dim}",
-        f"blocks_per_level={cfg.blocks_per_level}",
-        f"sigma_max={state.schedule.sigma_max!r}",
-        f"sigma_min={state.schedule.sigma_min!r}",
-        f"levels={state.schedule.levels}",
-        f"step={state.step}",
-        f"has_adapter={int(state.adapter is not None)}",
-    ]
+    lines = []
+    for obj in (state.model.config, state.schedule):
+        for f in _block_fields(type(obj)):
+            value = getattr(obj, f.name)
+            text = ",".join(str(v) for v in value) if isinstance(f.default, tuple) else str(value)
+            lines.append(f"{f.name}={text}")
+    lines += [f"step={state.step}", f"has_adapter={int(state.adapter is not None)}"]
     return ("\n".join(lines) + "\n").encode()
+
+
+def _from_block(cls, meta):
+    """``cls`` built from its fields in the config block."""
+    kwargs = {}
+    for f in _block_fields(cls):
+        text = meta[f.name]
+        kwargs[f.name] = tuple(int(v) for v in text.split(",")) if isinstance(f.default, tuple) else type(f.default)(text)
+    return cls(**kwargs)
 
 
 def save_checkpoint(path, state: TrainState):
@@ -631,26 +606,18 @@ def _read_checkpoint(path) -> TrainState:
             name = f.read(nlen).decode()
             (ndim,) = struct.unpack("<B", f.read(1))
             dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            nbytes = 4 * int(np.prod(dims, dtype=np.int64)) if ndim else 4
-            raw = f.read(nbytes)
-            if len(raw) != nbytes:
-                raise ScoreNetError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims)
+            nbytes = 4 * math.prod(dims)
+            if nbytes > os.fstat(f.fileno()).st_size - f.tell():
+                raise ScoreNetError(f"{path}: truncated tensor {name} for its {dims} header")
+            tensors[name] = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(dims)
         block = f.read().decode()
     # The block is newline-terminated, so a cut inside it shows.
     if not block.endswith("\n"):
         raise ScoreNetError(f"{path}: truncated config block")
     meta = dict(line.split("=", 1) for line in block.splitlines() if "=" in line)
 
-    cfg = ModelConfig(
-        in_channels=int(meta["in_channels"]),
-        cond_channels=int(meta["cond_channels"]),
-        widths=tuple(int(w) for w in meta["widths"].split(",")),
-        emb_dim=int(meta["emb_dim"]),
-        blocks_per_level=int(meta["blocks_per_level"]),
-    )
-    schedule = NoiseSchedule(float(meta["sigma_max"]), float(meta["sigma_min"]), int(meta["levels"]))
-    model = ScoreModel(cfg)
+    schedule = _from_block(NoiseSchedule, meta)
+    model = ScoreModel(_from_block(ModelConfig, meta))
     adapter = ControlAdapter(model) if meta["has_adapter"] == "1" else None
     params = dict(model.named_params())
     if adapter is not None:

@@ -1,5 +1,5 @@
-"""Virtual LiDAR sensor model: angular grid, range images and the
-bidirectional range-image <-> point-cloud conversions.
+"""Virtual LiDAR sensor model: angular grid, range images, point
+projection and the range-image -> point-cloud conversion.
 
 Conventions (fixed, documented, round-trip tested):
   * columns sweep yaw from +pi (left edge) toward -pi, pixel centers at
@@ -140,15 +140,6 @@ def unproject(yaw, pitch, depth):
     return np.stack([x, y, z], axis=-1)
 
 
-def project(p, spec: SensorSpec):
-    """Map a point to (u, v, depth) or None when out of view."""
-    p = np.asarray(p, dtype=np.float64)
-    u, v, depth, valid = project_points(p[None], spec)
-    if not valid[0]:
-        return None
-    return int(u[0]), int(v[0]), float(depth[0])
-
-
 def project_points(points, spec: SensorSpec):
     """Vectorized projection: arrays (u, v, depth, valid) for N x 3 input."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -183,22 +174,6 @@ def range_image_to_point_cloud(img: RangeImage) -> LabeledPointCloud:
     else:
         labels = np.zeros(len(u), dtype=np.int64)
     return LabeledPointCloud(pts, labels)
-
-
-def point_cloud_to_range_image(cloud: LabeledPointCloud, spec: SensorSpec) -> RangeImage:
-    """Z-buffer projection: each pixel keeps the minimum depth (and its label)."""
-    data = np.zeros((2, spec.rows, spec.cols))
-    if len(cloud) > 0:
-        u, v, depth, valid = project_points(cloud.points, spec)
-        u, v, depth = u[valid], v[valid], depth[valid]
-        labels = cloud.labels[valid]
-        # Write farthest first so the nearest point wins each pixel.
-        order = np.argsort(-depth, kind="stable")
-        data[0, v[order], u[order]] = depth[order]
-        data[1, v[order], u[order]] = labels[order]
-        # Pixels that received no point must keep label 0.
-        data[1][data[0] == 0] = 0.0
-    return RangeImage(spec, data)
 
 
 def normalize_depth(d, spec: SensorSpec):
@@ -255,15 +230,6 @@ def read_lri(path) -> RangeImage:
     return RangeImage(SensorSpec(h, w, *geometry), data)
 
 
-def write_pgm(path, img: RangeImage):
-    """16-bit PGM of the depth channel, linear scale to max_range."""
-    depth = np.clip(img.depth / img.spec.max_range, 0.0, 1.0)
-    pixels = np.round(depth * 65535).astype(">u2")
-    with open(path, "wb") as f:
-        f.write(f"P5\n{img.spec.cols} {img.spec.rows}\n65535\n".encode())
-        f.write(pixels.tobytes())
-
-
 def write_point_cloud(path, cloud: LabeledPointCloud):
     """Text format: one ``x y z label_id`` line per point."""
     with open(path, "w") as f:
@@ -273,18 +239,22 @@ def write_point_cloud(path, cloud: LabeledPointCloud):
 
 
 def read_point_cloud(path) -> LabeledPointCloud:
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise SensorError(f"{path}: not UTF-8 text ({exc})") from None
     pts, labels = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise SensorError(f"{path}:{ln}: expected 'x y z label_id'")
-            try:
-                pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
-                labels.append(int(parts[3]))
-            except ValueError as exc:
-                raise SensorError(f"{path}:{ln}: {exc}") from None
+    for ln, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise SensorError(f"{path}:{ln}: expected 'x y z label_id'")
+        try:
+            pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
+            labels.append(int(parts[3]))
+        except ValueError as exc:
+            raise SensorError(f"{path}:{ln}: {exc}") from None
     return LabeledPointCloud(np.array(pts).reshape(-1, 3), np.array(labels, dtype=np.int64))

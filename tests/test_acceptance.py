@@ -37,7 +37,6 @@ from lidarscene.scorenet import (
     ScoreModel,
     TrainConfig,
     TrainState,
-    finite_diff_check,
     model_score_fn,
     sample_annealed_langevin,
     train,
@@ -53,6 +52,7 @@ from lidarscene.sensor import (
     unproject,
 )
 
+from gradcheck import finite_diff_check
 from test_extraction import dbscan_reference, same_partition
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lidarscene import cli, layout as layout_mod, raycast, scorenet, sensor
+from lidarscene import cli, config, layout as layout_mod, raycast, scorenet, sensor
 from lidarscene.cli import main
 from lidarscene.layout import Pose, SceneParams, SemanticPrimitive
 
@@ -321,3 +321,31 @@ def test_render_bad_trajectory_line_names_file_and_line(tmp_path, scene_file, sm
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {traj}:2: ")
+
+
+@pytest.mark.parametrize(
+    "read, error",
+    [
+        (layout_mod.load_layout, layout_mod.LayoutError),
+        (sensor.read_point_cloud, sensor.SensorError),
+        (config.load_config, config.ConfigError),
+        (cli._read_trajectory, ValueError),
+    ],
+    ids=["layout", "point_cloud", "config", "trajectory"],
+)
+def test_text_readers_name_a_non_utf8_file(tmp_path, read, error):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert excinfo.type is error
+    assert str(excinfo.value).startswith(f"{path}: not UTF-8 text")
+
+
+def test_render_non_utf8_layout_exits_with_one_error_line(tmp_path, capsys):
+    layout = tmp_path / "scene.layout"
+    layout.write_bytes(b"\xff\xfe\x00binary")
+    rc = main(["render", "--layout", str(layout), "--out", str(tmp_path / "o.lri")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {layout}: not UTF-8 text")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidarscene.layout import Layout, SemanticPrimitive, generate_random_scene
-from lidarscene.meshing import MeshError, TriangleMesh, mesh_layout, mesh_primitive, write_off
+from lidarscene.meshing import MeshError, TriangleMesh, mesh_layout, mesh_primitive
 
 
 def signed_volume(mesh):
@@ -30,7 +30,7 @@ def test_cuboid_counts_and_volume():
     assert len(mesh.vertices) == 8
     assert mesh.num_triangles == 12
     assert signed_volume(mesh) == pytest.approx(2.0 * 3.0 * 4.0)
-    assert mesh.surface_area() == pytest.approx(2 * (2 * 3 + 3 * 4 + 2 * 4))
+    assert mesh.triangle_areas().sum() == pytest.approx(2 * (2 * 3 + 3 * 4 + 2 * 4))
     assert (mesh.triangle_labels == 3).all()
 
 
@@ -50,7 +50,7 @@ def test_cuboid_yaw_rotates_vertices():
 def test_plane_two_triangles():
     mesh = mesh_primitive(SemanticPrimitive(0, "plane", (0, 0, 0.5), (10.0, 4.0, 0.0)))
     assert mesh.num_triangles == 2
-    assert mesh.surface_area() == pytest.approx(40.0)
+    assert mesh.triangle_areas().sum() == pytest.approx(40.0)
     np.testing.assert_allclose(mesh.vertices[:, 2], 0.5)
     # outward = +z winding
     a, b, c = (mesh.vertices[i] for i in mesh.triangles[0])
@@ -117,13 +117,3 @@ def test_mesh_validation():
         TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]), np.array([0]))
     with pytest.raises(MeshError):
         TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]), np.array([0, 1]))
-
-
-def test_write_off(tmp_path):
-    mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (0, 0, 0), (1, 1, 1)))
-    path = tmp_path / "box.off"
-    write_off(path, mesh)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "OFF"
-    assert lines[1] == "8 12 0"
-    assert len(lines) == 2 + 8 + 12

@@ -8,17 +8,15 @@ from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_s
 from lidarscene.meshing import TriangleMesh, mesh_layout, mesh_primitive
 from lidarscene.raycast import (
     BVH,
-    Ray,
     RaydropParams,
     apply_raydrop,
     build_bvh,
-    intersect,
     intersect_brute,
     render_conditional,
     render_point_cloud,
     surface_sample,
 )
-from lidarscene.sensor import SensorSpec
+from lidarscene.sensor import SensorSpec, angles_to_direction
 
 
 @pytest.fixture(scope="module")
@@ -39,50 +37,53 @@ def random_rays(n, seed):
     return origins, dirs
 
 
+def cast(mesh, origin, yaw, t_max):
+    """One horizontal ray through the BVH traversal: (t, triangle, label) of
+    its nearest hit, or None on a miss."""
+    t, tri = _kernels.render_rays([origin], [angles_to_direction(yaw, 0.0)], t_max, build_bvh(mesh))
+    if tri[0] < 0:
+        return None
+    return float(t[0]), int(tri[0]), int(mesh.triangle_labels[tri[0]])
+
+
 def test_single_triangle_hit():
     mesh = TriangleMesh([[0, -1, -1], [0, 1, -1], [0, 0, 1]], [[0, 1, 2]], [2])
-    bvh = build_bvh(mesh)
-    hit = intersect(bvh, mesh, Ray((-3.0, 0.0, 0.0), 0.0, 0.0), 100.0)
+    hit = cast(mesh, (-3.0, 0.0, 0.0), 0.0, 100.0)
     assert hit is not None
-    assert hit.depth == pytest.approx(3.0)
-    assert hit.triangle == 0 and hit.label == 2
-    assert sum(hit.barycentric) == pytest.approx(1.0)
-    np.testing.assert_allclose(np.abs(hit.normal), [1.0, 0.0, 0.0], atol=1e-12)
+    t, triangle, label = hit
+    assert t == pytest.approx(3.0)
+    assert triangle == 0 and label == 2
 
 
 def test_two_sided_intersection():
     mesh = TriangleMesh([[0, -1, -1], [0, 1, -1], [0, 0, 1]], [[0, 1, 2]], [0])
-    bvh = build_bvh(mesh)
     # hit from both sides regardless of winding
-    assert intersect(bvh, mesh, Ray((-3.0, 0.0, 0.0), 0.0, 0.0), 10.0) is not None
-    assert intersect(bvh, mesh, Ray((3.0, 0.0, 0.0), math.pi, 0.0), 10.0) is not None
+    assert cast(mesh, (-3.0, 0.0, 0.0), 0.0, 10.0) is not None
+    assert cast(mesh, (3.0, 0.0, 0.0), math.pi, 10.0) is not None
 
 
 def test_miss_and_t_max():
     mesh = TriangleMesh([[5, -1, -1], [5, 1, -1], [5, 0, 1]], [[0, 1, 2]], [0])
-    bvh = build_bvh(mesh)
-    assert intersect(bvh, mesh, Ray((0.0, 0.0, 0.0), math.pi / 2, 0.0), 100.0) is None
-    assert intersect(bvh, mesh, Ray((0.0, 0.0, 0.0), 0.0, 0.0), 4.0) is None
-    assert intersect(bvh, mesh, Ray((0.0, 0.0, 0.0), 0.0, 0.0), 6.0) is not None
+    assert cast(mesh, (0.0, 0.0, 0.0), math.pi / 2, 100.0) is None
+    assert cast(mesh, (0.0, 0.0, 0.0), 0.0, 4.0) is None
+    assert cast(mesh, (0.0, 0.0, 0.0), 0.0, 6.0) is not None
 
 
 def test_self_hit_epsilon():
     # origin exactly on the triangle: no zero-distance hit
     mesh = TriangleMesh([[0, -1, -1], [0, 1, -1], [0, 0, 1]], [[0, 1, 2]], [0])
-    bvh = build_bvh(mesh)
-    assert intersect(bvh, mesh, Ray((0.0, 0.0, 0.0), 0.0, 0.0), 100.0) is None
+    assert cast(mesh, (0.0, 0.0, 0.0), 0.0, 100.0) is None
 
 
 def test_coincident_triangle_tie_prefers_lower_index():
     tri = np.array([[2.0, -1, -1], [2.0, 1, -1], [2.0, 0, 1]])
     verts = np.vstack([tri, tri])
     mesh = TriangleMesh(verts, [[3, 4, 5], [0, 1, 2]], [7, 8])
-    bvh = build_bvh(mesh)
-    hit = intersect(bvh, mesh, Ray((0.0, 0.0, 0.0), 0.0, 0.0), 10.0)
-    assert hit.triangle == 0 and hit.label == 7
+    depth, triangle, label = cast(mesh, (0.0, 0.0, 0.0), 0.0, 10.0)
+    assert triangle == 0 and label == 7
     t, i = intersect_brute(mesh, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 10.0)
     assert i[0] == 0
-    assert abs(t[0] - hit.depth) < 1e-9
+    assert abs(t[0] - depth) < 1e-9
 
 
 def test_bvh_structure(scene_mesh, scene_bvh):
@@ -266,7 +267,7 @@ def test_incidence_cosine():
 def test_surface_sample_density_and_labels():
     mesh = mesh_primitive(SemanticPrimitive(2, "cuboid", (0, 0, 5.0), (4.0, 4.0, 4.0)))
     cloud = surface_sample(mesh, 50.0, seed=3)
-    area = mesh.surface_area()
+    area = mesh.triangle_areas().sum()
     assert len(cloud) == pytest.approx(50.0 * area, rel=0.1)
     assert set(np.unique(cloud.labels)) == {2}
     # all points on the cube surface

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from lidarscene.scorenet import (
     ScoreNetError,
     TrainConfig,
     TrainState,
-    finite_diff_check,
     load_checkpoint,
     loss_cond,
     loss_uncond,
@@ -23,6 +23,8 @@ from lidarscene.scorenet import (
     save_checkpoint,
     train,
 )
+
+from gradcheck import finite_diff_check
 
 TINY64 = ModelConfig(widths=(4, 4), emb_dim=8, blocks_per_level=1, dtype=np.float64)
 SMALL32 = ModelConfig(widths=(8, 8, 16), emb_dim=16, blocks_per_level=1)
@@ -294,6 +296,29 @@ def test_checkpoint_truncated_at_every_offset_raises_scorenet_error(tmp_path):
     clipped.write_bytes(full)
     back = load_checkpoint(clipped)
     assert back.step == 12 and back.model.param_checksum() == model.param_checksum()
+
+
+def test_checkpoint_config_block_keeps_every_field(tmp_path):
+    cfg = ModelConfig(in_channels=2, cond_channels=3, widths=(4, 8), emb_dim=12, blocks_per_level=2)
+    state = TrainState(model=ScoreModel(cfg, seed=0), schedule=NoiseSchedule(0.7, 0.03, 4), step=5)
+    path = tmp_path / "model.ldck"
+    save_checkpoint(path, state)
+    raw = path.read_bytes()
+    assert raw[raw.index(b"in_channels="):] == (
+        b"in_channels=2\ncond_channels=3\nwidths=4,8\nemb_dim=12\nblocks_per_level=2\n"
+        b"sigma_max=0.7\nsigma_min=0.03\nlevels=4\nstep=5\nhas_adapter=0\n"
+    )
+    back = load_checkpoint(path)
+    assert back.model.config == cfg and back.schedule == state.schedule and back.step == 5
+
+
+def test_checkpoint_huge_tensor_header_raises_before_reading(tmp_path):
+    # 2^31 x 2^30 f32 is 2^63 bytes: more than any read can ask for
+    header = b"LDCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BII", 2, 2**31, 2**30)
+    path = tmp_path / "huge.ldck"
+    path.write_bytes(header.ljust(64, b"\0"))
+    with pytest.raises(ScoreNetError, match="truncated tensor w"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_wrong_tensor_shape(tmp_path):

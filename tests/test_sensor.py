@@ -15,8 +15,6 @@ from lidarscene.sensor import (
     denormalize_depth,
     normalize_depth,
     pixel_to_angles,
-    point_cloud_to_range_image,
-    project,
     project_points,
     range_image_to_point_cloud,
     unproject,
@@ -85,23 +83,25 @@ def test_unproject_rejects_nonpositive_depth():
 
 def test_project_axis_aligned():
     spec = SensorSpec()
-    u, v, depth = project([5.0, 0.0, 0.0], spec)
+    u, v, depth, valid = project_points([5.0, 0.0, 0.0], spec)
+    assert valid.tolist() == [True]
     # yaw = 0 column; pitch = 0 row band.
-    yaw, pitch = pixel_to_angles(u, v, spec)
+    yaw, pitch = pixel_to_angles(u[0], v[0], spec)
     assert abs(yaw) < 2 * math.pi / spec.cols
-    assert depth == pytest.approx(5.0)
+    assert depth[0] == pytest.approx(5.0)
     assert spec.pitch_min <= pitch <= spec.pitch_max
 
 
 def test_project_out_of_view():
     spec = SensorSpec()
-    assert project([1.0, 0.0, 10.0], spec) is None  # pitch above pitch_max
-    assert project([spec.max_range + 5.0, 0.0, 0.0], spec) is None  # too far
+    # pitch above pitch_max, then too far
+    *_, valid = project_points([[1.0, 0.0, 10.0], [spec.max_range + 5.0, 0.0, 0.0]], spec)
+    assert valid.tolist() == [False, False]
 
 
 def test_project_zero_point_raises():
     with pytest.raises(sensor.SensorError):
-        project([0.0, 0.0, 0.0], SensorSpec())
+        project_points([0.0, 0.0, 0.0], SensorSpec())
 
 
 def test_project_unproject_roundtrip_exhaustive():
@@ -128,17 +128,22 @@ def test_range_image_roundtrip_grid_aligned():
     img = RangeImage(spec, np.stack([depth, labels]))
     cloud = range_image_to_point_cloud(img)
     assert len(cloud) == int((depth > 0).sum())
-    back = point_cloud_to_range_image(cloud, spec)
-    np.testing.assert_allclose(back.depth, depth, atol=1e-4)
-    np.testing.assert_array_equal(back.semantic, labels)
+    # projecting the cloud back puts each point in its own pixel
+    u, v, d, valid = project_points(cloud.points, spec)
+    assert valid.all() and len(set(zip(u.tolist(), v.tolist()))) == len(cloud)
+    back = np.zeros((2, 16, 64))
+    back[0, v, u] = d
+    back[1, v, u] = cloud.labels
+    np.testing.assert_allclose(back[0], depth, atol=1e-4)
+    np.testing.assert_array_equal(back[1], labels)
 
 
 def test_empty_image_and_cloud():
     spec = SensorSpec(rows=4, cols=8)
     img = RangeImage(spec, np.zeros((2, 4, 8)))
     assert len(range_image_to_point_cloud(img)) == 0
-    back = point_cloud_to_range_image(LabeledPointCloud(np.empty((0, 3))), spec)
-    assert not back.data.any()
+    u, v, depth, valid = project_points(LabeledPointCloud(np.empty((0, 3))).points, spec)
+    assert len(u) == len(v) == len(depth) == len(valid) == 0
 
 
 def test_single_pixel_roundtrip():
@@ -151,15 +156,6 @@ def test_single_pixel_roundtrip():
     yaw, pitch = pixel_to_angles(7, 3, spec)
     np.testing.assert_allclose(cloud.points[0], unproject(yaw, pitch, 12.5))
     assert cloud.labels[0] == 3
-
-
-def test_zbuffer_minimum_rule():
-    spec = SensorSpec(rows=8, cols=16)
-    yaw, pitch = pixel_to_angles(5, 4, spec)
-    pts = np.stack([unproject(yaw, pitch, 7.0), unproject(yaw, pitch, 4.0)])
-    img = point_cloud_to_range_image(LabeledPointCloud(pts, [1, 2]), spec)
-    assert img.depth[4, 5] == pytest.approx(4.0, abs=1e-9)
-    assert img.semantic[4, 5] == 2
 
 
 def test_normalize_depth_endpoints_and_midpoint():
@@ -278,15 +274,6 @@ def test_read_point_cloud_names_file_and_line(tmp_path):
     path.write_text("# x y z label_id\n1 2 3 0\n4 x 6 1\n")
     with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: could not convert")):
         sensor.read_point_cloud(path)
-
-
-def test_pgm_export(tmp_path):
-    spec = SensorSpec(rows=4, cols=8)
-    img = RangeImage(spec, np.full((1, 4, 8), 40.0))
-    path = tmp_path / "img.pgm"
-    sensor.write_pgm(path, img)
-    header = path.read_bytes()
-    assert header.startswith(b"P5\n8 4\n65535\n")
 
 
 def test_point_cloud_text_roundtrip(tmp_path):
