@@ -59,11 +59,6 @@ def _triangle_hits(o, d, v0, e1, e2, t_max):
     return np.where(ok, t, np.inf)
 
 
-def _segment_starts(key):
-    """True at the first row of each run of equal values in sorted ``key``."""
-    return np.concatenate([[True], key[1:] != key[:-1]])
-
-
 def render_rays(origins, dirs, t_max, bvh):
     """Nearest hit of every ray against ``bvh`` (a ``raycast.BVH``):
     (t, triangle_index) arrays, -1 for a miss. Of the hits within TIE_EPS of
@@ -107,17 +102,15 @@ def render_rays(origins, dirs, t_max, bvh):
     if not hit_ray:
         return out_t, out_i
     ray, tri, t = np.concatenate(hit_ray), np.concatenate(hit_tri), np.concatenate(hit_t)
-    # Sorting by (ray, t) puts each ray's minimum t first in its run; keep
-    # the hits within TIE_EPS of it, then sort those by (ray, triangle).
-    order = np.lexsort((t, ray))
-    ray, tri, t = ray[order], tri[order], t[order]
-    starts = _segment_starts(ray)
-    t_min = t[starts][np.cumsum(starts) - 1]
-    win = t <= t_min + TIE_EPS
+    # Each ray's minimum t, then the lowest triangle index among its hits
+    # within TIE_EPS of that minimum; a (ray, triangle) pair occurs once.
+    t_min = np.full(n, np.inf)
+    np.minimum.at(t_min, ray, t)
+    win = t <= t_min[ray] + TIE_EPS
     ray, tri, t = ray[win], tri[win], t[win]
-    order = np.lexsort((tri, ray))
-    ray, tri, t = ray[order], tri[order], t[order]
-    starts = _segment_starts(ray)
-    out_t[ray[starts]] = t[starts]
-    out_i[ray[starts]] = tri[starts]
+    best = np.full(n, len(bvh.perm))
+    np.minimum.at(best, ray, tri)
+    won = tri == best[ray]
+    out_t[ray[won]] = t[won]
+    out_i[ray[won]] = tri[won]
     return out_t, out_i

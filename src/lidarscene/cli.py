@@ -24,6 +24,7 @@ SEMANTIC_DENOM = max(len(layout_mod.DEFAULT_PALETTE) - 1, 1)
 
 
 def _parse_pose(text: str) -> Pose:
+    """Pose from 'x,y,z,yaw_deg' (commas or spaces between fields)."""
     parts = [float(tok) for tok in text.replace(",", " ").split()]
     if len(parts) != 4:
         raise ValueError(f"pose must be 'x,y,z,yaw_deg', got {text!r}")
@@ -31,22 +32,12 @@ def _parse_pose(text: str) -> Pose:
 
 
 def _read_trajectory(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     poses = []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for ln, line in layout_mod.text_lines(layout_mod.read_text(path)):
         try:
-            x, y, z, yaw = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: trajectory lines are 'x y z yaw_deg', got {line!r}") from None
-        poses.append(Pose((x, y, z), math.radians(yaw)))
+            poses.append(_parse_pose(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {exc}") from None
     return poses
 
 
@@ -138,6 +129,13 @@ def _encode_lri(path, encode):
         raise sensor.SensorError(f"{path}: {exc}") from None
 
 
+def _check_size(path, frame, ref_path, ref):
+    """Training frames stack into one batch, so they must share one size."""
+    if frame.shape[1:] != ref.shape[1:]:
+        (h, w), (rh, rw) = frame.shape[1:], ref.shape[1:]
+        raise ValueError(f"{path}: frame is {h}x{w}, but {ref_path} is {rh}x{rw}")
+
+
 def _load_training_images(data_dir):
     """Normalized depth channels of all *.lri files (conditioning frames
     named *.cond.lri are paired separately)."""
@@ -147,9 +145,11 @@ def _load_training_images(data_dir):
     images, conds = [], []
     for path in targets:
         images.append(_encode_lri(path, lambda img: sensor.normalize_depth(img.depth, img.spec)[None]))
+        _check_size(path, images[-1], targets[0], images[0])
         cond_path = path.with_name(path.stem + ".cond.lri")
         if cond_path.exists():
             conds.append(_encode_lri(cond_path, _control_image))
+            _check_size(cond_path, conds[-1], path, images[-1])
     return np.array(images, dtype=np.float32), (np.array(conds, dtype=np.float32) if conds else None)
 
 
@@ -195,10 +195,10 @@ def cmd_sample(args):
         if state.adapter is None:
             raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
-    shape = (state.model.config.in_channels, spec.rows, spec.cols)
+    shape = (1, state.model.config.in_channels, spec.rows, spec.cols)
     for i in range(args.num):
         x = scorenet.sample_annealed_langevin(score_fn, state.schedule, sampler_cfg, shape, seed=args.seed + i)
-        depth = sensor.denormalize_depth(np.clip(x[0], 0.0, 1.0), spec)
+        depth = sensor.denormalize_depth(np.clip(x[0, 0], 0.0, 1.0), spec)
         img = sensor.RangeImage(spec, depth[None])
         sensor.write_lri(out / f"sample_{i:05d}.lri", img)
     print(f"wrote {args.num} samples to {out}")

@@ -13,6 +13,7 @@ import dataclasses
 import math
 
 from .extraction import DEFAULT_CLUSTER_PARAMS, ClusterParams
+from .layout import read_text, text_lines
 from .meshing import DEFAULT_TESSELLATION
 from .raycast import RaydropParams
 from .scorenet import ModelConfig, NoiseSchedule, SamplerConfig, TrainConfig
@@ -121,10 +122,7 @@ class Config:
 
 def parse_config(text: str) -> Config:
     values = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in text_lines(text):
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
@@ -143,9 +141,9 @@ def parse_config(text: str) -> Config:
 def load_config(path=None) -> Config:
     if path is None:
         return Config()
+    text = read_text(path, ConfigError)
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_config(text)
+        return parse_config(text)
+    except ConfigError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layout import DEFAULT_PALETTE, Layout, SemanticPrimitive
+from .layout import DEFAULT_PALETTE, Layout, SemanticPrimitive, rotate_yaw
 from .sensor import LabeledPointCloud
 
 NOISE = -1
@@ -149,15 +149,12 @@ def fit_box(points):
         yaw = math.atan2(vy, vx)
         # Box orientation is axis-symmetric; canonicalize to [-pi/2, pi/2).
         yaw = (yaw + math.pi / 2.0) % math.pi - math.pi / 2.0
-    c, s = math.cos(-yaw), math.sin(-yaw)
-    rot_xy = np.stack([c * points[:, 0] - s * points[:, 1], s * points[:, 0] + c * points[:, 1]], axis=1)
-    lo = np.array([rot_xy[:, 0].min(), rot_xy[:, 1].min(), points[:, 2].min()])
-    hi = np.array([rot_xy[:, 0].max(), rot_xy[:, 1].max(), points[:, 2].max()])
+    bx, by = rotate_yaw(points[:, 0], points[:, 1], -yaw)
+    lo = np.array([bx.min(), by.min(), points[:, 2].min()])
+    hi = np.array([bx.max(), by.max(), points[:, 2].max()])
     extents = np.maximum(hi - lo, MIN_EXTENT)
     mid = (lo + hi) / 2.0
-    cx = math.cos(yaw) * mid[0] - math.sin(yaw) * mid[1]
-    cy = math.sin(yaw) * mid[0] + math.cos(yaw) * mid[1]
-    return (cx, cy, float(mid[2])), tuple(extents), yaw
+    return (*rotate_yaw(mid[0], mid[1], yaw), float(mid[2])), tuple(extents), yaw
 
 
 def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None) -> Layout:

@@ -120,14 +120,28 @@ def _parse_float(tok, ln):
     return val
 
 
+def read_text(path, error=ValueError) -> str:
+    """Contents of a UTF-8 text file; other bytes raise ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def text_lines(text):
+    """(line number, stripped text) of each line not blank once its ``#`` comment is cut."""
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield ln, line
+
+
 def parse_layout(text: str) -> Layout:
     palette = []
     prims = []
     names = {}
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in text_lines(text):
         parts = line.split()
         kind = parts[0]
         if kind == "palette":
@@ -189,12 +203,12 @@ def serialize_layout(layout: Layout) -> str:
 
 
 def load_layout(path) -> Layout:
+    text = read_text(path, LayoutError)
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise LayoutError(f"{path}: not UTF-8 text ({exc})") from None
-    return parse_layout(text)
+        return parse_layout(text)
+    except LayoutError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_layout(path, layout: Layout):
@@ -206,12 +220,17 @@ def save_layout(path, layout: Layout):
 # Editing and cropping
 
 
+def rotate_yaw(x, y, yaw):
+    """(x, y) turned counterclockwise by ``yaw`` about +z; accepts arrays."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return c * x - s * y, s * x + c * y
+
+
 def world_to_ego(point, pose: Pose):
     """Map a world point into the ego frame of `pose`."""
     px, py, pz = pose.translation
     dx, dy, dz = point[0] - px, point[1] - py, point[2] - pz
-    c, s = math.cos(-pose.yaw), math.sin(-pose.yaw)
-    return (c * dx - s * dy, s * dx + c * dy, dz)
+    return (*rotate_yaw(dx, dy, -pose.yaw), dz)
 
 
 def crop_local(layout: Layout, pose: Pose, x_bounds=(-80.0, 80.0), y_bounds=(-20.0, 20.0)) -> Layout:
@@ -227,14 +246,9 @@ def crop_local(layout: Layout, pose: Pose, x_bounds=(-80.0, 80.0), y_bounds=(-20
     return Layout(palette=layout.palette, primitives=tuple(kept))
 
 
-def remove_primitives(layout: Layout, predicate) -> Layout:
-    """Non-destructive filter; `predicate(index, primitive)` marks removals."""
-    kept = tuple(p for i, p in enumerate(layout.primitives) if not predicate(i, p))
-    return Layout(palette=layout.palette, primitives=kept)
-
-
 def remove_label(layout: Layout, label_id: int) -> Layout:
-    return remove_primitives(layout, lambda i, p: p.label == label_id)
+    """Non-destructive filter: ``layout`` without the primitives of ``label_id``."""
+    return Layout(layout.palette, tuple(p for p in layout.primitives if p.label != label_id))
 
 
 def add_primitive(layout: Layout, prim: SemanticPrimitive) -> Layout:

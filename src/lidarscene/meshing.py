@@ -51,7 +51,8 @@ def empty_mesh() -> TriangleMesh:
     return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
-def _transform(verts, center, yaw):
+def transform(verts, center, yaw):
+    """N x 3 points turned by ``yaw`` about +z, then moved to ``center``."""
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     return verts @ rot.T + np.asarray(center, dtype=np.float64)
@@ -126,7 +127,7 @@ def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLA
         if tessellation < 3:
             raise MeshError("ellipsoid tessellation must be >= 3")
         verts, faces = _ellipsoid_mesh(prim.extents, tessellation, max(2, tessellation // 2))
-    verts = _transform(verts, prim.center, prim.yaw)
+    verts = transform(verts, prim.center, prim.yaw)
     labels = np.full(len(faces), prim.label, dtype=np.int64)
     return TriangleMesh(verts, faces, labels)
 

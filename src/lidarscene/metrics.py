@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .layout import Layout, Pose
+from .layout import Layout, Pose, rotate_yaw
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec
 
 
@@ -136,11 +136,7 @@ def log_depth_features(img: RangeImage) -> np.ndarray:
 
 
 def _points_in_box(points, center, extents, yaw):
-    c, s = math.cos(-yaw), math.sin(-yaw)
-    dx = points[:, 0] - center[0]
-    dy = points[:, 1] - center[1]
-    lx = c * dx - s * dy
-    ly = s * dx + c * dy
+    lx, ly = rotate_yaw(points[:, 0] - center[0], points[:, 1] - center[1], -yaw)
     lz = points[:, 2] - center[2]
     hx, hy, hz = extents[0] / 2.0, extents[1] / 2.0, extents[2] / 2.0
     return (np.abs(lx) <= hx) & (np.abs(ly) <= hy) & (np.abs(lz) <= hz)

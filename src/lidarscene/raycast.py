@@ -6,14 +6,13 @@ rendering, surface-sampling ablation and the parametric raydrop model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .layout import Layout, Pose
-from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout
+from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout, transform
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles
 
 LEAF_SIZE = 4
@@ -165,8 +164,7 @@ def _sensor_rays(spec: SensorSpec, pose: Pose):
     # R(theta) @ direction(yaw) == direction(yaw - theta).
     dirs = angles_to_direction(yaw - pose.yaw, pitch)
     origin = np.asarray(pose.translation, dtype=np.float64) + [0.0, 0.0, spec.origin_height]
-    origins = np.broadcast_to(origin, dirs.shape).copy()
-    return origins, dirs
+    return np.broadcast_to(origin, dirs.shape).copy(), dirs
 
 
 def render_conditional(
@@ -254,10 +252,8 @@ def apply_raydrop(
 
 def sensor_to_world(cloud: LabeledPointCloud, spec: SensorSpec, pose: Pose = Pose()) -> LabeledPointCloud:
     """Map sensor-frame points into the world frame of the given pose."""
-    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     origin = np.asarray(pose.translation, dtype=np.float64) + [0.0, 0.0, spec.origin_height]
-    return LabeledPointCloud(cloud.points @ rot.T + origin, cloud.labels)
+    return LabeledPointCloud(transform(cloud.points, origin, pose.yaw), cloud.labels)
 
 
 def render_point_cloud(layout, spec, pose=Pose(), tessellation=DEFAULT_TESSELLATION) -> LabeledPointCloud:

@@ -314,28 +314,23 @@ class ScoreModel:
         adapter, n = self._cache
         demb = 0.0
         dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype))
+        # Skips and controls add to the same decoder inputs: dfeats and dmid serve both.
         dfeats = [0.0] * n
-        dcontrols = [0.0] * (n + 1)
         for k in reversed(range(len(self.dec_levels))):
             i = n - 1 - k
             dh, de = self.dec_levels[k].backward(dh)
             demb = demb + de
             dfeats[i] = dfeats[i] + dh
-            dcontrols[i] = dcontrols[i] + dh
             if k > 0:
                 if self.up_projs[k - 1] is not None:
                     dh = self.up_projs[k - 1].backward(dh)
                 dh = upnearest2_backward(dh)
         dmid = dh  # gradient w.r.t. the decoder's initial state (mid + control)
-        dcontrols[n] = dcontrols[n] + dmid
         dx, _, de = self.encoder.backward(dfeats, dmid)
         demb = demb + de
         if adapter is not None:
-            da_feats = [
-                z.backward(np.asarray(dc, dtype=self.config.dtype))
-                for z, dc in zip(adapter.zero_fusions, dcontrols[:n])
-            ]
-            da_mid = adapter.zero_mid.backward(np.asarray(dcontrols[n], dtype=self.config.dtype))
+            da_feats = [z.backward(df) for z, df in zip(adapter.zero_fusions, dfeats)]
+            da_mid = adapter.zero_mid.backward(dmid)
             dxa, dhint, de = adapter.encoder.backward(da_feats, da_mid)
             demb = demb + de
             adapter.hint.backward(dhint)
@@ -405,6 +400,13 @@ class TrainState:
     optimizer: Adam | None = None
     step: int = 0
 
+    def params(self):
+        """Every parameter by name: the base model's, then the adapter's."""
+        out = self.model.named_params()
+        if self.adapter is not None:
+            out.update(self.adapter.named_params())
+        return out
+
 
 def _allowed_params(state: TrainState, phase: str):
     if phase == "uncond":
@@ -436,9 +438,7 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     if len(images) == 0:
         raise ScoreNetError("empty dataset")
 
-    all_params = dict(state.model.named_params())
-    if state.adapter is not None:
-        all_params.update(state.adapter.named_params())
+    all_params = state.params()
     if state.optimizer is None or set(state.optimizer.params) != set(all_params):
         state.optimizer = Adam(all_params, lr=config.lr)
     state.optimizer.lr = config.lr
@@ -500,17 +500,12 @@ def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerC
 
 def model_score_fn(model: ScoreModel, adapter: ControlAdapter | None = None, cond=None):
     """Adapt a ScoreModel (optionally conditioned) to the sampler's
-    score_fn(x, sigma) interface; x may be a single (C, H, W) image or a
-    batch."""
+    score_fn(x, sigma) interface for a (B, C, H, W) batch x; ``cond`` is one
+    (C, H, W) image for every row, or a batch of them."""
 
     def fn(x, sigma):
-        batched = x.ndim == 4
-        xb = x if batched else x[None]
-        cb = None
-        if cond is not None:
-            cb = cond if cond.ndim == 4 else np.broadcast_to(cond, (xb.shape[0],) + cond.shape)
-        out = model.forward(xb, sigma, cond=cb, adapter=adapter).astype(np.float64)
-        return out if batched else out[0]
+        cb = None if cond is None else np.broadcast_to(cond, x.shape[:1] + cond.shape[-3:])
+        return model.forward(x, sigma, cond=cb, adapter=adapter).astype(np.float64)
 
     return fn
 
@@ -555,9 +550,7 @@ def save_checkpoint(path, state: TrainState):
     Written to `path`.tmp and renamed over `path`, so a failed save keeps the
     previous file. Resume is not exact: the Adam moments and step counts and
     the data RNG are not saved, so a resumed run starts them afresh."""
-    tensors = {name: p.value for name, p in state.model.named_params().items()}
-    if state.adapter is not None:
-        tensors.update({name: p.value for name, p in state.adapter.named_params().items()})
+    tensors = {name: p.value for name, p in state.params().items()}
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -619,9 +612,8 @@ def _read_checkpoint(path) -> TrainState:
     schedule = _from_block(NoiseSchedule, meta)
     model = ScoreModel(_from_block(ModelConfig, meta))
     adapter = ControlAdapter(model) if meta["has_adapter"] == "1" else None
-    params = dict(model.named_params())
-    if adapter is not None:
-        params.update(adapter.named_params())
+    state = TrainState(model, schedule, adapter, step=int(meta["step"]))
+    params = state.params()
     if set(params) != set(tensors):
         unknown = set(tensors) - set(params)
         missing = set(params) - set(tensors)
@@ -630,4 +622,4 @@ def _read_checkpoint(path) -> TrainState:
         if tensors[name].shape != p.value.shape:
             raise ScoreNetError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {p.value.shape}")
         p.value = tensors[name].astype(np.float32).copy()
-    return TrainState(model=model, schedule=schedule, adapter=adapter, step=int(meta["step"]))
+    return state

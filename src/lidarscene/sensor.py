@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .layout import read_text, text_lines
+
 # HDL-64E-style vertical field of view (datasheet values).
 DEFAULT_PITCH_MAX = math.radians(2.0)
 DEFAULT_PITCH_MIN = math.radians(-24.8)
@@ -133,11 +135,7 @@ def unproject(yaw, pitch, depth):
     depth = np.asarray(depth, dtype=np.float64)
     if np.any(depth <= 0):
         raise SensorError("depth must be positive")
-    cp = np.cos(pitch)
-    x = np.cos(yaw) * cp * depth
-    y = -np.sin(yaw) * cp * depth
-    z = np.sin(pitch) * depth
-    return np.stack([x, y, z], axis=-1)
+    return angles_to_direction(yaw, pitch) * depth[..., None]
 
 
 def project_points(points, spec: SensorSpec):
@@ -239,16 +237,8 @@ def write_point_cloud(path, cloud: LabeledPointCloud):
 
 
 def read_point_cloud(path) -> LabeledPointCloud:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise SensorError(f"{path}: not UTF-8 text ({exc})") from None
     pts, labels = [], []
-    for ln, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for ln, line in text_lines(read_text(path, SensorError)):
         parts = line.split()
         if len(parts) != 4:
             raise SensorError(f"{path}:{ln}: expected 'x y z label_id'")

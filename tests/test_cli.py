@@ -88,6 +88,26 @@ def test_render_trajectory(tmp_path, scene_file, small_cfg):
     assert len(sorted(out.glob("*.lri"))) == 3
 
 
+def test_render_trajectory_cloud_is_each_frame_in_world(tmp_path, scene_file, small_cfg):
+    traj = tmp_path / "traj.txt"
+    traj.write_text("0 0 0 0\n2 -1 0.5 30\n-3 1 0 -60\n")
+    out = tmp_path / "frames"
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--trajectory", str(traj),
+               "--cloud", "--out", str(out)])
+    assert rc == 0
+    cfg = config.load_config(small_cfg)
+    spec, scene = cfg.sensor_spec(), layout_mod.load_layout(scene_file)
+    poses = [Pose((0.0, 0.0, 0.0), 0.0), Pose((2.0, -1.0, 0.5), math.radians(30)),
+             Pose((-3.0, 1.0, 0.0), math.radians(-60))]
+    for i, pose in enumerate(poses):
+        img = raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"])
+        expected = raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose)
+        written = sensor.read_point_cloud(out / f"frame_{i:05d}.xyz")
+        assert len(expected) > 0
+        np.testing.assert_array_equal(written.labels, expected.labels)
+        np.testing.assert_allclose(written.points, expected.points, rtol=0, atol=5.01e-7)
+
+
 def test_render_raydrop_drops_pixels(tmp_path, scene_file, small_cfg):
     plain, dropped = tmp_path / "p.lri", tmp_path / "d.lri"
     main(["render", "--layout", scene_file, "--sensor", small_cfg, "--out", str(plain)])
@@ -349,3 +369,53 @@ def test_render_non_utf8_layout_exits_with_one_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {layout}: not UTF-8 text")
+
+
+def test_train_rejects_frames_of_different_sizes(tmp_path, train_cfg, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name, rows in (("a.lri", 16), ("b.lri", 8)):
+        sensor.write_lri(data / name, sensor.RangeImage(sensor.SensorSpec(rows=rows, cols=64), np.full((rows, 64), 5.0)))
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", str(data), "--config", train_cfg, "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {data / 'b.lri'}: ")
+    assert "8x64" in err[0] and "16x64" in err[0]
+    assert not out.exists()
+
+
+def test_train_rejects_cond_frame_of_another_size(tmp_path, train_cfg, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    sensor.write_lri(data / "x.lri", sensor.RangeImage(sensor.SensorSpec(rows=16, cols=64), np.full((16, 64), 5.0)))
+    small = sensor.SensorSpec(rows=8, cols=64)
+    sensor.write_lri(data / "x.cond.lri", sensor.RangeImage(small, np.stack([np.full((8, 64), 5.0), np.ones((8, 64))])))
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", str(data), "--config", train_cfg, "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {data / 'x.cond.lri'}: ")
+    assert "8x64" in err[0] and "16x64" in err[0]
+    assert not out.exists()
+
+
+def test_render_bad_layout_directive_names_file(tmp_path, capsys):
+    bad = tmp_path / "bad.layout"
+    bad.write_text("palette ground 81 0 81\nfoo 1 2\n")
+    rc = main(["render", "--layout", str(bad), "--out", str(tmp_path / "o.lri")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: line 2: unknown directive 'foo'"]
+    with pytest.raises(layout_mod.LayoutError) as excinfo:
+        layout_mod.load_layout(bad)
+    assert excinfo.value.line == 2
+
+
+def test_render_bad_config_value_names_file(tmp_path, scene_file, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("train.lr = abc\n")
+    rc = main(["render", "--layout", scene_file, "--sensor", str(bad), "--out", str(tmp_path / "o.lri")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: line 1: bad value 'abc' for train.lr"]

@@ -86,6 +86,23 @@ def test_coincident_triangle_tie_prefers_lower_index():
     assert abs(t[0] - depth) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "offsets, winner",
+    [((0.5e-9, 0.0), 0), ((2e-9, 0.0), 1), ((1.5e-9, 0.8e-9, 0.0), 1)],
+    ids=["inside_window", "outside_window", "window_not_chained"],
+)
+def test_tie_window_is_anchored_at_the_minimum(offsets, winner):
+    # triangle k lies in the plane x = 2 + offsets[k]; of the hits within
+    # TIE_EPS of the nearest one, the lowest index wins
+    verts = [[2.0 + dx, y, z] for dx in offsets for y, z in ((-1.0, -1.0), (1.0, -1.0), (0.0, 1.0))]
+    mesh = TriangleMesh(verts, np.arange(len(verts)).reshape(-1, 3), np.zeros(len(offsets)))
+    origin, direction = [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
+    t, i = _kernels.render_rays(origin, direction, 10.0, build_bvh(mesh))
+    t_brute, i_brute = intersect_brute(mesh, origin, direction, 10.0)
+    assert i[0] == i_brute[0] == winner
+    assert t[0] == t_brute[0] == pytest.approx(2.0 + offsets[winner], abs=1e-12)
+
+
 def test_bvh_structure(scene_mesh, scene_bvh):
     bvh = scene_bvh
     n = scene_mesh.num_triangles

@@ -229,9 +229,7 @@ def test_langevin_deterministic_per_seed():
 def test_model_score_fn_shapes():
     model = ScoreModel(SMALL32, seed=17)
     fn = model_score_fn(model)
-    single = np.random.default_rng(0).random((1, 8, 16))
     batch = np.random.default_rng(0).random((3, 1, 8, 16))
-    assert fn(single, 0.5).shape == single.shape
     assert fn(batch, 0.5).shape == batch.shape
 
 
