@@ -214,8 +214,14 @@ def _load_cloud_dir(path):
     return clouds
 
 
+_EVAL_METRICS = ("jsd", "mmd", "frechet")
+
+
 def cmd_eval(args):
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    unknown = [m for m in wanted if m not in _EVAL_METRICS]
+    if unknown:
+        raise ValueError(f"unknown metric {unknown[0]!r}; choose from {', '.join(_EVAL_METRICS)}")
     gen = _load_cloud_dir(args.gen)
     ref = _load_cloud_dir(args.ref)
     report = {}
@@ -309,7 +315,7 @@ def build_parser():
     p = sub.add_parser("eval", help="metric report over sample directories")
     p.add_argument("--gen", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--metrics", default="jsd,mmd,frechet")
+    p.add_argument("--metrics", default=",".join(_EVAL_METRICS))
     p.add_argument("--layout", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_eval)

@@ -83,36 +83,19 @@ def _plane_mesh(extents):
 
 def _ellipsoid_mesh(extents, segments, rings):
     rx, ry, rz = np.asarray(extents, dtype=np.float64) / 2.0
-    verts = [np.array([0.0, 0.0, rz]), np.array([0.0, 0.0, -rz])]
-    for r in range(1, rings):
-        phi = math.pi * r / rings  # polar angle from +z
-        for s in range(segments):
-            theta = 2.0 * math.pi * s / segments
-            verts.append(
-                np.array(
-                    [
-                        rx * math.sin(phi) * math.cos(theta),
-                        ry * math.sin(phi) * math.sin(theta),
-                        rz * math.cos(phi),
-                    ]
-                )
-            )
-    faces = []
-    ring0 = 2  # first vertex of ring r is ring0 + (r-1)*segments
-
-    def vid(r, s):
-        return ring0 + (r - 1) * segments + (s % segments)
-
-    for s in range(segments):  # polar caps
-        faces.append((0, vid(1, s), vid(1, s + 1)))
-        faces.append((1, vid(rings - 1, s + 1), vid(rings - 1, s)))
-    for r in range(1, rings - 1):  # quads between rings
-        for s in range(segments):
-            a, b = vid(r, s), vid(r, s + 1)
-            c, d = vid(r + 1, s), vid(r + 1, s + 1)
-            faces.append((a, c, d))
-            faces.append((a, d, b))
-    return np.array(verts), np.array(faces, dtype=np.int64)
+    phi = (math.pi * np.arange(1, rings) / rings)[:, None]  # polar angle from +z, one row per inner ring
+    theta = 2.0 * math.pi * np.arange(segments) / segments
+    x = rx * np.sin(phi) * np.cos(theta)
+    y = ry * np.sin(phi) * np.sin(theta)
+    z = np.broadcast_to(rz * np.cos(phi), x.shape)
+    verts = np.vstack([[[0.0, 0.0, rz], [0.0, 0.0, -rz]], np.stack([x, y, z], axis=-1).reshape(-1, 3)])
+    # vid[r - 1, s]: vertex s of ring r, with s = segments wrapping to 0.
+    vid = 2 + np.arange(rings - 1)[:, None] * segments + np.arange(segments + 1) % segments
+    top = np.stack([np.zeros(segments, dtype=np.int64), vid[0, :-1], vid[0, 1:]], axis=-1)
+    bottom = np.stack([np.ones(segments, dtype=np.int64), vid[-1, 1:], vid[-1, :-1]], axis=-1)
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, :-1], vid[1:, 1:]  # quads between rings
+    quads = np.stack([np.stack([a, c, d], axis=-1), np.stack([a, d, b], axis=-1)], axis=-2)
+    return verts, np.vstack([np.stack([top, bottom], axis=1).reshape(-1, 3), quads.reshape(-1, 3)])
 
 
 def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLATION) -> TriangleMesh:

@@ -160,30 +160,34 @@ def sinusoidal_embedding(log_sigma, dim, dtype):
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-class Adam:
-    """Adam over a dict of Params; an optional mask restricts updates, and
-    each parameter's bias correction counts only its own updates."""
+#: Adam's moment decay rates and denominator guard (Kingma & Ba, 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam over a dict of Params; ``step`` updates only the names it is
+    given, and each parameter's bias correction counts only its own updates."""
+
+    def __init__(self, params: dict, lr):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.value) for k, p in params.items()}
         self.t = dict.fromkeys(params, 0)
 
-    def step(self, allowed=None):
+    def step(self, allowed):
         for name, p in self.params.items():
-            if allowed is not None and name not in allowed:
+            if name not in allowed:
                 continue
             self.t[name] += 1
-            b1t = 1.0 - self.beta1 ** self.t[name]
-            b2t = 1.0 - self.beta2 ** self.t[name]
+            b1t = 1.0 - ADAM_BETA1 ** self.t[name]
+            b2t = 1.0 - ADAM_BETA2 ** self.t[name]
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             mhat = self.m[name] / b1t
             vhat = self.v[name] / b2t
-            p.value -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.value.dtype)
+            p.value -= (self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)).astype(p.value.dtype)
 
     def zero_grad(self):
         for p in self.params.values():

@@ -229,19 +229,16 @@ def surface_sample(mesh: TriangleMesh, points_per_m2: float, seed: int = 0) -> L
 def apply_raydrop(
     img: RangeImage,
     params: RaydropParams,
-    incidence_cos: np.ndarray | None = None,
+    incidence_cos: np.ndarray,
     seed: int = 0,
 ) -> RangeImage:
-    """Stochastic per-pixel dropout of returned pixels. Drops only the
-    depth channel; the semantic channel is left untouched. Deterministic
-    per seed via a counter-based (Philox) generator."""
+    """Stochastic per-pixel dropout of returned pixels, given the incidence
+    |cos| that ``render_conditional`` returns. Drops only the depth channel;
+    the semantic channel is left untouched. Deterministic per seed (Philox)."""
     depth = img.depth.copy()
     returned = depth > 0
     frac = depth / img.spec.max_range
-    if incidence_cos is None:
-        grazing = np.zeros_like(depth)
-    else:
-        grazing = 1.0 - np.abs(incidence_cos)
+    grazing = 1.0 - np.abs(incidence_cos)
     prob = np.clip(params.p0 + params.p1 * frac + params.p2 * grazing, 0.0, 1.0)
     uni = np.random.Generator(np.random.Philox(seed)).random(depth.shape)
     depth[returned & (uni < prob)] = 0.0

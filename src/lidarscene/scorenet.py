@@ -68,6 +68,16 @@ class ModelConfig:
     blocks_per_level: int = 2
     dtype: object = np.float32
 
+    def __post_init__(self):
+        for name in ("in_channels", "cond_channels", "blocks_per_level"):
+            if getattr(self, name) < 1:
+                raise ScoreNetError(f"model {name} must be >= 1, got {getattr(self, name)}")
+        if not self.widths or min(self.widths) < 1:
+            raise ScoreNetError(f"model widths must be a non-empty list of widths >= 1, got {self.widths}")
+        # The sinusoidal embedding has 2 * (emb_dim // 2) features.
+        if self.emb_dim < 2 or self.emb_dim % 2:
+            raise ScoreNetError(f"model emb_dim must be even and >= 2, got {self.emb_dim}")
+
 
 class ResBlock:
     """conv3x3 -> sigma-FiLM -> SiLU -> conv3x3, plus a (projected) skip."""
@@ -180,9 +190,8 @@ class _Encoder:
             if i > 0:
                 dh = avgpool2_backward(dh)
                 dh = dh + dfeats[i - 1]
-        dhint = dh  # hint (when present) was added right after in_conv
-        dx = self.in_conv.backward(dh)
-        return dx, dhint, demb
+        self.in_conv.backward(dh)
+        return dh, demb  # dh is the gradient where a hint joins, right after in_conv
 
 
 class ControlAdapter:
@@ -192,7 +201,6 @@ class ControlAdapter:
     def __init__(self, base: "ScoreModel", seed: int = 0):
         cfg = base.config
         rng = np.random.default_rng(seed)
-        self.config = cfg
         self.encoder = _Encoder(cfg, rng)
         # Start from the (pre)trained base encoder weights.
         base_enc = base.encoder.named_params("enc")
@@ -202,16 +210,16 @@ class ControlAdapter:
         self.zero_fusions = [Conv2d(w, w, 1, rng, cfg.dtype, zero_init=True) for w in cfg.widths]
         self.zero_mid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype, zero_init=True)
 
-    def named_params(self, prefix="adapter"):
-        out = self.encoder.named_params(f"{prefix}.enc")
-        out.update(self.hint.named_params(f"{prefix}.hint"))
+    def named_params(self):
+        out = self.encoder.named_params("adapter.enc")
+        out.update(self.hint.named_params("adapter.hint"))
         for i, z in enumerate(self.zero_fusions):
-            out.update(z.named_params(f"{prefix}.zero{i}"))
-        out.update(self.zero_mid.named_params(f"{prefix}.zmid"))
+            out.update(z.named_params(f"adapter.zero{i}"))
+        out.update(self.zero_mid.named_params("adapter.zmid"))
         return out
 
-    def fusion_param_names(self, prefix="adapter"):
-        return {n for n in self.named_params(prefix) if n.startswith((f"{prefix}.zero", f"{prefix}.zmid"))}
+    def fusion_param_names(self):
+        return {n for n in self.named_params() if n.startswith(("adapter.zero", "adapter.zmid"))}
 
 
 class ScoreModel:
@@ -240,20 +248,20 @@ class ScoreModel:
             else:
                 self.up_projs.append(None)
         self.out_conv = Conv2d(w[0], cfg.in_channels, 3, rng, cfg.dtype)
-        self._cache = None
+        self._adapter = None
 
     # -- parameters ---------------------------------------------------
 
-    def named_params(self, prefix="base"):
-        out = self.encoder.named_params(f"{prefix}.enc")
-        out.update(self.emb_dense1.named_params(f"{prefix}.embed1"))
-        out.update(self.emb_dense2.named_params(f"{prefix}.embed2"))
+    def named_params(self):
+        out = self.encoder.named_params("base.enc")
+        out.update(self.emb_dense1.named_params("base.embed1"))
+        out.update(self.emb_dense2.named_params("base.embed2"))
         for i, lvl in enumerate(self.dec_levels):
-            out.update(lvl.named_params(f"{prefix}.dec{i}"))
+            out.update(lvl.named_params(f"base.dec{i}"))
         for i, proj in enumerate(self.up_projs):
             if proj is not None:
-                out.update(proj.named_params(f"{prefix}.upproj{i}"))
-        out.update(self.out_conv.named_params(f"{prefix}.out_conv"))
+                out.update(proj.named_params(f"base.upproj{i}"))
+        out.update(self.out_conv.named_params("base.out_conv"))
         return out
 
     def param_checksum(self) -> str:
@@ -305,13 +313,14 @@ class ScoreModel:
             if controls is not None:
                 h = h + controls[i]
             h = lvl.forward(h, emb)
-        self._cache = (adapter, n)
+        self._adapter = adapter
         return self.out_conv.forward(h)
 
     def backward(self, dout):
         """Backprop from d(loss)/d(output); accumulates grads on every
         parameter (base and adapter alike). Call right after forward."""
-        adapter, n = self._cache
+        adapter = self._adapter
+        n = len(self.config.widths)
         demb = 0.0
         dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype))
         # Skips and controls add to the same decoder inputs: dfeats and dmid serve both.
@@ -326,17 +335,15 @@ class ScoreModel:
                     dh = self.up_projs[k - 1].backward(dh)
                 dh = upnearest2_backward(dh)
         dmid = dh  # gradient w.r.t. the decoder's initial state (mid + control)
-        dx, _, de = self.encoder.backward(dfeats, dmid)
+        _, de = self.encoder.backward(dfeats, dmid)
         demb = demb + de
         if adapter is not None:
             da_feats = [z.backward(df) for z, df in zip(adapter.zero_fusions, dfeats)]
             da_mid = adapter.zero_mid.backward(dmid)
-            dxa, dhint, de = adapter.encoder.backward(da_feats, da_mid)
+            dhint, de = adapter.encoder.backward(da_feats, da_mid)
             demb = demb + de
             adapter.hint.backward(dhint)
-            dx = dx + dxa
-        demb = self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)))
-        return dx
+        self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,6 @@ class TrainState:
     model: ScoreModel
     schedule: NoiseSchedule
     adapter: ControlAdapter | None = None
-    optimizer: Adam | None = None
     step: int = 0
 
     def params(self):
@@ -424,9 +430,12 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     """Adam training loop, deterministic given the seed. `dataset` is an
     (N, C, H, W) array for phase 'uncond', or a tuple (images, conds) for
     conditional phases. Phase 'ab' splits the steps evenly between
-    zero-conv-only and full-adapter fine-tuning. A non-finite loss raises
-    ScoreNetError naming the step and phase; parameters keep the values of
-    the last good step."""
+    zero-conv-only and full-adapter fine-tuning. Adam's moments start afresh
+    on each call. ``log`` gets the loss of every ``log_every``-th step (of none
+    when log_every is 0). A non-finite loss raises ScoreNetError naming the
+    step and phase; parameters keep the values of the last good step."""
+    if config.steps < 0 or config.batch_size < 1:
+        raise ScoreNetError(f"need steps >= 0 and batch_size >= 1, got {config.steps} and {config.batch_size}")
     conditional = config.phase != "uncond"
     if conditional:
         images, conds = dataset
@@ -438,11 +447,7 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     if len(images) == 0:
         raise ScoreNetError("empty dataset")
 
-    all_params = state.params()
-    if state.optimizer is None or set(state.optimizer.params) != set(all_params):
-        state.optimizer = Adam(all_params, lr=config.lr)
-    state.optimizer.lr = config.lr
-
+    optimizer = Adam(state.params(), lr=config.lr)
     rng = np.random.default_rng(np.random.Philox(config.seed))
     phases = ["a", "b"] if config.phase == "ab" else [config.phase]
     steps_per_phase = [config.steps // 2, config.steps - config.steps // 2] if config.phase == "ab" else [config.steps]
@@ -452,7 +457,7 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
         allowed = _allowed_params(state, phase)
         for _ in range(steps):
             idx = rng.integers(0, len(images), size=config.batch_size)
-            state.optimizer.zero_grad()
+            optimizer.zero_grad()
             try:
                 if conditional:
                     loss = loss_cond(state.model, state.adapter, images[idx], conds[idx], state.schedule, rng)
@@ -460,10 +465,10 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
                     loss = loss_uncond(state.model, images[idx], state.schedule, rng)
             except ScoreNetError as exc:
                 raise ScoreNetError(f"training failed at step {state.step + 1} (phase {phase}): {exc}") from exc
-            state.optimizer.step(allowed=allowed)
+            optimizer.step(allowed)
             state.step += 1
             losses.append(loss)
-            if log is not None and state.step % config.log_every == 0:
+            if log is not None and config.log_every > 0 and state.step % config.log_every == 0:
                 log(f"step {state.step} phase {phase} loss {loss:.4f}")
     return losses
 
@@ -609,8 +614,11 @@ def _read_checkpoint(path) -> TrainState:
         raise ScoreNetError(f"{path}: truncated config block")
     meta = dict(line.split("=", 1) for line in block.splitlines() if "=" in line)
 
-    schedule = _from_block(NoiseSchedule, meta)
-    model = ScoreModel(_from_block(ModelConfig, meta))
+    try:
+        schedule = _from_block(NoiseSchedule, meta)
+        model = ScoreModel(_from_block(ModelConfig, meta))
+    except ScoreNetError as exc:
+        raise ScoreNetError(f"{path}: {exc}") from None
     adapter = ControlAdapter(model) if meta["has_adapter"] == "1" else None
     state = TrainState(model, schedule, adapter, step=int(meta["step"]))
     params = state.params()

@@ -229,11 +229,9 @@ def read_lri(path) -> RangeImage:
 
 
 def write_point_cloud(path, cloud: LabeledPointCloud):
-    """Text format: one ``x y z label_id`` line per point."""
-    with open(path, "w") as f:
-        f.write("# x y z label_id\n")
-        for (x, y, z), lab in zip(cloud.points, cloud.labels):
-            f.write(f"{x:.6f} {y:.6f} {z:.6f} {int(lab)}\n")
+    """Text format: a ``# x y z label_id`` header, then one such line per point."""
+    rows = np.column_stack([cloud.points, cloud.labels])  # labels as f64: exact below 2**53
+    np.savetxt(path, rows, fmt="%.6f %.6f %.6f %d", header="x y z label_id")
 
 
 def read_point_cloud(path) -> LabeledPointCloud:

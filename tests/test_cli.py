@@ -227,6 +227,7 @@ def test_train_sample_eval_pipeline(tmp_path, train_cfg, scene_file):
     assert {"jsd", "mmd", "frechet", "box_recall", "bev_iou"} <= names
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow this test provokes
 def test_train_divergence_exits_nonzero_without_checkpoint(tmp_path, capsys):
     data = _write_training_data(tmp_path)
     cfg = tmp_path / "diverge.cfg"
@@ -419,3 +420,81 @@ def test_render_bad_config_value_names_file(tmp_path, scene_file, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {bad}: line 1: bad value 'abc' for train.lr"]
+
+
+def _train_fails_with_one_error_line(tmp_path, capsys, settings, argv=("--steps", "2")):
+    """Runs ``train`` with ``settings`` appended to TRAIN_CFG; returns its one error line."""
+    data = _write_training_data(tmp_path)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TRAIN_CFG + settings)
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", data, "--config", str(cfg), *argv, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    [
+        ("model.widths = 0", "widths"),
+        ("model.widths = 4,-4", "widths"),
+        ("model.emb_dim = 0", "emb_dim"),
+        ("model.emb_dim = 3", "emb_dim"),
+        ("model.blocks_per_level = 0", "blocks_per_level"),
+        ("model.in_channels = 0", "in_channels"),
+        ("model.cond_channels = 0", "cond_channels"),
+    ],
+)
+def test_train_rejects_model_shapes_the_network_cannot_build(tmp_path, capsys, setting, field):
+    assert f"model {field} must be" in _train_fails_with_one_error_line(tmp_path, capsys, setting + "\n")
+
+
+def test_checkpoint_with_unbuildable_model_block_names_file_and_field(tmp_path, train_cfg, capsys):
+    data = _write_training_data(tmp_path)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    raw = base.read_bytes()
+    assert raw.count(b"\nemb_dim=8\n") == 1
+    base.write_bytes(raw.replace(b"\nemb_dim=8\n", b"\nemb_dim=3\n"))
+    capsys.readouterr()
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(base), "--config", train_cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {base}: model emb_dim must be")
+    assert not any(out.glob("*.lri"))
+
+
+@pytest.mark.parametrize(
+    "settings, argv",
+    [("train.steps = -3\n", ()), ("", ("--steps", "-3")), ("train.batch_size = 0\n", ("--steps", "2"))],
+    ids=["steps-config", "steps-flag", "batch-size"],
+)
+def test_train_rejects_negative_steps_and_empty_batches(tmp_path, capsys, settings, argv):
+    err = _train_fails_with_one_error_line(tmp_path, capsys, settings, argv)
+    assert "steps >= 0 and batch_size >= 1" in err
+
+
+def test_train_log_every_zero_logs_no_steps(tmp_path, capsys):
+    data = _write_training_data(tmp_path)
+    cfg = tmp_path / "quiet.cfg"
+    cfg.write_text(TRAIN_CFG + "train.log_every = 0\n")
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", data, "--config", str(cfg), "--steps", "3", "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"saved checkpoint to {out} at step 3"]
+
+
+def test_eval_rejects_unknown_metric(tmp_path, capsys):
+    data = _write_training_data(tmp_path)
+    rc = main(["eval", "--gen", data, "--ref", data, "--metrics", "jsd,foo"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown metric 'foo'")
+    assert all(name in err[0] for name in ("jsd", "mmd", "frechet"))

@@ -57,9 +57,9 @@ def test_plane_two_triangles():
     assert np.cross(b - a, c - a)[2] > 0
 
 
-def test_ellipsoid_counts():
-    segments = 16
-    rings = segments // 2
+@pytest.mark.parametrize("segments", [3, 4, 5, 16])
+def test_ellipsoid_counts(segments):
+    rings = max(2, segments // 2)
     mesh = mesh_primitive(SemanticPrimitive(4, "ellipsoid", (0, 0, 0), (2, 2, 2)), segments)
     assert len(mesh.vertices) == 2 + (rings - 1) * segments
     assert mesh.num_triangles == 2 * segments + 2 * segments * (rings - 2)

@@ -321,7 +321,7 @@ def test_apply_raydrop_monotone_in_depth():
 
     def drop_rate(depth):
         img = RangeImage(spec, np.stack([depth, np.ones_like(depth)]))
-        out = apply_raydrop(img, params, seed=11)
+        out = apply_raydrop(img, params, np.ones_like(depth), seed=11)
         return float((out.depth == 0).mean())
 
     assert drop_rate(near) < drop_rate(far)
@@ -335,9 +335,9 @@ def test_apply_raydrop_semantics_kept_and_deterministic():
     from lidarscene.sensor import RangeImage
 
     img = RangeImage(spec, data)
-    a = apply_raydrop(img, RaydropParams(p0=0.5), seed=7)
-    b = apply_raydrop(img, RaydropParams(p0=0.5), seed=7)
-    c = apply_raydrop(img, RaydropParams(p0=0.5), seed=8)
+    a = apply_raydrop(img, RaydropParams(p0=0.5), np.ones_like(img.depth), seed=7)
+    b = apply_raydrop(img, RaydropParams(p0=0.5), np.ones_like(img.depth), seed=7)
+    c = apply_raydrop(img, RaydropParams(p0=0.5), np.ones_like(img.depth), seed=8)
     np.testing.assert_array_equal(a.data, b.data)
     assert (a.depth != c.depth).any()
     np.testing.assert_array_equal(a.semantic, img.semantic)
@@ -349,7 +349,7 @@ def test_apply_raydrop_untouched_misses():
     from lidarscene.sensor import RangeImage
 
     img = RangeImage(spec, np.zeros((2, 4, 8)))
-    out = apply_raydrop(img, RaydropParams(p0=1.0), seed=0)
+    out = apply_raydrop(img, RaydropParams(p0=1.0), np.ones_like(img.depth), seed=0)
     np.testing.assert_array_equal(out.data, img.data)
 
 

@@ -276,6 +276,18 @@ def test_read_point_cloud_names_file_and_line(tmp_path):
         sensor.read_point_cloud(path)
 
 
+def test_point_cloud_text_is_pinned(tmp_path):
+    path = tmp_path / "cloud.xyz"
+    sensor.write_point_cloud(path, LabeledPointCloud(np.array([[-0.0, 1e6, 1.25], [0.5, -2.0, 1e-7]]), [0, 12]))
+    assert path.read_text() == (
+        "# x y z label_id\n"
+        "-0.000000 1000000.000000 1.250000 0\n"
+        "0.500000 -2.000000 0.000000 12\n"
+    )
+    sensor.write_point_cloud(path, LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64)))
+    assert path.read_text() == "# x y z label_id\n"
+
+
 def test_point_cloud_text_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     cloud = LabeledPointCloud(rng.normal(size=(50, 3)), rng.integers(0, 5, 50))
