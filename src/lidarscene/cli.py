@@ -51,16 +51,6 @@ def cmd_gen_scenes(args):
     print(f"wrote {args.num} layouts to {out}")
 
 
-def _render_one(scene, spec, pose, args, cfg, frame=0):
-    """Render one frame; raydrop draws from seed ``args.seed + frame``."""
-    img, cos = raycast.render_conditional(
-        scene, spec, pose, tessellation=cfg["render.tessellation"], return_incidence=True
-    )
-    if args.raydrop:
-        img = raycast.apply_raydrop(img, cfg.raydrop_params(), cos, seed=args.seed + frame)
-    return img
-
-
 def cmd_render(args):
     cfg = load_config(args.sensor)
     spec = cfg.sensor_spec()
@@ -71,25 +61,25 @@ def cmd_render(args):
         sensor.write_point_cloud(args.out, cloud)
         print(f"wrote {len(cloud)} surface-sampled points to {args.out}")
         return
+    # (pose, range-image path, point-cloud path) per frame; a single pose is one frame.
     if args.trajectory:
-        poses = _read_trajectory(args.trajectory)
         out = Path(args.out)
+        frames = [(pose, out / f"frame_{i:05d}.lri", out / f"frame_{i:05d}.xyz")
+                  for i, pose in enumerate(_read_trajectory(args.trajectory))]
         out.mkdir(parents=True, exist_ok=True)
-        for i, pose in enumerate(poses):
-            img = _render_one(scene, spec, pose, args, cfg, frame=i)
-            sensor.write_lri(out / f"frame_{i:05d}.lri", img)
-            if args.cloud:
-                cloud = raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose)
-                sensor.write_point_cloud(out / f"frame_{i:05d}.xyz", cloud)
-        print(f"wrote {len(poses)} frames to {out}")
+        done = f"wrote {len(frames)} frames to {out}"
     else:
-        pose = _parse_pose(args.pose)
-        img = _render_one(scene, spec, pose, args, cfg)
-        sensor.write_lri(args.out, img)
+        frames = [(_parse_pose(args.pose), args.out, str(args.out) + ".xyz")]
+        done = f"wrote {args.out}"
+    for i, (pose, lri_path, xyz_path) in enumerate(frames):
+        img, cos = raycast.render_conditional(scene, spec, pose, cfg["render.tessellation"], return_incidence=True)
+        if args.raydrop:
+            img = raycast.apply_raydrop(img, cfg.raydrop_params(), cos, seed=args.seed + i)
+        sensor.write_lri(lri_path, img)
         if args.cloud:
             cloud = raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose)
-            sensor.write_point_cloud(str(args.out) + ".xyz", cloud)
-        print(f"wrote {args.out}")
+            sensor.write_point_cloud(xyz_path, cloud)
+    print(done)
 
 
 def cmd_extract(args):
@@ -155,12 +145,9 @@ def _load_training_images(data_dir):
 
 def cmd_train(args):
     cfg = load_config(args.config)
+    overrides = {k: v for k, v in (("steps", args.steps), ("seed", args.seed)) if v is not None}
+    train_cfg = cfg.train_config(phase=args.phase if args.controlnet else "uncond", **overrides)
     images, conds = _load_training_images(args.data)
-    train_cfg = cfg.train_config(phase=args.phase if args.controlnet else "uncond")
-    if args.steps is not None:
-        train_cfg.steps = args.steps
-    if args.seed is not None:
-        train_cfg.seed = args.seed
     if args.controlnet:
         if not args.base:
             raise ValueError("--controlnet requires --base CKPT")
@@ -195,7 +182,7 @@ def cmd_sample(args):
         if state.adapter is None:
             raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
-    shape = (1, state.model.config.in_channels, spec.rows, spec.cols)
+    shape = (1, scorenet.IN_CHANNELS, spec.rows, spec.cols)
     for i in range(args.num):
         x = scorenet.sample_annealed_langevin(score_fn, state.schedule, sampler_cfg, shape, seed=args.seed + i)
         depth = sensor.denormalize_depth(np.clip(x[0, 0], 0.0, 1.0), spec)

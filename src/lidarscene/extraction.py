@@ -139,7 +139,7 @@ def fit_box(points):
     if len(points) == 0:
         raise ExtractionError("cannot fit a box to an empty point set")
     xy = points[:, :2] - points[:, :2].mean(axis=0)
-    cov = (xy.T @ xy) / max(len(points), 1)
+    cov = (xy.T @ xy) / len(points)
     evals, evecs = np.linalg.eigh(cov)
     # eigh sorts ascending; the principal axis is the last column.
     if evals[1] - evals[0] <= 1e-12 * max(evals[1], 1.0):
@@ -186,7 +186,7 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
             prims.append(SemanticPrimitive(lab.id, "plane", center, extents))
             continue
         ids = dbscan(pts, params[lab.id])
-        for cid in range(ids.max() + 1 if len(ids) else 0):
+        for cid in range(ids.max() + 1):
             cluster_pts = pts[ids == cid]
             center, extents, yaw = fit_box(cluster_pts)
             prims.append(SemanticPrimitive(lab.id, shape, center, extents, yaw))

@@ -164,8 +164,6 @@ def parse_layout(text: str) -> Layout:
                 raise LayoutError(f"prim needs 9 fields, got {len(parts) - 1}", ln)
             if parts[1] not in names:
                 raise LayoutError(f"unknown label {parts[1]!r}", ln)
-            if parts[2] not in SHAPES:
-                raise LayoutError(f"unknown shape {parts[2]!r}", ln)
             nums = [_parse_float(tok, ln) for tok in parts[3:10]]
             try:
                 prim = SemanticPrimitive(
@@ -233,15 +231,17 @@ def world_to_ego(point, pose: Pose):
     return (*rotate_yaw(dx, dy, -pose.yaw), dz)
 
 
-def crop_local(layout: Layout, pose: Pose, x_bounds=(-80.0, 80.0), y_bounds=(-20.0, 20.0)) -> Layout:
+#: Half sizes of the ego-frame window ``crop_local`` keeps, in meters.
+CROP_HALF_X, CROP_HALF_Y = 80.0, 20.0
+
+
+def crop_local(layout: Layout, pose: Pose) -> Layout:
     """Transform primitives into the ego frame and keep those whose center
-    lies inside the bounds."""
-    if not (x_bounds[0] < x_bounds[1] and y_bounds[0] < y_bounds[1]):
-        raise LayoutError("bounds must be proper intervals")
+    lies inside the window |x| <= CROP_HALF_X, |y| <= CROP_HALF_Y."""
     kept = []
     for prim in layout.primitives:
         ex, ey, ez = world_to_ego(prim.center, pose)
-        if x_bounds[0] <= ex <= x_bounds[1] and y_bounds[0] <= ey <= y_bounds[1]:
+        if abs(ex) <= CROP_HALF_X and abs(ey) <= CROP_HALF_Y:
             kept.append(replace(prim, center=(ex, ey, ez), yaw=prim.yaw - pose.yaw))
     return Layout(palette=layout.palette, primitives=tuple(kept))
 
@@ -252,8 +252,6 @@ def remove_label(layout: Layout, label_id: int) -> Layout:
 
 
 def add_primitive(layout: Layout, prim: SemanticPrimitive) -> Layout:
-    if prim.label not in {lab.id for lab in layout.palette}:
-        raise LayoutError(f"unknown label id {prim.label}")
     return Layout(palette=layout.palette, primitives=layout.primitives + (prim,))
 
 
@@ -261,18 +259,21 @@ def add_primitive(layout: Layout, prim: SemanticPrimitive) -> Layout:
 # Procedural scene generation
 
 
+#: Fixed scene geometry in meters: width of the road along +x, clearance between car footprints, y extent.
+ROAD_WIDTH = 7.0
+CAR_GAP = 1.0
+AREA_Y = (-30.0, 30.0)
+MAX_TRIES = 200  # placement attempts per primitive
+
+
 @dataclass(frozen=True)
 class SceneParams:
-    """Knobs for the random desk-scale scene generator."""
+    """Knobs for the random desk-scale scene generator: (min, max) counts and the x extent."""
 
-    road_width: float = 7.0
-    car_gap: float = 1.0  # minimum clearance between car footprints
     car_count: tuple = (2, 6)
     vegetation_count: tuple = (2, 8)
     building_count: tuple = (1, 4)
     area_x: tuple = (-60.0, 60.0)
-    area_y: tuple = (-30.0, 30.0)
-    max_tries: int = 200
 
 
 def _rect_corners(cx, cy, sx, sy, yaw):
@@ -300,11 +301,7 @@ def rects_overlap(a, b):
     return True
 
 
-def _footprint(prim: SemanticPrimitive):
-    return _rect_corners(prim.center[0], prim.center[1], prim.extents[0], prim.extents[1], prim.yaw)
-
-
-def _dilated_footprint(prim: SemanticPrimitive, gap: float):
+def _footprint(prim: SemanticPrimitive, gap=0.0):
     return _rect_corners(
         prim.center[0], prim.center[1], prim.extents[0] + gap, prim.extents[1] + gap, prim.yaw
     )
@@ -315,24 +312,24 @@ def generate_random_scene(seed: int, params: SceneParams = SceneParams()) -> Lay
     the road with disjoint footprints, vegetation and buildings beside it."""
     rng = np.random.default_rng(seed)
     prims = []
-    ax, ay = params.area_x, params.area_y
+    ax, ay = params.area_x, AREA_Y
     ground = SemanticPrimitive(
         0, "plane", ((ax[0] + ax[1]) / 2, (ay[0] + ay[1]) / 2, 0.0), (ax[1] - ax[0], ay[1] - ay[0], 0.0)
     )
     road = SemanticPrimitive(
-        1, "plane", ((ax[0] + ax[1]) / 2, 0.0, 0.01), (ax[1] - ax[0], params.road_width, 0.0)
+        1, "plane", ((ax[0] + ax[1]) / 2, 0.0, 0.01), (ax[1] - ax[0], ROAD_WIDTH, 0.0)
     )
     prims += [ground, road]
-    half_road = params.road_width / 2.0
+    half_road = ROAD_WIDTH / 2.0
 
-    def place(count_range, make_prim, clear_of, gap=0.0):
+    def place(count_range, make_prim, clear_of, gap):
         n = int(rng.integers(count_range[0], count_range[1] + 1))
         placed = []
         for _ in range(n):
-            for attempt in range(params.max_tries):
+            for attempt in range(MAX_TRIES):
                 prim = make_prim()
-                fp = _dilated_footprint(prim, gap)
-                if any(rects_overlap(fp, _dilated_footprint(q, gap)) for q in placed) or any(
+                fp = _footprint(prim, gap)
+                if any(rects_overlap(fp, _footprint(q, gap)) for q in placed) or any(
                     rects_overlap(fp, _footprint(q)) for q in clear_of
                 ):
                     continue
@@ -372,9 +369,9 @@ def generate_random_scene(seed: int, params: SceneParams = SceneParams()) -> Lay
             2, "cuboid", (x, side_y(2.0, sy / 2.0 + 1.0), height / 2.0), (sx, sy, height)
         )
 
-    cars = place(params.car_count, make_car, [], gap=params.car_gap)
+    cars = place(params.car_count, make_car, [], CAR_GAP)
     # Vegetation and buildings stay clear of the road (and each other).
-    buildings = place(params.building_count, make_building, [road])
-    vegetation = place(params.vegetation_count, make_vegetation, [road] + buildings)
+    buildings = place(params.building_count, make_building, [road], 0.0)
+    vegetation = place(params.vegetation_count, make_vegetation, [road] + buildings, 0.0)
     prims += cars + buildings + vegetation
     return Layout(primitives=tuple(prims))

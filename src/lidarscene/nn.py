@@ -50,7 +50,7 @@ def _im2col(x, k):
 class Conv2d:
     """Same-padded 2D convolution (odd kernel size, stride 1)."""
 
-    def __init__(self, cin, cout, ksize=3, rng=None, dtype=np.float32, zero_init=False):
+    def __init__(self, cin, cout, ksize, rng, dtype=np.float32, zero_init=False):
         self.cin, self.cout, self.ksize = cin, cout, ksize
         scale = 1.0 / np.sqrt(cin * ksize * ksize)
         if zero_init:
@@ -82,7 +82,7 @@ class Conv2d:
 
 
 class Dense:
-    def __init__(self, cin, cout, rng=None, dtype=np.float32):
+    def __init__(self, cin, cout, rng, dtype):
         scale = 1.0 / np.sqrt(cin)
         self.w = Param(_uniform(rng, scale, (cin, cout), dtype))
         self.b = Param(_uniform(rng, scale, (cout,), dtype))

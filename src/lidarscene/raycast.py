@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .layout import Layout, Pose
 from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout, transform
-from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles
+from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles, range_image_to_point_cloud
 
 LEAF_SIZE = 4
 #: Ray-triangle pairs per batch of ``intersect_brute``.
@@ -187,18 +187,15 @@ def render_conditional(
     ts, idxs = _kernels.render_rays(origins, dirs, float(spec.max_range), bvh)
     hit = idxs >= 0
     depth = np.where(hit, ts, 0.0).reshape(spec.rows, spec.cols)
-    if mesh.num_triangles:
-        labels = np.where(hit, mesh.triangle_labels[np.maximum(idxs, 0)], 0)
-    else:
-        labels = np.zeros(len(idxs), dtype=np.int64)
+    labels = np.zeros(len(idxs), dtype=np.int64)
+    labels[hit] = mesh.triangle_labels[idxs[hit]]
     img = RangeImage(spec, np.stack([depth, labels.reshape(spec.rows, spec.cols).astype(np.float64)]))
     if not return_incidence:
         return img
     cos = np.zeros(len(ts))
-    if hit.any():
-        normals = np.cross(bvh.tri_e1[idxs[hit]], bvh.tri_e2[idxs[hit]])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
+    normals = np.cross(bvh.tri_e1[idxs[hit]], bvh.tri_e2[idxs[hit]])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
     return img, cos.reshape(spec.rows, spec.cols)
 
 
@@ -213,8 +210,6 @@ def surface_sample(mesh: TriangleMesh, points_per_m2: float, seed: int = 0) -> L
     areas = mesh.triangle_areas()
     total = areas.sum()
     n = int(rng.poisson(total * points_per_m2))
-    if n == 0:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
     tri = rng.choice(mesh.num_triangles, size=n, p=areas / total)
     r1 = rng.random(n)
     r2 = rng.random(n)
@@ -255,7 +250,5 @@ def sensor_to_world(cloud: LabeledPointCloud, spec: SensorSpec, pose: Pose = Pos
 
 def render_point_cloud(layout, spec, pose=Pose(), tessellation=DEFAULT_TESSELLATION) -> LabeledPointCloud:
     """Convenience: raycast then unproject, returning world-frame points."""
-    from .sensor import range_image_to_point_cloud
-
     cloud = range_image_to_point_cloud(render_conditional(layout, spec, pose, tessellation))
     return sensor_to_world(cloud, spec, pose)

@@ -41,6 +41,10 @@ class ScoreNetError(ValueError):
     pass
 
 
+#: Channels of the generated image (depth) and of the adapter's conditional image (depth, semantic id).
+IN_CHANNELS, COND_CHANNELS = 1, 2
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Geometric noise ladder sigma_max = sigma_1 > ... > sigma_L = sigma_min."""
@@ -61,17 +65,14 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    in_channels: int = 1
-    cond_channels: int = 2
     widths: tuple = (16, 16, 32, 32)
     emb_dim: int = 32
     blocks_per_level: int = 2
     dtype: object = np.float32
 
     def __post_init__(self):
-        for name in ("in_channels", "cond_channels", "blocks_per_level"):
-            if getattr(self, name) < 1:
-                raise ScoreNetError(f"model {name} must be >= 1, got {getattr(self, name)}")
+        if self.blocks_per_level < 1:
+            raise ScoreNetError(f"model blocks_per_level must be >= 1, got {self.blocks_per_level}")
         if not self.widths or min(self.widths) < 1:
             raise ScoreNetError(f"model widths must be a non-empty list of widths >= 1, got {self.widths}")
         # The sinusoidal embedding has 2 * (emb_dim // 2) features.
@@ -153,7 +154,7 @@ class _Encoder:
 
     def __init__(self, cfg: ModelConfig, rng):
         w = cfg.widths
-        self.in_conv = Conv2d(cfg.in_channels, w[0], 3, rng, cfg.dtype)
+        self.in_conv = Conv2d(IN_CHANNELS, w[0], 3, rng, cfg.dtype)
         self.levels = []
         for i, width in enumerate(w):
             cin = w[0] if i == 0 else w[i - 1]
@@ -206,7 +207,7 @@ class ControlAdapter:
         base_enc = base.encoder.named_params("enc")
         for name, p in self.encoder.named_params("enc").items():
             p.value = base_enc[name].value.copy()
-        self.hint = Conv2d(cfg.cond_channels, cfg.widths[0], 3, rng, cfg.dtype)
+        self.hint = Conv2d(COND_CHANNELS, cfg.widths[0], 3, rng, cfg.dtype)
         self.zero_fusions = [Conv2d(w, w, 1, rng, cfg.dtype, zero_init=True) for w in cfg.widths]
         self.zero_mid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype, zero_init=True)
 
@@ -247,7 +248,7 @@ class ScoreModel:
                 self.up_projs.append(Conv2d(w[i], w[i - 1], 1, rng, cfg.dtype))
             else:
                 self.up_projs.append(None)
-        self.out_conv = Conv2d(w[0], cfg.in_channels, 3, rng, cfg.dtype)
+        self.out_conv = Conv2d(w[0], IN_CHANNELS, 3, rng, cfg.dtype)
         self._adapter = None
 
     # -- parameters ---------------------------------------------------
@@ -283,8 +284,8 @@ class ScoreModel:
         the conditional pathway (identical to the unconditional forward
         while the fusion convolutions are all zero)."""
         x = np.asarray(x, dtype=self.config.dtype)
-        if x.ndim != 4 or x.shape[1] != self.config.in_channels:
-            raise ScoreNetError(f"expected (B, {self.config.in_channels}, H, W), got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != IN_CHANNELS:
+            raise ScoreNetError(f"expected (B, {IN_CHANNELS}, H, W), got {x.shape}")
         depth_div = 2 ** (len(self.config.widths) - 1)
         if x.shape[2] % depth_div or x.shape[3] % depth_div:
             raise ScoreNetError(f"H and W must be divisible by {depth_div}")
@@ -389,7 +390,7 @@ def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_bat
 # Training
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     steps: int = 1000
     lr: float = 1e-3
@@ -397,6 +398,14 @@ class TrainConfig:
     seed: int = 0
     phase: str = "uncond"  # uncond | a | b | ab
     log_every: int = 100
+
+    def __post_init__(self):
+        if self.steps < 0 or self.batch_size < 1:
+            raise ScoreNetError(f"need steps >= 0 and batch_size >= 1, got {self.steps} and {self.batch_size}")
+        if not 0 < self.lr < math.inf:  # False for NaN too
+            raise ScoreNetError(f"train lr must be finite and > 0, got {self.lr}")
+        if self.phase not in ("uncond", "a", "b", "ab"):
+            raise ScoreNetError(f"unknown phase {self.phase!r}")
 
 
 @dataclass
@@ -421,9 +430,7 @@ def _allowed_params(state: TrainState, phase: str):
         raise ScoreNetError("conditional phase requires an adapter")
     if phase == "a":
         return state.adapter.fusion_param_names()
-    if phase == "b":
-        return set(state.adapter.named_params())
-    raise ScoreNetError(f"unknown phase {phase!r}")
+    return set(state.adapter.named_params())
 
 
 def train(state: TrainState, dataset, config: TrainConfig, log=None):
@@ -434,8 +441,6 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     on each call. ``log`` gets the loss of every ``log_every``-th step (of none
     when log_every is 0). A non-finite loss raises ScoreNetError naming the
     step and phase; parameters keep the values of the last good step."""
-    if config.steps < 0 or config.batch_size < 1:
-        raise ScoreNetError(f"need steps >= 0 and batch_size >= 1, got {config.steps} and {config.batch_size}")
     conditional = config.phase != "uncond"
     if conditional:
         images, conds = dataset
@@ -481,6 +486,12 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
 class SamplerConfig:
     eps0: float = 2e-5
     steps_per_level: int = 5
+
+    def __post_init__(self):
+        if not 0 < self.eps0 < math.inf:  # False for NaN too
+            raise ScoreNetError(f"sampler eps0 must be finite and > 0, got {self.eps0}")
+        if self.steps_per_level < 1:
+            raise ScoreNetError(f"sampler steps_per_level must be >= 1, got {self.steps_per_level}")
 
 
 def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerConfig, shape, seed=0):

@@ -163,8 +163,6 @@ def range_image_to_point_cloud(img: RangeImage) -> LabeledPointCloud:
     """One point per returned pixel (depth > 0), labels copied when present."""
     spec = img.spec
     v, u = np.nonzero(img.depth > 0)
-    if len(u) == 0:
-        return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
     yaw, pitch = pixel_to_angles(u, v, spec)
     pts = unproject(yaw, pitch, img.depth[v, u])
     if img.semantic is not None:

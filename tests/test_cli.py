@@ -449,7 +449,10 @@ def _train_fails_with_one_error_line(tmp_path, capsys, settings, argv=("--steps"
     ],
 )
 def test_train_rejects_model_shapes_the_network_cannot_build(tmp_path, capsys, setting, field):
-    assert f"model {field} must be" in _train_fails_with_one_error_line(tmp_path, capsys, setting + "\n")
+    err = _train_fails_with_one_error_line(tmp_path, capsys, setting + "\n")
+    # The channel counts are fixed by the data (scorenet.IN_CHANNELS, COND_CHANNELS), not keys.
+    expected = f"unknown config key 'model.{field}'" if field.endswith("channels") else f"model {field} must be"
+    assert expected in err
 
 
 def test_checkpoint_with_unbuildable_model_block_names_file_and_field(tmp_path, train_cfg, capsys):
@@ -476,6 +479,37 @@ def test_checkpoint_with_unbuildable_model_block_names_file_and_field(tmp_path, 
 def test_train_rejects_negative_steps_and_empty_batches(tmp_path, capsys, settings, argv):
     err = _train_fails_with_one_error_line(tmp_path, capsys, settings, argv)
     assert "steps >= 0 and batch_size >= 1" in err
+
+
+@pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+def test_train_rejects_learning_rates_outside_zero_to_inf(tmp_path, capsys, lr):
+    assert "train lr must be finite and > 0" in _train_fails_with_one_error_line(tmp_path, capsys, f"train.lr = {lr}\n")
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    [
+        ("sampler.steps_per_level = 0", "steps_per_level"),
+        ("sampler.steps_per_level = -2", "steps_per_level"),
+        ("sampler.eps0 = 0", "eps0"),
+        ("sampler.eps0 = -1", "eps0"),
+        ("sampler.eps0 = nan", "eps0"),
+        ("sampler.eps0 = inf", "eps0"),
+    ],
+)
+def test_sample_rejects_sampler_settings(tmp_path, train_cfg, capsys, setting, field):
+    data = _write_training_data(tmp_path)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TRAIN_CFG + setting + "\n")
+    capsys.readouterr()
+    out = tmp_path / "samples"
+    rc = main(["sample", "--ckpt", str(base), "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: sampler {field} must be")
+    assert not out.exists()
 
 
 def test_train_log_every_zero_logs_no_steps(tmp_path, capsys):

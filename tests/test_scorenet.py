@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lidarscene import scorenet
 from lidarscene.scorenet import (
@@ -296,14 +298,83 @@ def test_checkpoint_truncated_at_every_offset_raises_scorenet_error(tmp_path):
     assert back.step == 12 and back.model.param_checksum() == model.param_checksum()
 
 
+def _block_keys(raw):
+    """Keys of the config block that ends an LDCK file, in order."""
+    return [line.split(b"=")[0].decode() for line in raw[raw.rindex(b"widths="):].splitlines()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    emb_half=st.integers(1, 4),
+    blocks=st.integers(1, 2),
+    sigmas=st.tuples(st.floats(1e-4, 10.0), st.floats(1e-4, 10.0)),
+    levels=st.integers(2, 12),
+    step=st.integers(0, 2**40),
+    with_adapter=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_checkpoint_round_trip_keeps_every_bit_and_block_key(
+    tmp_path_factory, widths, emb_half, blocks, sigmas, levels, step, with_adapter, seed
+):
+    assume(sigmas[0] > sigmas[1])
+    cfg = ModelConfig(widths=tuple(widths), emb_dim=2 * emb_half, blocks_per_level=blocks)
+    schedule = NoiseSchedule(sigmas[0], sigmas[1], levels)
+    model = ScoreModel(cfg, seed=seed)
+    state = TrainState(model, schedule, ControlAdapter(model, seed=seed + 1) if with_adapter else None, step)
+    # Every finite f32 bit pattern may occur, -0.0 and subnormals included.
+    rng = np.random.default_rng(seed)
+    for p in state.params().values():
+        bits = rng.integers(0, 2**32, size=p.value.shape, dtype=np.uint32).view(np.float32)
+        p.value = np.where(np.isfinite(bits), bits, np.float32(0.0))
+    path = tmp_path_factory.mktemp("ldck") / "model.ldck"
+    save_checkpoint(path, state)
+    back = load_checkpoint(path)
+    assert _block_keys(path.read_bytes()) == [
+        "widths", "emb_dim", "blocks_per_level", "sigma_max", "sigma_min", "levels", "step", "has_adapter"
+    ]
+    assert back.model.config == cfg and back.schedule == schedule and back.step == step
+    assert (back.adapter is not None) == with_adapter
+    params, loaded = state.params(), back.params()
+    assert set(loaded) == set(params)
+    for name, p in params.items():
+        assert loaded[name].value.dtype == np.float32
+        np.testing.assert_array_equal(loaded[name].value.view(np.uint32), p.value.view(np.uint32))
+
+
+def test_checkpoint_with_parent_channel_keys_loads(tmp_path):
+    # Checkpoints written before the channel counts became constants carry
+    # them in the config block; the reader ignores them.
+    model = ScoreModel(ModelConfig(widths=(4, 8), emb_dim=8, blocks_per_level=1), seed=31)
+    state = TrainState(model, NoiseSchedule(), ControlAdapter(model, seed=32), step=7)
+    path = tmp_path / "old.ldck"
+    save_checkpoint(path, state)
+    raw = path.read_bytes()
+    path.write_bytes(
+        raw[: raw.index(b"widths=")]
+        + b"in_channels=1\ncond_channels=2\nwidths=4,8\nemb_dim=8\nblocks_per_level=1\n"
+        + b"sigma_max=1.0\nsigma_min=0.01\nlevels=10\nstep=7\nhas_adapter=1\n"
+    )
+    back = load_checkpoint(path)
+    assert back.model.config == model.config and back.schedule == NoiseSchedule() and back.step == 7
+    assert back.adapter is not None
+    for name, p in state.params().items():
+        np.testing.assert_array_equal(back.params()[name].value, p.value)
+
+
+def test_train_config_rejects_unknown_phase():
+    with pytest.raises(ScoreNetError, match="unknown phase 'c'"):
+        TrainConfig(phase="c")
+
+
 def test_checkpoint_config_block_keeps_every_field(tmp_path):
-    cfg = ModelConfig(in_channels=2, cond_channels=3, widths=(4, 8), emb_dim=12, blocks_per_level=2)
+    cfg = ModelConfig(widths=(4, 8), emb_dim=12, blocks_per_level=2)
     state = TrainState(model=ScoreModel(cfg, seed=0), schedule=NoiseSchedule(0.7, 0.03, 4), step=5)
     path = tmp_path / "model.ldck"
     save_checkpoint(path, state)
     raw = path.read_bytes()
-    assert raw[raw.index(b"in_channels="):] == (
-        b"in_channels=2\ncond_channels=3\nwidths=4,8\nemb_dim=12\nblocks_per_level=2\n"
+    assert raw[raw.index(b"widths="):] == (
+        b"widths=4,8\nemb_dim=12\nblocks_per_level=2\n"
         b"sigma_max=0.7\nsigma_min=0.03\nlevels=4\nstep=5\nhas_adapter=0\n"
     )
     back = load_checkpoint(path)
@@ -327,7 +398,7 @@ def test_checkpoint_wrong_tensor_shape(tmp_path):
     save_checkpoint(b, TrainState(model=wide, schedule=NoiseSchedule()))
     # a's tensors under b's config block: same names, other shapes
     raw_a, raw_b = a.read_bytes(), b.read_bytes()
-    a.write_bytes(raw_a[: raw_a.index(b"in_channels=")] + raw_b[raw_b.index(b"in_channels="):])
+    a.write_bytes(raw_a[: raw_a.index(b"widths=")] + raw_b[raw_b.index(b"widths="):])
     with pytest.raises(ScoreNetError, match="shape"):
         load_checkpoint(a)
 
