@@ -8,6 +8,10 @@ a Moller-Trumbore test against the leaf's triangles. The triangle test uses
 the same component expressions, in the same order, as the all-triangle
 oracle ``raycast.intersect_brute``, so both give bit-identical t and the same
 winning triangle index.
+
+Row gathers, not the tests, set a wave's cost. Each is ``np.take(a, idx,
+axis=0)``, a whole-row copy about 4x faster than ``a[idx]`` on (n, 3) float64,
+of packed rows: one (N, 6) gather of node boxes and one (T, 9) of triangles.
 """
 
 import numpy as np
@@ -78,7 +82,8 @@ def render_rays(origins, dirs, t_max, bvh):
     node = np.zeros(n, dtype=np.int64)
     hit_ray, hit_tri, hit_t = [], [], []
     while len(ray):
-        keep = _slab_hits(origins[ray], inv[ray], bvh.nodes_min[node], bvh.nodes_max[node], t_max)
+        box = np.take(bvh.bounds, node, axis=0)
+        keep = _slab_hits(np.take(origins, ray, axis=0), np.take(inv, ray, axis=0), *np.hsplit(box, 2), t_max)
         ray, node = ray[keep], node[keep]
         count = bvh.count[node]
         leaf = count > 0
@@ -90,7 +95,8 @@ def render_rays(origins, dirs, t_max, bvh):
             slot = np.arange(count.sum()) - np.repeat(first - bvh.start[node[leaf]], count)
             r = np.repeat(ray[leaf], count)
             tri = bvh.perm[slot]
-            t = _triangle_hits(origins[r], dirs[r], bvh.tri_v0[tri], bvh.tri_e1[tri], bvh.tri_e2[tri], t_max)
+            rows = np.take(bvh.tris, tri, axis=0)
+            t = _triangle_hits(np.take(origins, r, axis=0), np.take(dirs, r, axis=0), *np.hsplit(rows, 3), t_max)
             found = np.isfinite(t)
             hit_ray.append(r[found])
             hit_tri.append(tri[found])

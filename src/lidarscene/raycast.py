@@ -34,19 +34,17 @@ class RaydropParams:
 
 @dataclass(frozen=True)
 class BVH:
-    """Flat median-split BVH. Leaves hold ranges into the triangle
+    """Flat median-split BVH: one (min xyz, max xyz) ``bounds`` row per node and one
+    (v0, e1, e2) ``tris`` row per triangle. Leaves hold ranges into the triangle
     permutation; internal nodes hold child indices."""
 
-    nodes_min: np.ndarray
-    nodes_max: np.ndarray
+    bounds: np.ndarray
     left: np.ndarray
     right: np.ndarray
     start: np.ndarray
     count: np.ndarray
     perm: np.ndarray
-    tri_v0: np.ndarray
-    tri_e1: np.ndarray
-    tri_e2: np.ndarray
+    tris: np.ndarray
 
 
 def _triangle_soup(mesh: TriangleMesh):
@@ -61,9 +59,8 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
     v0, e1, e2 = _triangle_soup(mesh)
     n = mesh.num_triangles
     if n == 0:
-        z3 = np.empty((0, 3))
         zi = np.empty(0, dtype=np.int64)
-        return BVH(z3, z3, zi, zi, zi, zi, zi, z3, z3, z3)
+        return BVH(np.empty((0, 6)), zi, zi, zi, zi, zi, np.empty((0, 9)))
 
     tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
     tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
@@ -100,10 +97,10 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
 
     build(0, n)
     return BVH(
-        np.array(nodes_min), np.array(nodes_max),
+        np.hstack([nodes_min, nodes_max]),
         np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
         np.array(start, dtype=np.int64), np.array(count, dtype=np.int64),
-        perm, np.ascontiguousarray(v0), np.ascontiguousarray(e1), np.ascontiguousarray(e2),
+        perm, np.hstack([v0, e1, e2]),
     )
 
 
@@ -193,7 +190,7 @@ def render_conditional(
     if not return_incidence:
         return img
     cos = np.zeros(len(ts))
-    normals = np.cross(bvh.tri_e1[idxs[hit]], bvh.tri_e2[idxs[hit]])
+    normals = np.cross(*np.hsplit(bvh.tris[idxs[hit], 3:], 2))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
     return img, cos.reshape(spec.rows, spec.cols)

@@ -54,6 +54,8 @@ class NoiseSchedule:
     levels: int = 10
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma_max):
+            raise ScoreNetError(f"schedule sigma_max must be finite, got {self.sigma_max}")
         if not (self.sigma_max > self.sigma_min > 0) or self.levels < 2:
             raise ScoreNetError("need sigma_max > sigma_min > 0 and levels >= 2")
 

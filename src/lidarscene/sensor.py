@@ -50,6 +50,9 @@ class SensorSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise SensorError("rows and cols must be >= 1")
+        for name in ("max_range", "pitch_max", "pitch_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise SensorError(f"sensor {name} must be finite, got {getattr(self, name)}")
         if not self.pitch_max > self.pitch_min:
             raise SensorError("pitch_max must exceed pitch_min")
         if not self.max_range > 0:
@@ -227,9 +230,10 @@ def read_lri(path) -> RangeImage:
 
 
 def write_point_cloud(path, cloud: LabeledPointCloud):
-    """Text format: a ``# x y z label_id`` header, then one such line per point."""
+    """``np.savetxt``'s bytes in one ``%``: a ``# x y z label_id`` header, then one such line per point."""
     rows = np.column_stack([cloud.points, cloud.labels])  # labels as f64: exact below 2**53
-    np.savetxt(path, rows, fmt="%.6f %.6f %.6f %d", header="x y z label_id")
+    with open(path, "w") as f:
+        f.write("# x y z label_id\n" + "%.6f %.6f %.6f %d\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def read_point_cloud(path) -> LabeledPointCloud:

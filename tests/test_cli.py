@@ -486,6 +486,30 @@ def test_train_rejects_learning_rates_outside_zero_to_inf(tmp_path, capsys, lr):
     assert "train lr must be finite and > 0" in _train_fails_with_one_error_line(tmp_path, capsys, f"train.lr = {lr}\n")
 
 
+def test_train_rejects_infinite_sigma_max(tmp_path, capsys):
+    err = _train_fails_with_one_error_line(tmp_path, capsys, "schedule.sigma_max = inf\n")
+    assert "schedule sigma_max must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "setting, field",
+    [
+        ("sensor.max_range = inf", "max_range"),
+        ("sensor.pitch_max_deg = inf", "pitch_max"),
+        ("sensor.pitch_min_deg = -inf", "pitch_min"),
+    ],
+)
+def test_render_rejects_non_finite_sensor_settings(tmp_path, scene_file, capsys, setting, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SENSOR + setting + "\n")
+    out = tmp_path / "o.lri"
+    rc = main(["render", "--layout", scene_file, "--sensor", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: sensor {field} must be finite")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "setting, field",
     [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lidarscene import _kernels, raycast
-from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
+from lidarscene.layout import Layout, Pose, SceneParams, SemanticPrimitive, generate_random_scene
 from lidarscene.meshing import TriangleMesh, mesh_layout, mesh_primitive
 from lidarscene.raycast import (
     BVH,
@@ -103,27 +103,99 @@ def test_tie_window_is_anchored_at_the_minimum(offsets, winner):
     assert t[0] == t_brute[0] == pytest.approx(2.0 + offsets[winner], abs=1e-12)
 
 
-def test_bvh_structure(scene_mesh, scene_bvh):
-    bvh = scene_bvh
-    n = scene_mesh.num_triangles
-    assert sorted(bvh.perm.tolist()) == list(range(n))
-    leaves = bvh.count > 0
-    assert bvh.count[leaves].max() <= raycast.LEAF_SIZE
-    assert bvh.count[leaves].sum() == n
-    # children of internal nodes are valid and each triangle's AABB is
-    # inside every leaf box containing it
-    internal = ~leaves
-    assert (bvh.left[internal] >= 0).all() and (bvh.right[internal] >= 0).all()
-    tri_min = np.minimum(
-        np.minimum(bvh.tri_v0, bvh.tri_v0 + bvh.tri_e1), bvh.tri_v0 + bvh.tri_e2
-    )
-    tri_max = np.maximum(
-        np.maximum(bvh.tri_v0, bvh.tri_v0 + bvh.tri_e1), bvh.tri_v0 + bvh.tri_e2
-    )
-    for node in np.flatnonzero(leaves):
-        idx = bvh.perm[bvh.start[node] : bvh.start[node] + bvh.count[node]]
-        assert (tri_min[idx] >= bvh.nodes_min[node] - 1e-9).all()
-        assert (tri_max[idx] <= bvh.nodes_max[node] + 1e-9).all()
+# Criterion 10's frames: a close side view of 2-4 cars, 40-52 triangles.
+C10_PARAMS = SceneParams(area_x=(-12.0, 12.0), car_count=(2, 4), vegetation_count=(0, 0), building_count=(0, 0))
+C10_SPEC = SensorSpec(rows=16, cols=128)
+C10_POSE = Pose((0.0, -8.0, 2.0), math.pi / 2.0)
+# The benchmark's street scene: 1,680 triangles at tessellation 16, seen
+# from poses along the road centre line.
+STREET_PARAMS = SceneParams(car_count=(6, 6), vegetation_count=(7, 7), building_count=(3, 3))
+STREET_POSE_X = range(-36, 37, 8)
+
+
+@pytest.fixture(scope="module")
+def street_mesh():
+    return mesh_layout(generate_random_scene(0, STREET_PARAMS), tessellation=16)
+
+
+def leaf_depths(bvh):
+    """Depth of every leaf below the root (node 0)."""
+    depth = np.zeros(len(bvh.count), dtype=np.int64)
+    for node in range(len(bvh.count)):  # children have higher ids than parents
+        if bvh.count[node] == 0:
+            depth[bvh.left[node]] = depth[bvh.right[node]] = depth[node] + 1
+    return depth[bvh.count > 0]
+
+
+def first_triangles(mesh, k):
+    return TriangleMesh(mesh.vertices, mesh.triangles[:k], mesh.triangle_labels[:k])
+
+
+def test_bvh_structure(scene_mesh, street_mesh):
+    five = TriangleMesh(np.random.default_rng(3).normal(size=(15, 3)), np.arange(15).reshape(5, 3), np.zeros(5))
+    meshes = [
+        first_triangles(five, 1),
+        five,
+        mesh_layout(generate_random_scene(0, C10_PARAMS), tessellation=12),
+        first_triangles(street_mesh, 37),  # leaves at depths 3 and 4
+        scene_mesh,
+        street_mesh,
+    ]
+    assert [m.num_triangles for m in meshes] == [1, 5, 52, 37, 1420, 1680]
+    for mesh in meshes:
+        bvh = build_bvh(mesh)
+        n = mesh.num_triangles
+        assert sorted(bvh.perm.tolist()) == list(range(n))
+        leaves = bvh.count > 0
+        assert bvh.count[leaves].max() <= raycast.LEAF_SIZE
+        assert bvh.count[leaves].sum() == n
+        # children of internal nodes are valid, each triangle's AABB is
+        # inside every leaf box containing it and every internal box
+        # encloses both of its children's boxes
+        internal = np.flatnonzero(~leaves)
+        assert (bvh.left[internal] > internal).all() and (bvh.right[internal] > internal).all()
+        v0, e1, e2 = bvh.tris[:, :3], bvh.tris[:, 3:6], bvh.tris[:, 6:]
+        tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
+        tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
+        for node in np.flatnonzero(leaves):
+            idx = bvh.perm[bvh.start[node] : bvh.start[node] + bvh.count[node]]
+            assert (tri_min[idx] >= bvh.bounds[node, :3] - 1e-9).all()
+            assert (tri_max[idx] <= bvh.bounds[node, 3:] + 1e-9).all()
+        for child in (bvh.left[internal], bvh.right[internal]):
+            assert (bvh.bounds[child, :3] >= bvh.bounds[internal, :3]).all()
+            assert (bvh.bounds[child, 3:] <= bvh.bounds[internal, 3:]).all()
+
+
+def assert_render_rays_pinned(mesh, spec, pose):
+    """Every pixel's traversal result equals the all-triangle scan: t bit
+    for bit and the same triangle index."""
+    origins, dirs = raycast._sensor_rays(spec, pose)
+    kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, build_bvh(mesh))
+    bt, bi = intersect_brute(mesh, origins, dirs, spec.max_range)
+    assert (bi >= 0).any()
+    np.testing.assert_array_equal(ki, bi)
+    np.testing.assert_array_equal(kt, bt)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_render_rays_pins_criterion_10_frames(seed):
+    mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), tessellation=12)
+    assert 40 <= mesh.num_triangles <= 52
+    assert_render_rays_pinned(mesh, C10_SPEC, C10_POSE)
+
+
+@pytest.mark.parametrize("k", [9, 37, 75])
+def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k):
+    # Criterion 10's meshes split into leaves all at depth 4; these do not.
+    mesh = first_triangles(street_mesh, k)
+    assert len(np.unique(leaf_depths(build_bvh(mesh)))) == 2
+    assert_render_rays_pinned(mesh, SensorSpec(rows=16, cols=128), Pose((0.0, 0.0, 0.0), 0.0))
+
+
+@pytest.mark.parametrize("x", STREET_POSE_X)
+def test_render_rays_pins_street_poses(street_mesh, x):
+    assert street_mesh.num_triangles == 1680
+    assert_render_rays_pinned(street_mesh, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0))
 
 
 def test_bvh_matches_brute_force(scene_mesh, scene_bvh):

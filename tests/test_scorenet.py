@@ -47,6 +47,9 @@ def test_schedule_validation():
         NoiseSchedule(0.01, 1.0, 10)
     with pytest.raises(ScoreNetError):
         NoiseSchedule(1.0, 0.01, 1)
+    for sigma_max in (math.inf, math.nan):
+        with pytest.raises(ScoreNetError, match="schedule sigma_max must be finite"):
+            NoiseSchedule(sigma_max, 0.01, 10)
 
 
 def test_forward_shape_and_validation():

@@ -35,6 +35,14 @@ def test_spec_validation():
         SensorSpec(max_range=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["max_range", "pitch_max", "pitch_min"])
+def test_spec_rejects_non_finite_range_and_pitch(field, value):
+    # An infinite max_range would normalise every depth to 0.0.
+    with pytest.raises(sensor.SensorError, match=f"sensor {field} must be finite"):
+        SensorSpec(**{field: value})
+
+
 def test_pixel_to_angles_corner(small_spec):
     yaw, pitch = pixel_to_angles(0, 0, small_spec)
     assert yaw == pytest.approx(3 * math.pi / 4)
@@ -286,6 +294,25 @@ def test_point_cloud_text_is_pinned(tmp_path):
     )
     sensor.write_point_cloud(path, LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64)))
     assert path.read_text() == "# x y z label_id\n"
+
+
+@pytest.mark.parametrize("target", [str, lambda p: p], ids=["str", "Path"])
+@pytest.mark.parametrize(
+    "points, labels",
+    [
+        ([[-0.0, 1e6, -1e-9], [0.5, -2.0, 1e-7]], [2**40, 0]),
+        (np.empty((0, 3)), np.empty(0, dtype=np.int64)),
+        (np.random.default_rng(5).normal(scale=50.0, size=(200, 3)), np.random.default_rng(6).integers(0, 9, 200)),
+    ],
+    ids=["edge-values", "empty", "random"],
+)
+def test_point_cloud_text_equals_savetxt(tmp_path, target, points, labels):
+    cloud = LabeledPointCloud(np.asarray(points, dtype=np.float64), labels)
+    path = tmp_path / "cloud.xyz"
+    sensor.write_point_cloud(target(path), cloud)
+    ref = tmp_path / "ref.xyz"
+    np.savetxt(ref, np.column_stack([cloud.points, cloud.labels]), fmt="%.6f %.6f %.6f %d", header="x y z label_id")
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_point_cloud_text_roundtrip(tmp_path):
