@@ -144,9 +144,12 @@ def _load_training_images(data_dir):
 
 
 def cmd_train(args):
+    for flag in ("base", "phase"):
+        if getattr(args, flag) is not None and not args.controlnet:
+            raise ValueError(f"--{flag} requires --controlnet")
     cfg = load_config(args.config)
     overrides = {k: v for k, v in (("steps", args.steps), ("seed", args.seed)) if v is not None}
-    train_cfg = cfg.train_config(phase=args.phase if args.controlnet else "uncond", **overrides)
+    train_cfg = cfg.train_config(phase=(args.phase or "ab") if args.controlnet else "uncond", **overrides)
     images, conds = _load_training_images(args.data)
     if args.controlnet:
         if not args.base:
@@ -158,7 +161,8 @@ def cmd_train(args):
             state.adapter = scorenet.ControlAdapter(state.model, seed=train_cfg.seed)
         before = state.model.param_checksum()
         scorenet.train(state, (images, conds), train_cfg, log=print)
-        assert state.model.param_checksum() == before, "base parameters changed during conditional training"
+        if state.model.param_checksum() != before:
+            raise scorenet.ScoreNetError("base parameters changed during conditional training")
     else:
         model = scorenet.ScoreModel(cfg.model_config(), seed=train_cfg.seed)
         state = scorenet.TrainState(model=model, schedule=cfg.noise_schedule())
@@ -168,6 +172,8 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
+    if args.pose is not None and not args.layout:
+        raise ValueError("--pose requires --layout: it places the conditioning render")
     cfg = load_config(args.config)
     spec = cfg.sensor_spec()
     state = scorenet.load_checkpoint(args.ckpt)
@@ -284,7 +290,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--controlnet", action="store_true")
     p.add_argument("--base", default=None)
-    p.add_argument("--phase", choices=["a", "b", "ab"], default="ab")
+    p.add_argument("--phase", choices=["a", "b", "ab"], default=None, help="adapter phase (default ab)")
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)

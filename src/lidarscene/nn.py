@@ -4,8 +4,13 @@ layers, SiLU, per-sample feature modulation, and 2x pooling/upsampling.
 
 Every layer caches its forward inputs and consumes them in ``backward``,
 which accumulates parameter gradients and returns the input gradient.
-Gradient correctness is enforced by central finite differences in the
-test suite.
+A backward computes only the gradients its caller needs: ``params=False``
+skips a frozen layer's parameter gradients, and ``inputs=False`` skips the
+input gradient when nothing upstream reads it (a network's input, or the
+frozen embedding MLP of a conditional phase). The base model of a
+conditional phase is locked, as in ControlNet (Zhang, Rao & Agrawala,
+2023), so its layers only carry gradients through to the adapter. Gradient
+correctness is enforced by central finite differences in the test suite.
 
 ``Conv2d`` is one im2col + GEMM (Chellapilla et al., 2006): ``_im2col``
 turns the zero-padded input into one column per pixel holding its k x k
@@ -71,12 +76,17 @@ class Conv2d:
         self._cache = (cols, x.shape)
         return y.reshape(b, self.cout, h, w)
 
-    def backward(self, dy):
+    def backward(self, dy, params=True, inputs=True):
+        """Accumulates dW and db unless ``params`` is False; returns dx, or
+        None when ``inputs`` is False."""
         cols, xshape = self._cache
         b, c, h, w = xshape
-        dyf = dy.reshape(b, self.cout, h * w)
-        self.w.grad += (dyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.value.shape)
-        self.b.grad += dyf.sum(axis=(0, 2))
+        if params:
+            dyf = dy.reshape(b, self.cout, h * w)
+            self.w.grad += (dyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.value.shape)
+            self.b.grad += dyf.sum(axis=(0, 2))
+        if not inputs:
+            return None
         wt = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
         return (wt @ _im2col(dy, self.ksize)).reshape(xshape)
 
@@ -95,10 +105,12 @@ class Dense:
         self._x = x
         return x @ self.w.value + self.b.value
 
-    def backward(self, dy):
-        self.w.grad += self._x.T @ dy
-        self.b.grad += dy.sum(axis=0)
-        return dy @ self.w.value.T
+    def backward(self, dy, params=True, inputs=True):
+        """As ``Conv2d.backward``."""
+        if params:
+            self.w.grad += self._x.T @ dy
+            self.b.grad += dy.sum(axis=0)
+        return dy @ self.w.value.T if inputs else None
 
 
 class SiLU:
@@ -127,9 +139,12 @@ class FiLM:
         self._cache = (x, scale)
         return x * (1.0 + scale[:, :, None, None]) + shift[:, :, None, None]
 
-    def backward(self, dy):
+    def backward(self, dy, modulation):
+        """(dx, dscale, dshift); the last two are None unless ``modulation``."""
         x, scale = self._cache
         dx = dy * (1.0 + scale[:, :, None, None])
+        if not modulation:
+            return dx, None, None
         dscale = (dy * x).sum(axis=(2, 3))
         dshift = dy.sum(axis=(2, 3))
         return dx, dscale, dshift

@@ -11,6 +11,10 @@ bit-identical to the unconditional one.
 
 Everything is plain numpy with hand-written backward passes (see ``nn``);
 training math runs in f32; an f64 model serves finite-difference gradient checks.
+A training step's backward computes only the gradients the step updates:
+the base is locked while the adapter trains, as in ControlNet (Zhang, Rao &
+Agrawala, 2023), so its encoder is not differentiated at all and its
+decoder only passes gradients through to the fusion convolutions.
 """
 
 from __future__ import annotations
@@ -112,13 +116,17 @@ class ResBlock:
         skip = self.proj.forward(x) if self.proj is not None else x
         return h + skip
 
-    def backward(self, dy):
-        dh = self.conv2.backward(dy)
+    def backward(self, dy, params, emb):
+        """(dx, demb); ``params=False`` skips this block's parameter
+        gradients, and ``emb=False`` the embedding's (demb is then None)."""
+        dh = self.conv2.backward(dy, params)
         dh = self.act.backward(dh)
-        dh, dscale, dshift = self.film.backward(dh)
-        demb = self.emb.backward(np.concatenate([dscale, dshift], axis=1))
-        dx = self.conv1.backward(dh)
-        dx = dx + (self.proj.backward(dy) if self.proj is not None else dy)
+        dh, dscale, dshift = self.film.backward(dh, params or emb)
+        demb = None
+        if params or emb:
+            demb = self.emb.backward(np.concatenate([dscale, dshift], axis=1), params, emb)
+        dx = self.conv1.backward(dh, params)
+        dx = dx + (self.proj.backward(dy, params) if self.proj is not None else dy)
         return dx, demb
 
 
@@ -141,11 +149,12 @@ class _Level:
             x = blk.forward(x, emb)
         return x
 
-    def backward(self, dy):
+    def backward(self, dy, params, emb):
         demb_total = 0.0
         for blk in reversed(self.blocks):
-            dy, demb = blk.backward(dy)
-            demb_total = demb_total + demb
+            dy, demb = blk.backward(dy, params, emb)
+            if demb is not None:
+                demb_total = demb_total + demb
         return dy, demb_total
 
 
@@ -182,19 +191,25 @@ class _Encoder:
             feats.append(h)
         return feats, self.mid.forward(feats[-1], emb)
 
-    def backward(self, dfeats, dmid):
+    def backward(self, dfeats, dmid, emb):
+        """(gradient where a hint joins, demb); ``emb=False`` skips the
+        embedding's gradient (demb is then 0.0)."""
         demb = 0.0
-        dh, de = self.mid.backward(dmid)
+        dh, de = self.mid.backward(dmid, True, emb)
         demb = demb + de
         dh = dh + dfeats[-1]
         for i in reversed(range(len(self.levels))):
-            dh, de = self.levels[i].backward(dh)
+            dh, de = self.levels[i].backward(dh, True, emb)
             demb = demb + de
             if i > 0:
                 dh = avgpool2_backward(dh)
                 dh = dh + dfeats[i - 1]
-        self.in_conv.backward(dh)
-        return dh, demb  # dh is the gradient where a hint joins, right after in_conv
+        self.in_conv.backward(dh, inputs=False)  # the network's input needs no gradient
+        return dh, demb
+
+
+#: Name prefixes of the adapter's zero-initialized fusion convolutions.
+_FUSION = ("adapter.zero", "adapter.zmid")
 
 
 class ControlAdapter:
@@ -222,7 +237,7 @@ class ControlAdapter:
         return out
 
     def fusion_param_names(self):
-        return {n for n in self.named_params() if n.startswith(("adapter.zero", "adapter.zmid"))}
+        return {n for n in self.named_params() if n.startswith(_FUSION)}
 
 
 class ScoreModel:
@@ -319,34 +334,52 @@ class ScoreModel:
         self._adapter = adapter
         return self.out_conv.forward(h)
 
-    def backward(self, dout):
-        """Backprop from d(loss)/d(output); accumulates grads on every
-        parameter (base and adapter alike). Call right after forward."""
+    def backward(self, dout, allowed=None):
+        """Backprop from d(loss)/d(output); call right after forward.
+
+        Accumulates the gradients of every parameter group that holds a name
+        in ``allowed`` (all of them when None): the base model, the adapter's
+        fusion convs, and the adapter's encoder with its hint conv. Other
+        groups' gradients are left as they are. A frozen base computes no
+        weight gradient and runs no encoder backward: its decoder only
+        carries the gradient to the fusion convs."""
         adapter = self._adapter
+        base = _trains(allowed, "base.")
+        fusion = adapter is not None and _trains(allowed, _FUSION)
+        control = adapter is not None and _trains(allowed, ("adapter.enc", "adapter.hint"))
         n = len(self.config.widths)
         demb = 0.0
-        dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype))
+        dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype), base)
         # Skips and controls add to the same decoder inputs: dfeats and dmid serve both.
         dfeats = [0.0] * n
         for k in reversed(range(len(self.dec_levels))):
             i = n - 1 - k
-            dh, de = self.dec_levels[k].backward(dh)
+            dh, de = self.dec_levels[k].backward(dh, base, base)
             demb = demb + de
             dfeats[i] = dfeats[i] + dh
             if k > 0:
                 if self.up_projs[k - 1] is not None:
-                    dh = self.up_projs[k - 1].backward(dh)
+                    dh = self.up_projs[k - 1].backward(dh, base)
                 dh = upnearest2_backward(dh)
         dmid = dh  # gradient w.r.t. the decoder's initial state (mid + control)
-        _, de = self.encoder.backward(dfeats, dmid)
-        demb = demb + de
-        if adapter is not None:
-            da_feats = [z.backward(df) for z, df in zip(adapter.zero_fusions, dfeats)]
-            da_mid = adapter.zero_mid.backward(dmid)
-            dhint, de = adapter.encoder.backward(da_feats, da_mid)
+        if base:
+            _, de = self.encoder.backward(dfeats, dmid, True)
             demb = demb + de
-            adapter.hint.backward(dhint)
-        self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)))
+        if fusion or control:
+            da_feats = [z.backward(df, fusion, control) for z, df in zip(adapter.zero_fusions, dfeats)]
+            da_mid = adapter.zero_mid.backward(dmid, fusion, control)
+            if control:
+                dhint, de = adapter.encoder.backward(da_feats, da_mid, base)
+                demb = demb + de
+                adapter.hint.backward(dhint, inputs=False)  # the condition needs no gradient
+        if base:  # the embedding MLP belongs to the base
+            self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)), inputs=False)
+
+
+def _trains(allowed, prefixes):
+    """Whether ``allowed`` (None: every name) holds a name starting with ``prefixes``
+    (a string or a tuple of them, as for ``str.startswith``)."""
+    return allowed is None or any(name.startswith(prefixes) for name in allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +402,11 @@ def loss_uncond(model: ScoreModel, batch, schedule: NoiseSchedule, rng):
     return loss_cond(model, None, batch, None, schedule, rng)
 
 
-def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_batch, schedule, rng):
+def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_batch, schedule, rng, allowed=None):
     """Score-matching loss through the conditional pathway (the
-    unconditional one when ``adapter`` is None). Gradients reach all
-    parameters; training masks updates to adapter/fusion only."""
+    unconditional one when ``adapter`` is None). Accumulates the gradients
+    of the parameters named in ``allowed`` (see ``ScoreModel.backward``;
+    every parameter's when None)."""
     batch = np.asarray(batch, dtype=model.config.dtype)
     if batch.shape[0] == 0:
         raise ScoreNetError("empty batch")
@@ -384,7 +418,7 @@ def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_bat
     if not math.isfinite(loss):
         raise ScoreNetError("non-finite loss")
     dscore = (sigma**2)[:, None, None, None] * resid / batch.shape[0]
-    model.backward(dscore)
+    model.backward(dscore, allowed)
     return loss
 
 
@@ -467,7 +501,7 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
             optimizer.zero_grad()
             try:
                 if conditional:
-                    loss = loss_cond(state.model, state.adapter, images[idx], conds[idx], state.schedule, rng)
+                    loss = loss_cond(state.model, state.adapter, images[idx], conds[idx], state.schedule, rng, allowed)
                 else:
                     loss = loss_uncond(state.model, images[idx], state.schedule, rng)
             except ScoreNetError as exc:

@@ -556,3 +556,62 @@ def test_eval_rejects_unknown_metric(tmp_path, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: unknown metric 'foo'")
     assert all(name in err[0] for name in ("jsd", "mmd", "frechet"))
+
+
+@pytest.mark.parametrize("flags", [("--phase", "a"), ("--base", "/nonexistent.ldck")])
+def test_train_rejects_adapter_flags_without_controlnet(tmp_path, capsys, flags):
+    err = _train_fails_with_one_error_line(tmp_path, capsys, "", argv=("--steps", "2", *flags))
+    assert f"{flags[0]} requires --controlnet" in err
+
+
+def test_train_controlnet_alone_trains_phase_ab(tmp_path, train_cfg, monkeypatch):
+    data = _write_training_data(tmp_path, with_cond=True)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    phases = []
+    real = scorenet.train
+
+    def spy(state, dataset, config, log=None):
+        phases.append(config.phase)
+        return real(state, dataset, config, log)
+
+    monkeypatch.setattr(scorenet, "train", spy)
+    rc = main(["train", "--data", data, "--config", train_cfg, "--steps", "2",
+               "--controlnet", "--base", str(base), "--out", str(tmp_path / "ctrl.ldck")])
+    assert rc == 0 and phases == ["ab"]
+
+
+def test_train_rejects_a_changed_base(tmp_path, train_cfg, monkeypatch, capsys):
+    data = _write_training_data(tmp_path, with_cond=True)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    real = scorenet.train
+
+    def nudging(state, dataset, config, log=None):
+        losses = real(state, dataset, config, log)
+        state.model.out_conv.b.value[0] += 1e-3
+        return losses
+
+    monkeypatch.setattr(scorenet, "train", nudging)
+    capsys.readouterr()
+    out = tmp_path / "ctrl.ldck"
+    rc = main(["train", "--data", data, "--config", train_cfg, "--steps", "2",
+               "--controlnet", "--base", str(base), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: base parameters changed during conditional training"]
+    assert not out.exists()
+
+
+def test_sample_rejects_pose_without_layout(tmp_path, train_cfg, capsys):
+    data = _write_training_data(tmp_path)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(base), "--config", train_cfg, "--pose", "0,-12,4,90",
+               "--num", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--pose requires --layout" in err[0]
+    assert not out.exists()

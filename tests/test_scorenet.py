@@ -467,3 +467,63 @@ def test_failed_checkpoint_save_keeps_previous_checkpoint(tmp_path, monkeypatch)
     assert path.read_bytes() == before
     assert load_checkpoint(path).step == 3
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt.ldck"]
+
+
+def _moved_adapter(model, seed):
+    """An adapter whose fusion convs are off zero, so every gradient is nonzero."""
+    adapter = ControlAdapter(model, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in adapter.fusion_param_names():
+        p = adapter.named_params()[name]
+        p.value = (rng.standard_normal(p.value.shape) * 0.1).astype(p.value.dtype)
+    return adapter
+
+
+def _grads_of(loss_fn, params):
+    for p in params.values():
+        p.grad[...] = 0.0
+    loss = loss_fn()
+    return loss, {k: p.grad.copy() for k, p in params.items()}
+
+
+@pytest.mark.parametrize("phase", ["uncond", "a", "b"])
+def test_restricted_backward_keeps_every_allowed_gradient(phase):
+    model = ScoreModel(SMALL32, seed=31)
+    state = TrainState(model=model, schedule=NoiseSchedule(), adapter=_moved_adapter(model, 32))
+    allowed = scorenet._allowed_params(state, phase)
+    adapter = None if phase == "uncond" else state.adapter
+    images = make_dataset(n=4, seed=17)
+    conds = None if adapter is None else make_dataset(n=4, shape=(2, 8, 16), seed=18)
+    params = state.params()
+
+    def run(names):
+        rng = np.random.default_rng(np.random.Philox(4))
+        return _grads_of(lambda: loss_cond(model, adapter, images, conds, state.schedule, rng, names), params)
+
+    full_loss, full = run(None)
+    loss, grads = run(allowed)
+    assert loss == full_loss
+    for name, g in grads.items():
+        if name in allowed:
+            assert np.any(full[name]), name  # the pin compares real gradients
+            np.testing.assert_array_equal(g, full[name], err_msg=name)
+        else:
+            assert not np.any(g), name
+
+
+def test_train_with_restricted_backward_equals_full_backward(monkeypatch):
+    def run():
+        model = ScoreModel(SMALL32, seed=33)
+        state = TrainState(model=model, schedule=NoiseSchedule(), adapter=ControlAdapter(model, seed=34))
+        data = (make_dataset(seed=19), make_dataset(shape=(2, 8, 16), seed=20))
+        losses = train(state, data, TrainConfig(steps=6, batch_size=4, seed=9, phase="ab"))
+        return losses, model.param_checksum(), {k: p.value.copy() for k, p in state.params().items()}
+
+    losses, checksum, values = run()
+    full = scorenet.loss_cond
+    monkeypatch.setattr(scorenet, "loss_cond", lambda *args: full(*args[:6]))  # drops ``allowed``
+    ref_losses, ref_checksum, ref_values = run()
+    assert losses == ref_losses
+    assert checksum == ref_checksum
+    for name, value in values.items():
+        np.testing.assert_array_equal(value, ref_values[name], err_msg=name)
