@@ -4,13 +4,14 @@ layers, SiLU, per-sample feature modulation, and 2x pooling/upsampling.
 
 Every layer caches its forward inputs and consumes them in ``backward``,
 which accumulates parameter gradients and returns the input gradient.
-A backward computes only the gradients its caller needs: ``params=False``
-skips a frozen layer's parameter gradients, and ``inputs=False`` skips the
-input gradient when nothing upstream reads it (a network's input, or the
-frozen embedding MLP of a conditional phase). The base model of a
-conditional phase is locked, as in ControlNet (Zhang, Rao & Agrawala,
-2023), so its layers only carry gradients through to the adapter. Gradient
-correctness is enforced by central finite differences in the test suite.
+A convolution's backward computes only the gradients its caller needs:
+``params=False`` skips a frozen layer's weight gradient, and
+``inputs=False`` the input gradient of a network's input, which nothing
+reads (``FiLM.backward`` likewise skips the modulation's gradients). The
+base model of a conditional phase is locked, as in ControlNet (Zhang, Rao &
+Agrawala, 2023), so its layers only carry gradients through to the adapter.
+Gradient correctness is enforced by central finite differences in the test
+suite.
 
 ``Conv2d`` is one im2col + GEMM (Chellapilla et al., 2006): ``_im2col``
 turns the zero-padded input into one column per pixel holding its k x k
@@ -105,12 +106,10 @@ class Dense:
         self._x = x
         return x @ self.w.value + self.b.value
 
-    def backward(self, dy, params=True, inputs=True):
-        """As ``Conv2d.backward``."""
-        if params:
-            self.w.grad += self._x.T @ dy
-            self.b.grad += dy.sum(axis=0)
-        return dy @ self.w.value.T if inputs else None
+    def backward(self, dy):
+        self.w.grad += self._x.T @ dy
+        self.b.grad += dy.sum(axis=0)
+        return dy @ self.w.value.T
 
 
 class SiLU:

@@ -116,15 +116,13 @@ class ResBlock:
         skip = self.proj.forward(x) if self.proj is not None else x
         return h + skip
 
-    def backward(self, dy, params, emb):
+    def backward(self, dy, params):
         """(dx, demb); ``params=False`` skips this block's parameter
-        gradients, and ``emb=False`` the embedding's (demb is then None)."""
+        gradients and the embedding's (demb is then 0.0)."""
         dh = self.conv2.backward(dy, params)
         dh = self.act.backward(dh)
-        dh, dscale, dshift = self.film.backward(dh, params or emb)
-        demb = None
-        if params or emb:
-            demb = self.emb.backward(np.concatenate([dscale, dshift], axis=1), params, emb)
+        dh, dscale, dshift = self.film.backward(dh, params)
+        demb = self.emb.backward(np.concatenate([dscale, dshift], axis=1)) if params else 0.0
         dx = self.conv1.backward(dh, params)
         dx = dx + (self.proj.backward(dy, params) if self.proj is not None else dy)
         return dx, demb
@@ -149,12 +147,11 @@ class _Level:
             x = blk.forward(x, emb)
         return x
 
-    def backward(self, dy, params, emb):
+    def backward(self, dy, params):
         demb_total = 0.0
         for blk in reversed(self.blocks):
-            dy, demb = blk.backward(dy, params, emb)
-            if demb is not None:
-                demb_total = demb_total + demb
+            dy, demb = blk.backward(dy, params)
+            demb_total = demb_total + demb
         return dy, demb_total
 
 
@@ -191,21 +188,19 @@ class _Encoder:
             feats.append(h)
         return feats, self.mid.forward(feats[-1], emb)
 
-    def backward(self, dfeats, dmid, emb):
-        """(gradient where a hint joins, demb); ``emb=False`` skips the
-        embedding's gradient (demb is then 0.0)."""
+    def backward(self, dfeats, dmid):
         demb = 0.0
-        dh, de = self.mid.backward(dmid, True, emb)
+        dh, de = self.mid.backward(dmid, True)
         demb = demb + de
         dh = dh + dfeats[-1]
         for i in reversed(range(len(self.levels))):
-            dh, de = self.levels[i].backward(dh, True, emb)
+            dh, de = self.levels[i].backward(dh, True)
             demb = demb + de
             if i > 0:
                 dh = avgpool2_backward(dh)
                 dh = dh + dfeats[i - 1]
         self.in_conv.backward(dh, inputs=False)  # the network's input needs no gradient
-        return dh, demb
+        return dh, demb  # dh is the gradient where a hint joins, right after in_conv
 
 
 #: Name prefixes of the adapter's zero-initialized fusion convolutions.
@@ -354,7 +349,7 @@ class ScoreModel:
         dfeats = [0.0] * n
         for k in reversed(range(len(self.dec_levels))):
             i = n - 1 - k
-            dh, de = self.dec_levels[k].backward(dh, base, base)
+            dh, de = self.dec_levels[k].backward(dh, base)
             demb = demb + de
             dfeats[i] = dfeats[i] + dh
             if k > 0:
@@ -363,17 +358,17 @@ class ScoreModel:
                 dh = upnearest2_backward(dh)
         dmid = dh  # gradient w.r.t. the decoder's initial state (mid + control)
         if base:
-            _, de = self.encoder.backward(dfeats, dmid, True)
+            _, de = self.encoder.backward(dfeats, dmid)
             demb = demb + de
         if fusion or control:
             da_feats = [z.backward(df, fusion, control) for z, df in zip(adapter.zero_fusions, dfeats)]
             da_mid = adapter.zero_mid.backward(dmid, fusion, control)
             if control:
-                dhint, de = adapter.encoder.backward(da_feats, da_mid, base)
+                dhint, de = adapter.encoder.backward(da_feats, da_mid)
                 demb = demb + de
                 adapter.hint.backward(dhint, inputs=False)  # the condition needs no gradient
         if base:  # the embedding MLP belongs to the base
-            self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)), inputs=False)
+            self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)))
 
 
 def _trains(allowed, prefixes):
