@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import struct
@@ -527,3 +528,51 @@ def test_train_with_restricted_backward_equals_full_backward(monkeypatch):
     assert checksum == ref_checksum
     for name, value in values.items():
         np.testing.assert_array_equal(value, ref_values[name], err_msg=name)
+
+
+def _seeded_run_digests(dtype):
+    """sha256 digests after a short seeded run: uncond training, then phase
+    ``ab`` with an adapter, then a conditional Langevin sample. Returns the
+    base model's ``param_checksum``, a digest of every adapter tensor in name
+    order and a digest of the sample's bytes."""
+    model = ScoreModel(ModelConfig(widths=(8, 8, 16), emb_dim=16, blocks_per_level=1, dtype=dtype), seed=41)
+    adapter = ControlAdapter(model, seed=42)
+    state = TrainState(model=model, schedule=NoiseSchedule(levels=4), adapter=adapter)
+    images = make_dataset(seed=23)
+    conds = make_dataset(shape=(2, 8, 16), seed=24)
+    train(state, images, TrainConfig(steps=6, batch_size=8, seed=25))
+    train(state, (images, conds), TrainConfig(steps=6, batch_size=8, seed=26, phase="ab"))
+    params = adapter.named_params()
+    adapter_digest = hashlib.sha256()
+    for name in sorted(params):
+        adapter_digest.update(params[name].value.tobytes())
+    fn = model_score_fn(model, adapter, conds[0])
+    sample = sample_annealed_langevin(fn, state.schedule, SamplerConfig(steps_per_level=2), (2, 1, 8, 16), seed=27)
+    return model.param_checksum(), adapter_digest.hexdigest(), hashlib.sha256(sample.tobytes()).hexdigest()
+
+
+#: ``_seeded_run_digests`` per dtype: (param_checksum, adapter, sample), taken
+#: before the strided pooling/upsampling and copy-free 1x1 im2col rewrite of
+#: ``nn``, which must leave every one of them unchanged.
+PINNED_DIGESTS = {
+    "float32": (
+        "5221990b6fa52b04c46cef38b599d7bb8c772cae3e6d230932876f4e80f2c3c2",
+        "82d67efa939972336dd7cdb8de5a11d7d0ebbe861456c441d183e1d5562cd3df",
+        "e4a051871a37ec4d25cdc99c6b4fc83176b8794ac31d48c5816a69fbcff15fb1",
+    ),
+    "float64": (
+        "7850ff1b083d8131aab094be9a6464735468b62652be6d09c6b521ff127305a8",
+        "ec353104d4f9370d5b9956c3ed3c8cf637c11c6656fa8fa265397c5047b4c1aa",
+        "ffd6c55390bb8e00a4ea1f45151732787acf3dd1d90875143de77d4dbd808bed",
+    ),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_seeded_training_and_sampling_keep_pinned_digests(dtype):
+    """Literal digests of a seeded uncond + ``ab`` run and a sample, so a change
+    to the layers that moves a single bit of training or sampling fails here.
+    The values depend on the BLAS kernels' summation order, so another BLAS
+    build may need new ones; take those at a commit before the change under
+    test, never from the change itself."""
+    assert _seeded_run_digests(dtype) == PINNED_DIGESTS[np.dtype(dtype).name]
