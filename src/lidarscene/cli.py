@@ -41,7 +41,13 @@ def _read_trajectory(path):
     return poses
 
 
+def _check_num(num):
+    if num < 1:
+        raise ValueError(f"--num must be >= 1, got {num}")
+
+
 def cmd_gen_scenes(args):
+    _check_num(args.num)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = SceneParams()
@@ -91,7 +97,10 @@ def cmd_extract(args):
 
 
 def cmd_unproject(args):
-    fx, fy, cx, cy = (float(tok) for tok in args.intrinsics.replace(",", " ").split())
+    try:
+        fx, fy, cx, cy = (float(tok) for tok in args.intrinsics.replace(",", " ").split())
+    except ValueError:  # a count other than 4, or a field that is not a number
+        raise ValueError(f"--intrinsics must be 'fx,fy,cx,cy', got {args.intrinsics!r}") from None
     depth_img = sensor.read_lri(args.depth)
     sem_img = sensor.read_lri(args.semantic)
     intr = extraction.CameraIntrinsics(
@@ -172,6 +181,7 @@ def cmd_train(args):
 
 
 def cmd_sample(args):
+    _check_num(args.num)
     if args.pose is not None and not args.layout:
         raise ValueError("--pose requires --layout: it places the conditioning render")
     cfg = load_config(args.config)

@@ -16,10 +16,16 @@ suite.
 ``Conv2d`` is one im2col + GEMM (Chellapilla et al., 2006): ``_im2col``
 turns the zero-padded input into one column per pixel holding its k x k
 patch, so the forward pass and the weight gradient are matrix products with
-those columns. The input gradient needs no scatter back (col2im):
+those columns. A 1x1 patch is the pixel itself, so a 1x1 convolution's
+columns are its input, reshaped without a copy. The input gradient needs no
+scatter back (col2im):
 dx[c, y, x] = sum_{o,i,j} w[o, c, i, j] dy[o, y+p-i, x+p-j] with p = k // 2
 is itself a same-padded convolution, of dy with the kernel flipped in both
 spatial axes and its channel axes swapped, so it runs through ``_im2col``.
+
+Pooling and upsampling work on the four strided 2x2 phases of an image.
+``avgpool2`` sums a window as (x00 + x01) + (x10 + x11), the order in which
+numpy's reduction summed it in the reshape-and-mean form it replaces.
 """
 
 from __future__ import annotations
@@ -45,10 +51,14 @@ def _uniform(rng, scale, shape, dtype):
 def _im2col(x, k):
     """(B, C, H, W) -> (B, C*k*k, H*W): the k x k patch around every pixel of
     the zero-padded input, rows ordered (c, i, j) like a (cout, cin, k, k)
-    kernel flattened per output channel."""
+    kernel flattened per output channel. For k == 1 that is ``x`` itself,
+    reshaped: a view of ``x`` whenever ``x`` is contiguous."""
     b, c, h, w = x.shape
+    if k == 1:
+        return x.reshape(b, c, h * w)
     p = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    xp[:, :, p:-p, p:-p] = x
     win = sliding_window_view(xp, (k, k), axis=(2, 3))  # (B, C, H, W, k, k) view
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w)
 
@@ -73,7 +83,8 @@ class Conv2d:
     def forward(self, x):
         b, _, h, w = x.shape
         cols = _im2col(x, self.ksize)
-        y = self.w.value.reshape(self.cout, -1) @ cols + self.b.value[:, None]
+        y = self.w.value.reshape(self.cout, -1) @ cols
+        y += self.b.value[:, None]
         self._cache = (cols, x.shape)
         return y.reshape(b, self.cout, h, w)
 
@@ -150,16 +161,26 @@ class FiLM:
 
 
 def avgpool2(x):
-    b, c, h, w = x.shape
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    """2x2 mean pooling of a (B, C, H, W) array with even H and W."""
+    h, w = x.shape[2:]
+    if h % 2 or w % 2:
+        raise ValueError(f"avgpool2 needs an even height and width, got {h}x{w}")
+    return ((x[..., 0::2, 0::2] + x[..., 0::2, 1::2]) + (x[..., 1::2, 0::2] + x[..., 1::2, 1::2])) / 4.0
 
 
 def avgpool2_backward(dy):
-    return upnearest2(dy) / 4.0
+    return upnearest2(dy / 4.0)
 
 
 def upnearest2(x):
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    """2x nearest-neighbour upsampling: each pixel fills a 2x2 block."""
+    b, c, h, w = x.shape
+    y = np.empty((b, c, 2 * h, 2 * w), dtype=x.dtype)
+    y[..., 0::2, 0::2] = x
+    y[..., 0::2, 1::2] = x
+    y[..., 1::2, 0::2] = x
+    y[..., 1::2, 1::2] = x
+    return y
 
 
 def upnearest2_backward(dy):

@@ -615,3 +615,37 @@ def test_sample_rejects_pose_without_layout(tmp_path, train_cfg, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "--pose requires --layout" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("num", ["0", "-2"])
+def test_gen_scenes_rejects_num_below_one(tmp_path, capsys, num):
+    out = tmp_path / "scenes"
+    assert main(["gen-scenes", "--num", num, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --num must be >= 1, got {num}"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_sample_rejects_num_below_one(tmp_path, train_cfg, capsys):
+    data = _write_training_data(tmp_path)
+    base = tmp_path / "base.ldck"
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(base), "--config", train_cfg, "--num", "-2", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --num must be >= 1, got -2"]
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("intrinsics", ["1,2,3", "1,2,3,4,5", "10,10,4,x"])
+def test_unproject_bad_intrinsics_names_the_flag(tmp_path, capsys, intrinsics):
+    spec = sensor.SensorSpec(rows=8, cols=8)
+    dpath, out = tmp_path / "d.lri", tmp_path / "cloud.xyz"
+    sensor.write_lri(dpath, sensor.RangeImage(spec, np.full((8, 8), 5.0)))
+    rc = main(["unproject", "--depth", str(dpath), "--semantic", str(dpath),
+               "--intrinsics", intrinsics, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --intrinsics must be 'fx,fy,cx,cy', got {intrinsics!r}"]
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lidarscene import nn
 
@@ -30,18 +31,28 @@ def _conv_reference(x, w, b, dy):
 @pytest.mark.parametrize("ksize", [1, 3])
 @pytest.mark.parametrize("hw", [(5, 7), (1, 6), (4, 1), (1, 1)])
 def test_conv2d_matches_nested_loop_convolution(dtype, tol, ksize, hw):
+    """Each case runs on a contiguous input and on a channels-last view of the
+    same values, which is not contiguous: a 1x1 convolution reshapes its input
+    instead of copying it, so it must still read such a view correctly and
+    never write into it."""
     rng = np.random.default_rng(ksize * 100 + hw[0] * 10 + hw[1])
     conv = nn.Conv2d(3, 4, ksize, rng, dtype)
     x = rng.standard_normal((2, 3) + hw).astype(dtype)
     dy = rng.standard_normal((2, 4) + hw).astype(dtype)
-    y = conv.forward(x)
-    dx = conv.backward(dy)
     y_ref, dx_ref, dw_ref, db_ref = _conv_reference(x, conv.w.value, conv.b.value, dy)
-    assert y.dtype == dtype and dx.dtype == dtype and dx.shape == x.shape
-    np.testing.assert_allclose(y, y_ref, rtol=0, atol=tol)
-    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=tol)
-    np.testing.assert_allclose(conv.w.grad, dw_ref, rtol=0, atol=tol)
-    np.testing.assert_allclose(conv.b.grad, db_ref, rtol=0, atol=tol)
+    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    assert not channels_last.flags.c_contiguous or hw == (1, 1)
+    for xin in (x, channels_last):
+        conv.w.grad[...] = 0.0
+        conv.b.grad[...] = 0.0
+        y = conv.forward(xin)
+        dx = conv.backward(dy)
+        np.testing.assert_array_equal(xin, x)
+        assert y.dtype == dtype and dx.dtype == dtype and dx.shape == x.shape
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(conv.w.grad, dw_ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(conv.b.grad, db_ref, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -53,6 +64,72 @@ def test_resampling_backward_is_adjoint_of_forward(dtype):
     np.testing.assert_allclose(np.sum(nn.avgpool2(x) * y), np.sum(x * nn.avgpool2_backward(y)), rtol=1e-5)
     np.testing.assert_allclose(np.sum(nn.upnearest2(y) * x), np.sum(y * nn.upnearest2_backward(x)), rtol=1e-5)
     assert nn.avgpool2_backward(y).dtype == dtype and nn.upnearest2_backward(x).dtype == dtype
+
+
+def _avgpool2_reference(x):
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def _upnearest2_reference(x):
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
+def _im2col_reference(x, k):
+    b, c, h, w = x.shape
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w)
+
+
+#: (B, C, H, W) inputs the model's pooling, upsampling and convolutions see:
+#: 16x128 frames with widths 8/16/16, as in criterion 10 and the benchmark's
+#: score workload, at every level, in training batches of 8 and the sampler's
+#: batch of 16; and the default model's 64x1024 sample, one at a time.
+_MODEL_SHAPES = [
+    (8, 8, 16, 128), (8, 16, 16, 128), (8, 8, 8, 64), (8, 16, 8, 64), (8, 16, 4, 32),
+    (16, 8, 16, 128), (16, 16, 8, 64), (16, 16, 4, 32),
+    (1, 16, 64, 1024), (1, 32, 32, 512),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _MODEL_SHAPES)
+def test_resampling_and_im2col_equal_their_reference_formulas(dtype, shape):
+    """Strided pooling and upsampling, the ``np.zeros`` padding and the
+    copy-free 1x1 ``_im2col`` give the same bits as the numpy formulas they
+    replaced (kept above as references), at the shapes the model uses.
+
+    Pooling is the only one that does arithmetic. It sums a window as
+    (x00 + x01) + (x10 + x11), which is the order of numpy's reduction in the
+    reference, with three exceptions: a window of four -0.0 pools to -0.0
+    where the reference gives +0.0; a window whose partial sums overflow can
+    give a different inf or nan; and on an input only 2 pixels wide numpy
+    merges the window's axes and sums it in sequence, ((x00 + x01) + x10) +
+    x11. The model pools an input that narrow only for an image exactly
+    2 ** (levels - 1) pixels wide; no shape here is one."""
+    rng = np.random.default_rng(sum(shape))
+    # magnitudes spread over 7 decades, so a change of summation order would show
+    x = (rng.standard_normal(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))).astype(dtype)
+    np.testing.assert_array_equal(nn.avgpool2(x), _avgpool2_reference(x))
+    np.testing.assert_array_equal(nn.upnearest2(x), _upnearest2_reference(x))
+    np.testing.assert_array_equal(nn.avgpool2_backward(x), _upnearest2_reference(x) / 4.0)
+    np.testing.assert_array_equal(nn.upnearest2_backward(x), 4.0 * _avgpool2_reference(x))
+    for out in (nn.avgpool2(x), nn.upnearest2(x), nn.avgpool2_backward(x), nn.upnearest2_backward(x)):
+        assert out.dtype == dtype and out.flags.c_contiguous
+    if shape[0] * shape[2] * shape[3] <= 16 * 16 * 128:  # keep the 9x column copies small
+        for k in (1, 3):
+            np.testing.assert_array_equal(nn._im2col(x, k), _im2col_reference(x, k))
+        conv = nn.Conv2d(shape[1], 8, 3, rng, dtype)
+        y_ref = conv.w.value.reshape(8, -1) @ _im2col_reference(x, 3) + conv.b.value[:, None]
+        np.testing.assert_array_equal(conv.forward(x), y_ref.reshape((shape[0], 8) + shape[2:]))
+
+
+@pytest.mark.parametrize("hw", [(1, 4), (3, 4), (4, 1), (4, 5), (1, 1)])
+def test_avgpool2_rejects_odd_height_or_width(hw):
+    with pytest.raises(ValueError, match="even"):
+        nn.avgpool2(np.zeros((2, 3) + hw, dtype=np.float32))
 
 
 def test_adam_masked_parameter_starts_like_a_fresh_adam():
