@@ -24,8 +24,8 @@ is itself a same-padded convolution, of dy with the kernel flipped in both
 spatial axes and its channel axes swapped, so it runs through ``_im2col``.
 
 Pooling and upsampling work on the four strided 2x2 phases of an image.
-``avgpool2`` sums a window as (x00 + x01) + (x10 + x11), the order in which
-numpy's reduction summed it in the reshape-and-mean form it replaces.
+``avgpool2`` sums a window as (x00 + x01) + (x10 + x11); the training
+digests pinned in the tests depend on that order.
 """
 
 from __future__ import annotations

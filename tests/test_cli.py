@@ -626,13 +626,10 @@ def test_gen_scenes_rejects_num_below_one(tmp_path, capsys, num):
     assert captured.out == "" and not out.exists()
 
 
-def test_sample_rejects_num_below_one(tmp_path, train_cfg, capsys):
-    data = _write_training_data(tmp_path)
-    base = tmp_path / "base.ldck"
-    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
-    capsys.readouterr()
+def test_sample_rejects_num_below_one(tmp_path, capsys):
     out = tmp_path / "s"
-    rc = main(["sample", "--ckpt", str(base), "--config", train_cfg, "--num", "-2", "--out", str(out)])
+    # checked before the checkpoint is read, so a missing one never shows
+    rc = main(["sample", "--ckpt", str(tmp_path / "missing.ldck"), "--num", "-2", "--out", str(out)])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["error: --num must be >= 1, got -2"]
