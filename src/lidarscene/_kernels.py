@@ -4,10 +4,9 @@
 the Efficiency of Ray Traversal on GPUs" (HPG 2009): it keeps a frontier of
 live (ray, node) pairs, slab-tests all of them in one pass, replaces each
 surviving internal node by its two children and sends each surviving leaf to
-a Moller-Trumbore test against the leaf's triangles. The triangle test uses
-the same component expressions, in the same order, as the all-triangle
-oracle ``raycast.intersect_brute``, so both give bit-identical t and the same
-winning triangle index.
+a Moller-Trumbore test against the leaf's triangles. The all-triangle oracle
+``raycast.intersect_brute`` shares that test, so both give bit-identical t;
+it checks the traversal's culling and its winner rule.
 
 Row gathers, not the tests, set a wave's cost. Each is ``np.take(a, idx,
 axis=0)``, a whole-row copy about 4x faster than ``a[idx]`` on (n, 3) float64,
@@ -37,23 +36,24 @@ def _slab_hits(o, inv, bmin, bmax, t_max):
 
 
 def _triangle_hits(o, d, v0, e1, e2, t_max):
-    """Two-sided Moller-Trumbore per (ray, triangle) row: t of a hit in
+    """Two-sided Moller-Trumbore of rays (o, d) against triangles (v0, e1,
+    e2), xyz on the last axis and the leading axes broadcast: t of a hit in
     (T_MIN, t_max], inf elsewhere."""
-    px = d[:, 1] * e2[:, 2] - d[:, 2] * e2[:, 1]
-    py = d[:, 2] * e2[:, 0] - d[:, 0] * e2[:, 2]
-    pz = d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]
-    det = e1[:, 0] * px + e1[:, 1] * py + e1[:, 2] * pz
+    px = d[..., 1] * e2[..., 2] - d[..., 2] * e2[..., 1]
+    py = d[..., 2] * e2[..., 0] - d[..., 0] * e2[..., 2]
+    pz = d[..., 0] * e2[..., 1] - d[..., 1] * e2[..., 0]
+    det = e1[..., 0] * px + e1[..., 1] * py + e1[..., 2] * pz
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = 1.0 / det
-        tx = o[:, 0] - v0[:, 0]
-        ty = o[:, 1] - v0[:, 1]
-        tz = o[:, 2] - v0[:, 2]
+        tx = o[..., 0] - v0[..., 0]
+        ty = o[..., 1] - v0[..., 1]
+        tz = o[..., 2] - v0[..., 2]
         u = (tx * px + ty * py + tz * pz) * inv
-        qx = ty * e1[:, 2] - tz * e1[:, 1]
-        qy = tz * e1[:, 0] - tx * e1[:, 2]
-        qz = tx * e1[:, 1] - ty * e1[:, 0]
-        v = (d[:, 0] * qx + d[:, 1] * qy + d[:, 2] * qz) * inv
-        t = (e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz) * inv
+        qx = ty * e1[..., 2] - tz * e1[..., 1]
+        qy = tz * e1[..., 0] - tx * e1[..., 2]
+        qz = tx * e1[..., 1] - ty * e1[..., 0]
+        v = (d[..., 0] * qx + d[..., 1] * qy + d[..., 2] * qz) * inv
+        t = (e2[..., 0] * qx + e2[..., 1] * qy + e2[..., 2] * qz) * inv
     ok = (
         (np.abs(det) >= DET_EPS)
         & (u >= 0.0) & (u <= 1.0)

@@ -23,22 +23,26 @@ from .layout import Pose, SceneParams
 SEMANTIC_DENOM = max(len(layout_mod.DEFAULT_PALETTE) - 1, 1)
 
 
-def _parse_pose(text: str) -> Pose:
-    """Pose from 'x,y,z,yaw_deg' (commas or spaces between fields)."""
-    parts = [float(tok) for tok in text.replace(",", " ").split()]
-    if len(parts) != 4:
-        raise ValueError(f"pose must be 'x,y,z,yaw_deg', got {text!r}")
-    return Pose(translation=tuple(parts[:3]), yaw=math.radians(parts[3]))
+def _numbers(text, flag, form):
+    """The finite numbers in ``text`` (commas or spaces between fields), one
+    per field of ``form``; anything else raises a ValueError naming ``flag``."""
+    try:
+        values = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:  # a field that is not a number
+        values = []
+    if len(values) != len(form.split(",")) or not all(map(math.isfinite, values)):
+        raise ValueError(f"{flag} must be '{form}', got {text!r}")
+    return values
+
+
+def _parse_pose(text, flag):
+    x, y, z, yaw_deg = _numbers(text, flag, "x,y,z,yaw_deg")
+    return Pose(translation=(x, y, z), yaw=math.radians(yaw_deg))
 
 
 def _read_trajectory(path):
-    poses = []
-    for ln, line in layout_mod.text_lines(layout_mod.read_text(path)):
-        try:
-            poses.append(_parse_pose(line))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{ln}: {exc}") from None
-    return poses
+    lines = layout_mod.text_lines(layout_mod.read_text(path))
+    return [_parse_pose(line, f"{path}:{ln}: --trajectory line") for ln, line in lines]
 
 
 def _check_num(num):
@@ -75,7 +79,7 @@ def cmd_render(args):
         out.mkdir(parents=True, exist_ok=True)
         done = f"wrote {len(frames)} frames to {out}"
     else:
-        frames = [(_parse_pose(args.pose), args.out, str(args.out) + ".xyz")]
+        frames = [(_parse_pose(args.pose, "--pose"), args.out, str(args.out) + ".xyz")]
         done = f"wrote {args.out}"
     for i, (pose, lri_path, xyz_path) in enumerate(frames):
         img, cos = raycast.render_conditional(scene, spec, pose, cfg["render.tessellation"], return_incidence=True)
@@ -91,16 +95,13 @@ def cmd_render(args):
 def cmd_extract(args):
     cfg = load_config(args.config)
     cloud = sensor.read_point_cloud(args.cloud)
-    result = extraction.extract_layout(cloud, params_by_label=cfg.cluster_params(layout_mod.DEFAULT_PALETTE))
+    result = extraction.extract_layout(cloud, params_by_label=cfg.cluster_params())
     layout_mod.save_layout(args.out, result)
     print(f"extracted {len(result.primitives)} primitives to {args.out}")
 
 
 def cmd_unproject(args):
-    try:
-        fx, fy, cx, cy = (float(tok) for tok in args.intrinsics.replace(",", " ").split())
-    except ValueError:  # a count other than 4, or a field that is not a number
-        raise ValueError(f"--intrinsics must be 'fx,fy,cx,cy', got {args.intrinsics!r}") from None
+    fx, fy, cx, cy = _numbers(args.intrinsics, "--intrinsics", "fx,fy,cx,cy")
     depth_img = sensor.read_lri(args.depth)
     sem_img = sensor.read_lri(args.semantic)
     intr = extraction.CameraIntrinsics(
@@ -193,7 +194,7 @@ def cmd_sample(args):
     cond = None
     if args.layout:
         scene = layout_mod.load_layout(args.layout)
-        pose = _parse_pose(args.pose) if args.pose else Pose()
+        pose = _parse_pose(args.pose, "--pose") if args.pose else Pose()
         cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
         if state.adapter is None:
             raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")

@@ -111,13 +111,12 @@ class Config:
     def raydrop_params(self) -> RaydropParams:
         return self._build("raydrop")
 
-    def cluster_params(self, palette) -> dict:
-        out = {}
-        for lab in palette:
-            eps_key = f"cluster.{lab.name}.eps"
-            if eps_key in SCHEMA:
-                out[lab.id] = ClusterParams(self[eps_key], self[f"cluster.{lab.name}.min_pts"])
-        return out
+    def cluster_params(self) -> dict:
+        """Label name -> ClusterParams, for ``extraction.extract_layout``."""
+        return {
+            name: ClusterParams(self[f"cluster.{name}.eps"], self[f"cluster.{name}.min_pts"])
+            for name in DEFAULT_CLUSTER_PARAMS
+        }
 
 
 def parse_config(text: str) -> Config:

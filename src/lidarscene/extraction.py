@@ -44,8 +44,8 @@ class ClusterParams:
     min_pts: int
 
     def __post_init__(self):
-        if self.eps <= 0 or self.min_pts < 1:
-            raise ExtractionError("eps must be > 0 and min_pts >= 1")
+        if not 0 < self.eps < math.inf or self.min_pts < 1:  # NaN fails too
+            raise ExtractionError("eps must be finite and > 0, and min_pts >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,10 @@ def fit_box(points):
 def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None) -> Layout:
     """Cluster the points of each DEFAULT_PALETTE label and fit one primitive
     per cluster, with DEFAULT_CLUSTER_PARAMS unless ``params_by_label``
-    (label id -> ClusterParams) overrides them. Plane-shaped labels (ground,
+    (label name -> ClusterParams) overrides them. Plane-shaped labels (ground,
     road) instead get a single plane spanning their XY AABB at the median z."""
     palette = tuple(DEFAULT_PALETTE)
-    params = {
-        lab.id: ClusterParams(*DEFAULT_CLUSTER_PARAMS[lab.name])
-        for lab in palette
-        if lab.name in DEFAULT_CLUSTER_PARAMS
-    }
+    params = {name: ClusterParams(*p) for name, p in DEFAULT_CLUSTER_PARAMS.items()}
     params.update(params_by_label or {})
 
     prims = []
@@ -185,7 +181,7 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
             center = ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, z)
             prims.append(SemanticPrimitive(lab.id, "plane", center, extents))
             continue
-        ids = dbscan(pts, params[lab.id])
+        ids = dbscan(pts, params[lab.name])
         for cid in range(ids.max() + 1):
             cluster_pts = pts[ids == cid]
             center, extents, yaw = fit_box(cluster_pts)

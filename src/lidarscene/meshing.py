@@ -40,11 +40,13 @@ class TriangleMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
+    def edges(self):
+        """(v0, e1, e2) per triangle: its first vertex and the edges v1 - v0, v2 - v0."""
+        v0, v1, v2 = (self.vertices[self.triangles[:, k]] for k in range(3))
+        return v0, v1 - v0, v2 - v0
+
     def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+        return 0.5 * np.linalg.norm(np.cross(*self.edges()[1:]), axis=1)
 
 
 def empty_mesh() -> TriangleMesh:

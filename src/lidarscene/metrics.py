@@ -5,14 +5,13 @@ Gaussian Frechet distance, and a layout-consistency score.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .layout import Layout, Pose, rotate_yaw
-from .sensor import LabeledPointCloud, RangeImage, SensorSpec
+from .sensor import LabeledPointCloud, RangeImage, SensorSpec, normalize_depth
 
 
 #: Bins of the ``log_depth_features`` histogram.
@@ -130,7 +129,8 @@ def log_depth_features(img: RangeImage) -> np.ndarray:
     edges = np.linspace(0.0, 1.0, DEPTH_FEATURE_BINS + 1)
     if len(depth) == 0:
         return np.zeros(DEPTH_FEATURE_BINS)
-    norm = np.log1p(depth) / math.log(img.spec.max_range + 1.0)
+    # log1p(M) / log(M + 1) can round above 1.0, where np.histogram would drop it.
+    norm = normalize_depth(np.minimum(depth, img.spec.max_range), img.spec)
     counts, _ = np.histogram(np.clip(norm, 0.0, 1.0), bins=edges)
     return counts / counts.sum()
 

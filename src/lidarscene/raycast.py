@@ -1,6 +1,6 @@
-"""Layout rendering by raycasting: BVH construction, ray-triangle queries
-(one breadth-first BVH traversal in ``_kernels``, and a vectorized
-all-triangle scan kept as its independent oracle), conditional range-image
+"""Layout rendering by raycasting: BVH construction, ray-triangle queries (a
+breadth-first BVH traversal in ``_kernels`` and an all-triangle scan, its
+oracle, that shares only its triangle test), conditional range-image
 rendering, surface-sampling ablation and the parametric raydrop model.
 """
 
@@ -18,8 +18,6 @@ from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_directi
 LEAF_SIZE = 4
 #: Ray-triangle pairs per batch of ``intersect_brute``.
 BRUTE_CHUNK = 2**22
-T_MIN = _kernels.T_MIN
-TIE_EPS = _kernels.TIE_EPS
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,10 @@ class RaydropParams:
     p0: float = 0.02
     p1: float = 0.08
     p2: float = 0.15
+
+    def __post_init__(self):
+        if not np.isfinite([self.p0, self.p1, self.p2]).all():
+            raise ValueError(f"raydrop p0, p1 and p2 must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -47,16 +49,9 @@ class BVH:
     tris: np.ndarray
 
 
-def _triangle_soup(mesh: TriangleMesh):
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
-    e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
-    return v0, e1, e2
-
-
 def build_bvh(mesh: TriangleMesh) -> BVH:
     """Median-split over triangle centroids along the widest axis."""
-    v0, e1, e2 = _triangle_soup(mesh)
+    v0, e1, e2 = mesh.edges()
     n = mesh.num_triangles
     if n == 0:
         zi = np.empty(0, dtype=np.int64)
@@ -105,8 +100,9 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
 
 
 def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):
-    """Vectorized all-triangle scan: the independent oracle for the BVH
-    traversal. Returns (t, triangle_index) arrays; miss is -1."""
+    """Vectorized all-triangle scan with the traversal's triangle test: the
+    oracle for the BVH culling and the winner rule. Returns (t,
+    triangle_index) arrays; miss is -1."""
     origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     n_rays = len(origins)
@@ -114,38 +110,14 @@ def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):
     out_i = np.full(n_rays, -1, dtype=np.int64)
     if mesh.num_triangles == 0:
         return out_t, out_i
-    v0, e1, e2 = _triangle_soup(mesh)
+    v0, e1, e2 = mesh.edges()
     rows = max(1, BRUTE_CHUNK // mesh.num_triangles)
     for lo in range(0, n_rays, rows):
-        o = origins[lo:lo + rows, None, :]
-        d = dirs[lo:lo + rows, None, :]
-        # Component expressions mirror _kernels._triangle_hits exactly.
-        px = d[..., 1] * e2[:, 2] - d[..., 2] * e2[:, 1]
-        py = d[..., 2] * e2[:, 0] - d[..., 0] * e2[:, 2]
-        pz = d[..., 0] * e2[:, 1] - d[..., 1] * e2[:, 0]
-        det = e1[:, 0] * px + e1[:, 1] * py + e1[:, 2] * pz
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / det
-            tx = o[..., 0] - v0[:, 0]
-            ty = o[..., 1] - v0[:, 1]
-            tz = o[..., 2] - v0[:, 2]
-            u = (tx * px + ty * py + tz * pz) * inv
-            qx = ty * e1[:, 2] - tz * e1[:, 1]
-            qy = tz * e1[:, 0] - tx * e1[:, 2]
-            qz = tx * e1[:, 1] - ty * e1[:, 0]
-            v = (d[..., 0] * qx + d[..., 1] * qy + d[..., 2] * qz) * inv
-            t = (e2[:, 0] * qx + e2[:, 1] * qy + e2[:, 2] * qz) * inv
-        ok = (
-            (np.abs(det) >= _kernels.DET_EPS)
-            & (u >= 0.0) & (u <= 1.0)
-            & (v >= 0.0) & (u + v <= 1.0)
-            & (t > T_MIN) & (t <= t_max)
-        )
-        t = np.where(ok, t, np.inf)
+        t = _kernels._triangle_hits(origins[lo:lo + rows, None], dirs[lo:lo + rows, None], v0, e1, e2, t_max)
         tmin = t.min(axis=1)
         hit = np.isfinite(tmin)
         # Lowest triangle index within the tie window of the minimum.
-        win = t <= (tmin[:, None] + TIE_EPS)
+        win = t <= (tmin[:, None] + _kernels.TIE_EPS)
         idx = np.argmax(win, axis=1)
         out_t[lo:lo + rows][hit] = t[np.arange(len(t)), idx][hit]
         out_i[lo:lo + rows][hit] = idx[hit]
@@ -213,7 +185,7 @@ def surface_sample(mesh: TriangleMesh, points_per_m2: float, seed: int = 0) -> L
     flip = r1 + r2 > 1.0
     r1[flip] = 1.0 - r1[flip]
     r2[flip] = 1.0 - r2[flip]
-    v0, e1, e2 = _triangle_soup(mesh)
+    v0, e1, e2 = mesh.edges()
     pts = v0[tri] + r1[:, None] * e1[tri] + r2[:, None] * e2[tri]
     return LabeledPointCloud(pts, mesh.triangle_labels[tri])
 

@@ -231,9 +231,6 @@ class ControlAdapter:
         out.update(self.zero_mid.named_params("adapter.zmid"))
         return out
 
-    def fusion_param_names(self):
-        return {n for n in self.named_params() if n.startswith(_FUSION)}
-
 
 class ScoreModel:
     """Score network S(x, sigma[, cond]) with manual backprop.
@@ -454,14 +451,14 @@ class TrainState:
         return out
 
 
+#: phase -> name prefixes of the parameters it trains.
+_TRAINED = {"uncond": ("base.",), "a": _FUSION, "b": ("adapter.",)}
+
+
 def _allowed_params(state: TrainState, phase: str):
-    if phase == "uncond":
-        return set(state.model.named_params())
-    if state.adapter is None:
+    if phase != "uncond" and state.adapter is None:
         raise ScoreNetError("conditional phase requires an adapter")
-    if phase == "a":
-        return state.adapter.fusion_param_names()
-    return set(state.adapter.named_params())
+    return {name for name in state.params() if name.startswith(_TRAINED[phase])}
 
 
 def train(state: TrainState, dataset, config: TrainConfig, log=None):

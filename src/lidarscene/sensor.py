@@ -50,7 +50,7 @@ class SensorSpec:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise SensorError("rows and cols must be >= 1")
-        for name in ("max_range", "pitch_max", "pitch_min"):
+        for name in ("max_range", "pitch_max", "pitch_min", "origin_height"):
             if not math.isfinite(getattr(self, name)):
                 raise SensorError(f"sensor {name} must be finite, got {getattr(self, name)}")
         if not self.pitch_max > self.pitch_min:
@@ -245,6 +245,8 @@ def read_point_cloud(path) -> LabeledPointCloud:
         try:
             pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
             labels.append(int(parts[3]))
+            if not all(map(math.isfinite, pts[-1])):
+                raise ValueError(f"coordinates must be finite, got {line!r}")
         except ValueError as exc:
             raise SensorError(f"{path}:{ln}: {exc}") from None
     return LabeledPointCloud(np.array(pts).reshape(-1, 3), np.array(labels, dtype=np.int64))

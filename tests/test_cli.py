@@ -118,6 +118,18 @@ def test_render_raydrop_drops_pixels(tmp_path, scene_file, small_cfg):
     assert int((b > 0).sum()) <= int((a > 0).sum())
 
 
+def test_render_raydrop_rejects_non_finite_setting(tmp_path, scene_file, capsys):
+    # A NaN p0 would make every drop comparison False and keep every return.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL_SENSOR + "raydrop.p0 = nan\n")
+    out = tmp_path / "d.lri"
+    rc = main(["render", "--layout", scene_file, "--sensor", str(cfg), "--raydrop", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: raydrop p0, p1 and p2 must be finite")
+    assert not out.exists()
+
+
 def test_render_trajectory_raydrop_seeds_each_frame(tmp_path, scene_file, small_cfg):
     traj = tmp_path / "traj.txt"
     traj.write_text("0 0 0 0\n0 0 0 0\n")
@@ -154,6 +166,25 @@ def test_extract_roundtrip(tmp_path, scene_file, small_cfg):
     assert rc == 0
     found = layout_mod.load_layout(out)
     assert isinstance(found, layout_mod.Layout)
+
+
+@pytest.mark.parametrize(
+    "config_line, cloud_line, message",
+    [
+        ("cluster.car.eps = nan", "0 0 0 3", "eps must be finite and > 0"),
+        ("", "nan 0 0 3", "cloud.xyz:2: coordinates must be finite"),
+    ],
+    ids=["eps", "point"],
+)
+def test_extract_rejects_non_finite_input(tmp_path, capsys, config_line, cloud_line, message):
+    cfg, cloud, out = tmp_path / "extract.cfg", tmp_path / "cloud.xyz", tmp_path / "found.layout"
+    cfg.write_text(config_line + "\n")
+    cloud.write_text(f"1 1 0 3\n{cloud_line}\n")
+    rc = main(["extract", "--cloud", str(cloud), "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
 
 
 def test_unproject(tmp_path, capsys):
@@ -322,10 +353,13 @@ def test_missing_layout_exits_nonzero(tmp_path, capsys):
 
 
 def test_bad_pose_exits_nonzero(tmp_path, scene_file, small_cfg, capsys):
-    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg,
-               "--pose", "1,2,3", "--out", str(tmp_path / "o.lri")])
-    assert rc == 1
-    assert "pose" in capsys.readouterr().err
+    # A field that is not a number, or not finite, is named by its flag too.
+    out = tmp_path / "o.lri"
+    for pose in ["1,2,3", "1,2,x,4", "1,2,nan,4"]:
+        rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--pose", pose, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --pose must be 'x,y,z,yaw_deg', got {pose!r}"]
+        assert not out.exists()
 
 
 def test_eval_empty_dir_exits_nonzero(tmp_path, capsys):
@@ -342,6 +376,13 @@ def test_render_bad_trajectory_line_names_file_and_line(tmp_path, scene_file, sm
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {traj}:2: ")
+    traj.write_text("0 0 0 0\n\n1 inf 0 0\n")
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg,
+               "--trajectory", str(traj), "--out", str(tmp_path / "frames")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {traj}:3: --trajectory line must be 'x,y,z,yaw_deg', got '1 inf 0 0'"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -497,6 +538,7 @@ def test_train_rejects_infinite_sigma_max(tmp_path, capsys):
         ("sensor.max_range = inf", "max_range"),
         ("sensor.pitch_max_deg = inf", "pitch_max"),
         ("sensor.pitch_min_deg = -inf", "pitch_min"),
+        ("sensor.origin_height = nan", "origin_height"),
     ],
 )
 def test_render_rejects_non_finite_sensor_settings(tmp_path, scene_file, capsys, setting, field):
@@ -636,7 +678,7 @@ def test_sample_rejects_num_below_one(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("intrinsics", ["1,2,3", "1,2,3,4,5", "10,10,4,x"])
+@pytest.mark.parametrize("intrinsics", ["1,2,3", "1,2,3,4,5", "10,10,4,x", "nan,10,4,4"])
 def test_unproject_bad_intrinsics_names_the_flag(tmp_path, capsys, intrinsics):
     spec = sensor.SensorSpec(rows=8, cols=8)
     dpath, out = tmp_path / "d.lri", tmp_path / "cloud.xyz"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lidarscene.config import Config, ConfigError, load_config, parse_config
+from lidarscene.extraction import DEFAULT_CLUSTER_PARAMS, ClusterParams
 
 
 def test_defaults():
@@ -61,15 +62,12 @@ def test_train_config_overrides():
 
 
 def test_cluster_params_by_palette():
-    from lidarscene.layout import DEFAULT_PALETTE
-
     cfg = parse_config("cluster.car.eps = 0.5")
-    by_label = cfg.cluster_params(DEFAULT_PALETTE)
-    car = next(lab for lab in DEFAULT_PALETTE if lab.name == "car")
-    assert by_label[car.id].eps == 0.5
+    by_label = cfg.cluster_params()
+    assert by_label["car"].eps == 0.5
+    assert by_label["building"] == ClusterParams(*DEFAULT_CLUSTER_PARAMS["building"])
     # ground has no clustering entry
-    ground = next(lab for lab in DEFAULT_PALETTE if lab.name == "ground")
-    assert ground.id not in by_label
+    assert set(by_label) == {"car", "vegetation", "building"}
 
 
 def test_load_config_none_is_defaults():

@@ -99,6 +99,9 @@ def test_params_validation():
         ClusterParams(0.0, 3)
     with pytest.raises(ExtractionError):
         ClusterParams(1.0, 0)
+    for eps in (math.nan, math.inf):  # `eps <= 0` alone is False for NaN
+        with pytest.raises(ExtractionError, match="eps must be finite"):
+            ClusterParams(eps, 3)
 
 
 def test_dbscan_matches_reference_randomized():
@@ -234,7 +237,7 @@ def test_extract_layout_all_noise_empty():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-50, 50, (30, 3))
     cloud = LabeledPointCloud(pts, np.full(30, 3))
-    out = extract_layout(cloud, params_by_label={3: ClusterParams(0.3, 10)})
+    out = extract_layout(cloud, params_by_label={"car": ClusterParams(0.3, 10)})
     assert out.primitives == ()
 
 

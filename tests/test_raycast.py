@@ -37,13 +37,23 @@ def random_rays(n, seed):
     return origins, dirs
 
 
+#: Both callers of the one ray-triangle test, as (mesh, origins, dirs, t_max) -> (t, triangle).
+QUERIES = {
+    "render_rays": lambda mesh, origins, dirs, t_max: _kernels.render_rays(origins, dirs, t_max, build_bvh(mesh)),
+    "intersect_brute": intersect_brute,
+}
+
+
 def cast(mesh, origin, yaw, t_max):
-    """One horizontal ray through the BVH traversal: (t, triangle, label) of
-    its nearest hit, or None on a miss."""
-    t, tri = _kernels.render_rays([origin], [angles_to_direction(yaw, 0.0)], t_max, build_bvh(mesh))
-    if tri[0] < 0:
-        return None
-    return float(t[0]), int(tri[0]), int(mesh.triangle_labels[tri[0]])
+    """One horizontal ray through the BVH traversal and through the oracle:
+    (t, triangle, label) of its nearest hit, or None on a miss. Both must
+    give the same answer, bit for bit."""
+    hits = {}
+    for name, query in QUERIES.items():
+        t, tri = query(mesh, [origin], [angles_to_direction(yaw, 0.0)], t_max)
+        hits[name] = None if tri[0] < 0 else (float(t[0]), int(tri[0]), int(mesh.triangle_labels[tri[0]]))
+    assert hits["render_rays"] == hits["intersect_brute"], hits
+    return hits["render_rays"]
 
 
 def test_single_triangle_hit():
@@ -382,6 +392,14 @@ def test_surface_sample_ignores_occlusion():
     assert (cloud.labels == 3).any()
     img = render_conditional(lay, SensorSpec(rows=32, cols=256))
     assert not (img.semantic == 3).any()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["p0", "p1", "p2"])
+def test_raydrop_params_reject_non_finite(field, value):
+    # A NaN p0 would make every comparison with the drop probability False: nothing dropped.
+    with pytest.raises(ValueError, match="raydrop p0, p1 and p2 must be finite"):
+        RaydropParams(**{field: value})
 
 
 def test_apply_raydrop_monotone_in_depth():

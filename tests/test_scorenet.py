@@ -163,7 +163,7 @@ def test_phase_a_updates_only_fusion():
     before = {k: p.value.copy() for k, p in adapter.named_params().items()}
     base_before = model.param_checksum()
     train(state, (images, conds), TrainConfig(steps=5, batch_size=4, seed=8, phase="a"))
-    fusion = adapter.fusion_param_names()
+    fusion = scorenet._allowed_params(state, "a")
     for k, p in adapter.named_params().items():
         if k in fusion:
             continue
@@ -474,8 +474,7 @@ def _moved_adapter(model, seed):
     """An adapter whose fusion convs are off zero, so every gradient is nonzero."""
     adapter = ControlAdapter(model, seed=seed)
     rng = np.random.default_rng(seed)
-    for name in adapter.fusion_param_names():
-        p = adapter.named_params()[name]
+    for p in (p for name, p in adapter.named_params().items() if name.startswith(scorenet._FUSION)):
         p.value = (rng.standard_normal(p.value.shape) * 0.1).astype(p.value.dtype)
     return adapter
 

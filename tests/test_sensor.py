@@ -43,6 +43,18 @@ def test_spec_rejects_non_finite_range_and_pitch(field, value):
         SensorSpec(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_spec_rejects_non_finite_origin_height(tmp_path, value):
+    with pytest.raises(sensor.SensorError, match="sensor origin_height must be finite"):
+        SensorSpec(origin_height=value)
+    # read_lri builds its SensorSpec from the header, so a file's height is checked too.
+    path = tmp_path / "nan_height.lri"
+    header = struct.pack(sensor._LRI_HEADERS[b"LRI2"], 2, 3, 1, 0.03, -0.4, 80.0, value)
+    path.write_bytes(b"LRI2" + header + np.ones(6, dtype="<f4").tobytes())
+    with pytest.raises(sensor.SensorError, match="sensor origin_height must be finite"):
+        sensor.read_lri(path)
+
+
 def test_pixel_to_angles_corner(small_spec):
     yaw, pitch = pixel_to_angles(0, 0, small_spec)
     assert yaw == pytest.approx(3 * math.pi / 4)
@@ -281,6 +293,14 @@ def test_read_point_cloud_names_file_and_line(tmp_path):
     path = tmp_path / "cloud.xyz"
     path.write_text("# x y z label_id\n1 2 3 0\n4 x 6 1\n")
     with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: could not convert")):
+        sensor.read_point_cloud(path)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_read_point_cloud_rejects_non_finite_coordinates(tmp_path, field):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(f"1 2 3 0\n0 {field} 0 3\n")
+    with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:2: coordinates must be finite")):
         sensor.read_point_cloud(path)
 
 
