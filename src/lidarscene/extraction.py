@@ -161,9 +161,13 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
     """Cluster the points of each DEFAULT_PALETTE label and fit one primitive
     per cluster, with DEFAULT_CLUSTER_PARAMS unless ``params_by_label``
     (label name -> ClusterParams) overrides them. Plane-shaped labels (ground,
-    road) instead get a single plane spanning their XY AABB at the median z."""
+    road) instead get a single plane spanning their XY AABB at the median z.
+    A key that names no clustered label raises ExtractionError."""
     palette = tuple(DEFAULT_PALETTE)
     params = {name: ClusterParams(*p) for name, p in DEFAULT_CLUSTER_PARAMS.items()}
+    for name in params_by_label or {}:
+        if name not in params:
+            raise ExtractionError(f"no clustered label {name!r}; expected one of {sorted(params)}")
     params.update(params_by_label or {})
 
     prims = []

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .layout import Layout, Pose, rotate_yaw
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, normalize_depth
@@ -75,6 +74,8 @@ def jsd(p: Histogram, q: Histogram) -> float:
 def chamfer(x, y) -> float:
     """Symmetric mean squared nearest-neighbor distance between two point
     sets (kd-tree accelerated; equals the brute-force double loop)."""
+    from scipy.spatial import cKDTree
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) == 0 or len(y) == 0:

@@ -36,9 +36,10 @@ class RaydropParams:
 
 @dataclass(frozen=True)
 class BVH:
-    """Flat median-split BVH: one (min xyz, max xyz) ``bounds`` row per node and one
-    (v0, e1, e2) ``tris`` row per triangle. Leaves hold ranges into the triangle
-    permutation; internal nodes hold child indices."""
+    """Flat median-split BVH, component-major: ``bounds`` (6, N) holds each
+    node's min xyz and max xyz, ``tris`` (9, T) each triangle's v0, e1 and e2.
+    Leaves hold ranges into the triangle permutation, internal nodes child
+    indices; nodes are numbered level by level, children after parents."""
 
     bounds: np.ndarray
     left: np.ndarray
@@ -50,53 +51,46 @@ class BVH:
 
 
 def build_bvh(mesh: TriangleMesh) -> BVH:
-    """Median-split over triangle centroids along the widest axis."""
+    """Median split over triangle centroids along the widest axis of each
+    node's box, built one level at a time: one reduceat gives every box of a
+    level and one stable lexsort orders every node that splits."""
     v0, e1, e2 = mesh.edges()
     n = mesh.num_triangles
-    if n == 0:
-        zi = np.empty(0, dtype=np.int64)
-        return BVH(np.empty((0, 6)), zi, zi, zi, zi, zi, np.empty((0, 9)))
-
     tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
     tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
     centroids = (tri_min + tri_max) / 2.0
     perm = np.arange(n, dtype=np.int64)
 
-    nodes_min, nodes_max, left, right, start, count = [], [], [], [], [], []
+    lo = np.zeros(min(n, 1), dtype=np.int64)  # one root [0, n), none if empty
+    hi = lo + n
+    levels = [(np.empty((6, 0)), *[np.empty(0, dtype=np.int64)] * 3)]  # (bounds, left, start, count)
+    numbered = 0
+    while len(lo):
+        # Node boxes by reduceat over the interleaved [lo, hi) edges: the odd
+        # results reduce the gaps and are dropped; an edge at n needs a padding row.
+        edges, rows = np.stack([lo, hi], axis=1).ravel(), np.append(perm, 0)
+        bmin = np.minimum.reduceat(tri_min[rows], edges)[::2]
+        bmax = np.maximum.reduceat(tri_max[rows], edges)[::2]
+        split = hi - lo > LEAF_SIZE
+        numbered += len(lo)
+        left = np.full(len(lo), -1, dtype=np.int64)
+        left[split] = numbered + 2 * np.arange(split.sum())
+        levels.append((np.vstack([bmin.T, bmax.T]), left, np.where(split, 0, lo), np.where(split, 0, hi - lo)))
 
-    def new_node():
-        nodes_min.append(None)
-        nodes_max.append(None)
-        left.append(-1)
-        right.append(-1)
-        start.append(0)
-        count.append(0)
-        return len(count) - 1
-
-    def build(lo, hi):
-        node = new_node()
-        idx = perm[lo:hi]
-        nodes_min[node] = tri_min[idx].min(axis=0)
-        nodes_max[node] = tri_max[idx].max(axis=0)
-        if hi - lo <= LEAF_SIZE:
-            start[node] = lo
-            count[node] = hi - lo
-            return node
-        axis = int(np.argmax(nodes_max[node] - nodes_min[node]))
-        order = np.argsort(centroids[idx, axis], kind="stable")
-        perm[lo:hi] = idx[order]
+        # Sort each splitting node's slice by centroid along its widest axis.
+        axis = np.argmax(bmax[split] - bmin[split], axis=1)
+        lo, hi = lo[split], hi[split]
+        size = hi - lo
+        node = np.repeat(np.arange(len(lo)), size)
+        pos = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+        key = centroids[perm[pos], axis[node]]
+        perm[pos] = perm[pos[np.lexsort((key, node))]]
         mid = (lo + hi) // 2
-        left[node] = build(lo, mid)
-        right[node] = build(mid, hi)
-        return node
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
-    build(0, n)
-    return BVH(
-        np.hstack([nodes_min, nodes_max]),
-        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
-        np.array(start, dtype=np.int64), np.array(count, dtype=np.int64),
-        perm, np.hstack([v0, e1, e2]),
-    )
+    bounds, left, start, count = (np.concatenate(a, axis=-1) for a in zip(*levels))
+    right = np.where(left < 0, -1, left + 1)
+    return BVH(bounds, left, right, start, count, perm, np.vstack([v0.T, e1.T, e2.T]))
 
 
 def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):
@@ -110,10 +104,10 @@ def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):
     out_i = np.full(n_rays, -1, dtype=np.int64)
     if mesh.num_triangles == 0:
         return out_t, out_i
-    v0, e1, e2 = mesh.edges()
+    v0, e1, e2 = (a.T[:, None] for a in mesh.edges())
     rows = max(1, BRUTE_CHUNK // mesh.num_triangles)
     for lo in range(0, n_rays, rows):
-        t = _kernels._triangle_hits(origins[lo:lo + rows, None], dirs[lo:lo + rows, None], v0, e1, e2, t_max)
+        t = _kernels._triangle_hits(origins[lo:lo + rows].T[:, :, None], dirs[lo:lo + rows].T[:, :, None], v0, e1, e2, t_max)
         tmin = t.min(axis=1)
         hit = np.isfinite(tmin)
         # Lowest triangle index within the tie window of the minimum.
@@ -162,7 +156,7 @@ def render_conditional(
     if not return_incidence:
         return img
     cos = np.zeros(len(ts))
-    normals = np.cross(*np.hsplit(bvh.tris[idxs[hit], 3:], 2))
+    normals = np.cross(bvh.tris[3:6, idxs[hit]].T, bvh.tris[6:9, idxs[hit]].T)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
     return img, cos.reshape(spec.rows, spec.cols)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,15 @@ sampler.steps_per_level = 2
 schedule.levels = 3
 """
 )
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only extract's DBSCAN and eval's Chamfer, each importing
+    # it on first use; render, generate, train and sample never load it.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, lidarscene.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture

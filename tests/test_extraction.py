@@ -241,6 +241,13 @@ def test_extract_layout_all_noise_empty():
     assert out.primitives == ()
 
 
+@pytest.mark.parametrize("name", ["cars", "ground"])
+def test_extract_layout_rejects_unknown_cluster_label(name):
+    cloud = LabeledPointCloud(np.zeros((1, 3)), np.full(1, 3))
+    with pytest.raises(ExtractionError, match=rf"'{name}'.*'building', 'car', 'vegetation'"):
+        extract_layout(cloud, params_by_label={name: ClusterParams(0.3, 10)})
+
+
 def test_extract_layout_min_pts_respected():
     # 5 car points close together: below min_pts 10, no primitive
     pts = np.random.default_rng(9).normal(scale=0.1, size=(5, 3)) + [5, 0, 0.5]

@@ -141,6 +141,53 @@ def first_triangles(mesh, k):
     return TriangleMesh(mesh.vertices, mesh.triangles[:k], mesh.triangle_labels[:k])
 
 
+def recursive_build(mesh):
+    """The depth-first median-split build that the level-by-level one
+    replaced: its triangle permutation and, in preorder, each node's (box,
+    leaf start, leaf count), with 0, 0 for an internal node."""
+    v0, e1, e2 = mesh.edges()
+    tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
+    tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
+    centroids = (tri_min + tri_max) / 2.0
+    perm = np.arange(mesh.num_triangles)
+    nodes = []
+
+    def build(lo, hi):
+        idx = perm[lo:hi]
+        box_min, box_max = tri_min[idx].min(axis=0), tri_max[idx].max(axis=0)
+        if hi - lo <= raycast.LEAF_SIZE:
+            nodes.append((np.hstack([box_min, box_max]), lo, hi - lo))
+            return
+        nodes.append((np.hstack([box_min, box_max]), 0, 0))
+        order = np.argsort(centroids[idx, np.argmax(box_max - box_min)], kind="stable")
+        perm[lo:hi] = idx[order]
+        build(lo, (lo + hi) // 2)
+        build((lo + hi) // 2, hi)
+
+    build(0, mesh.num_triangles)
+    return perm, nodes
+
+
+def preorder(bvh):
+    """(box, leaf start, leaf count) of each node of ``bvh``, depth first."""
+    nodes, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        nodes.append((bvh.bounds[:, node], bvh.start[node], bvh.count[node]))
+        if bvh.count[node] == 0:
+            stack += [bvh.right[node], bvh.left[node]]
+    return nodes
+
+
+def assert_same_as_recursive_build(mesh, bvh):
+    perm, nodes = recursive_build(mesh)
+    np.testing.assert_array_equal(bvh.perm, perm)
+    assert len(bvh.count) == len(nodes)
+    for (box, start, count), (ref_box, ref_start, ref_count) in zip(preorder(bvh), nodes):
+        assert (start, count) == (ref_start, ref_count)
+        np.testing.assert_array_equal(box, ref_box)
+
+
 def test_bvh_structure(scene_mesh, street_mesh):
     five = TriangleMesh(np.random.default_rng(3).normal(size=(15, 3)), np.arange(15).reshape(5, 3), np.zeros(5))
     meshes = [
@@ -154,7 +201,9 @@ def test_bvh_structure(scene_mesh, street_mesh):
     assert [m.num_triangles for m in meshes] == [1, 5, 52, 37, 1420, 1680]
     for mesh in meshes:
         bvh = build_bvh(mesh)
+        assert_same_as_recursive_build(mesh, bvh)
         n = mesh.num_triangles
+        assert bvh.bounds.shape == (6, len(bvh.count)) and bvh.tris.shape == (9, n)
         assert sorted(bvh.perm.tolist()) == list(range(n))
         leaves = bvh.count > 0
         assert bvh.count[leaves].max() <= raycast.LEAF_SIZE
@@ -164,16 +213,27 @@ def test_bvh_structure(scene_mesh, street_mesh):
         # encloses both of its children's boxes
         internal = np.flatnonzero(~leaves)
         assert (bvh.left[internal] > internal).all() and (bvh.right[internal] > internal).all()
-        v0, e1, e2 = bvh.tris[:, :3], bvh.tris[:, 3:6], bvh.tris[:, 6:]
+        v0, e1, e2 = bvh.tris[:3], bvh.tris[3:6], bvh.tris[6:]
         tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
         tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
         for node in np.flatnonzero(leaves):
             idx = bvh.perm[bvh.start[node] : bvh.start[node] + bvh.count[node]]
-            assert (tri_min[idx] >= bvh.bounds[node, :3] - 1e-9).all()
-            assert (tri_max[idx] <= bvh.bounds[node, 3:] + 1e-9).all()
+            assert (tri_min[:, idx] >= bvh.bounds[:3, node, None] - 1e-9).all()
+            assert (tri_max[:, idx] <= bvh.bounds[3:, node, None] + 1e-9).all()
         for child in (bvh.left[internal], bvh.right[internal]):
-            assert (bvh.bounds[child, :3] >= bvh.bounds[internal, :3]).all()
-            assert (bvh.bounds[child, 3:] <= bvh.bounds[internal, 3:]).all()
+            assert (bvh.bounds[:3, child] >= bvh.bounds[:3, internal]).all()
+            assert (bvh.bounds[3:, child] <= bvh.bounds[3:, internal]).all()
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_bvh_matches_recursive_build_on_soups_with_ties(seed):
+    # Vertices on a coarse grid make centroids tie along the split axis,
+    # which the stable sort must order as the recursive build did.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2205))
+    verts = np.round(rng.normal(scale=3.0, size=(3 * n, 3)), seed % 2)
+    mesh = TriangleMesh(verts, np.arange(3 * n).reshape(n, 3), np.zeros(n))
+    assert_same_as_recursive_build(mesh, build_bvh(mesh))
 
 
 def assert_render_rays_pinned(mesh, spec, pose):
