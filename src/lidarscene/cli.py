@@ -63,7 +63,7 @@ def cmd_gen_scenes(args):
 
 def cmd_render(args):
     cfg = load_config(args.sensor)
-    spec = cfg.sensor_spec()
+    spec = cfg.build("sensor")
     scene = layout_mod.load_layout(args.layout)
     if args.surface_sample is not None:
         mesh = meshing.mesh_layout(scene, cfg["render.tessellation"])
@@ -84,7 +84,7 @@ def cmd_render(args):
     for i, (pose, lri_path, xyz_path) in enumerate(frames):
         img, cos = raycast.render_conditional(scene, spec, pose, cfg["render.tessellation"], return_incidence=True)
         if args.raydrop:
-            img = raycast.apply_raydrop(img, cfg.raydrop_params(), cos, seed=args.seed + i)
+            img = raycast.apply_raydrop(img, cfg.build("raydrop"), cos, seed=args.seed + i)
         sensor.write_lri(lri_path, img)
         if args.cloud:
             cloud = raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose)
@@ -136,12 +136,18 @@ def _check_size(path, frame, ref_path, ref):
         raise ValueError(f"{path}: frame is {h}x{w}, but {ref_path} is {rh}x{rw}")
 
 
-def _load_training_images(data_dir):
-    """Normalized depth channels of all *.lri files (conditioning frames
-    named *.cond.lri are paired separately)."""
-    targets = sorted(p for p in Path(data_dir).glob("*.lri") if not p.name.endswith(".cond.lri"))
-    if not targets:
+def _frame_paths(data_dir):
+    """The sorted *.lri frames in a directory, not their *.cond.lri partners."""
+    paths = sorted(p for p in Path(data_dir).glob("*.lri") if not p.name.endswith(".cond.lri"))
+    if not paths:
         raise ValueError(f"no .lri files in {data_dir}")
+    return paths
+
+
+def _load_training_images(data_dir, conditional):
+    """Normalized depth channels of the frames and the control images of their
+    *.cond.lri partners: None unless every frame has one, which ``conditional`` requires."""
+    targets = _frame_paths(data_dir)
     images, conds = [], []
     for path in targets:
         images.append(_encode_lri(path, lambda img: sensor.normalize_depth(img.depth, img.spec)[None]))
@@ -150,7 +156,10 @@ def _load_training_images(data_dir):
         if cond_path.exists():
             conds.append(_encode_lri(cond_path, _control_image))
             _check_size(cond_path, conds[-1], path, images[-1])
-    return np.array(images, dtype=np.float32), (np.array(conds, dtype=np.float32) if conds else None)
+        elif conditional:
+            raise ValueError(f"{path} has no {cond_path.name}: --controlnet needs a partner for every frame")
+    conds = np.array(conds, dtype=np.float32) if len(conds) == len(images) else None
+    return np.array(images, dtype=np.float32), conds
 
 
 def cmd_train(args):
@@ -159,13 +168,11 @@ def cmd_train(args):
             raise ValueError(f"--{flag} requires --controlnet")
     cfg = load_config(args.config)
     overrides = {k: v for k, v in (("steps", args.steps), ("seed", args.seed)) if v is not None}
-    train_cfg = cfg.train_config(phase=(args.phase or "ab") if args.controlnet else "uncond", **overrides)
-    images, conds = _load_training_images(args.data)
+    train_cfg = cfg.build("train", phase=(args.phase or "ab") if args.controlnet else "uncond", **overrides)
+    images, conds = _load_training_images(args.data, conditional=args.controlnet)
     if args.controlnet:
         if not args.base:
             raise ValueError("--controlnet requires --base CKPT")
-        if conds is None:
-            raise ValueError("conditional training requires *.cond.lri pairs")
         state = scorenet.load_checkpoint(args.base)
         if state.adapter is None:
             state.adapter = scorenet.ControlAdapter(state.model, seed=train_cfg.seed)
@@ -174,8 +181,8 @@ def cmd_train(args):
         if state.model.param_checksum() != before:
             raise scorenet.ScoreNetError("base parameters changed during conditional training")
     else:
-        model = scorenet.ScoreModel(cfg.model_config(), seed=train_cfg.seed)
-        state = scorenet.TrainState(model=model, schedule=cfg.noise_schedule())
+        model = scorenet.ScoreModel(cfg.build("model"), seed=train_cfg.seed)
+        state = scorenet.TrainState(model=model, schedule=cfg.build("schedule"))
         scorenet.train(state, images, train_cfg, log=print)
     scorenet.save_checkpoint(args.out, state)
     print(f"saved checkpoint to {args.out} at step {state.step}")
@@ -186,9 +193,9 @@ def cmd_sample(args):
     if args.pose is not None and not args.layout:
         raise ValueError("--pose requires --layout: it places the conditioning render")
     cfg = load_config(args.config)
-    spec = cfg.sensor_spec()
+    spec = cfg.build("sensor")
     state = scorenet.load_checkpoint(args.ckpt)
-    sampler_cfg = cfg.sampler_config()
+    sampler_cfg = cfg.build("sampler")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cond = None
@@ -209,13 +216,7 @@ def cmd_sample(args):
 
 
 def _load_cloud_dir(path):
-    clouds = []
-    for f in sorted(Path(path).glob("*.lri")):
-        img = sensor.read_lri(f)
-        clouds.append((img, sensor.range_image_to_point_cloud(img)))
-    if not clouds:
-        raise ValueError(f"no .lri files in {path}")
-    return clouds
+    return [(img, sensor.range_image_to_point_cloud(img)) for img in map(sensor.read_lri, _frame_paths(path))]
 
 
 _EVAL_METRICS = ("jsd", "mmd", "frechet")

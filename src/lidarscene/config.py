@@ -73,7 +73,7 @@ SCHEMA = _schema()
 
 
 class Config:
-    """Validated key=value settings with typed accessors."""
+    """Validated key=value settings; ``build(section)`` makes a section's dataclass."""
 
     def __init__(self, values=None):
         self.values = {key: default for key, (_, default) in SCHEMA.items()}
@@ -85,31 +85,13 @@ class Config:
     def __getitem__(self, key):
         return self.values[key]
 
-    def _build(self, section, **overrides):
+    def build(self, section, **overrides):
         """The section's dataclass from its keys, with ``overrides`` on top."""
         kwargs = {
             f.name: math.radians(self[key]) if key.endswith("_deg") else self[key]
             for f, key in _fields(section)
         }
         return SECTIONS[section](**{**kwargs, **overrides})
-
-    def sensor_spec(self) -> SensorSpec:
-        return self._build("sensor")
-
-    def noise_schedule(self) -> NoiseSchedule:
-        return self._build("schedule")
-
-    def sampler_config(self) -> SamplerConfig:
-        return self._build("sampler")
-
-    def model_config(self) -> ModelConfig:
-        return self._build("model")
-
-    def train_config(self, **overrides) -> TrainConfig:
-        return self._build("train", **overrides)
-
-    def raydrop_params(self) -> RaydropParams:
-        return self._build("raydrop")
 
     def cluster_params(self) -> dict:
         """Label name -> ClusterParams, for ``extraction.extract_layout``."""

@@ -49,10 +49,6 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(*self.edges()[1:]), axis=1)
 
 
-def empty_mesh() -> TriangleMesh:
-    return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
-
-
 def transform(verts, center, yaw):
     """N x 3 points turned by ``yaw`` about +z, then moved to ``center``."""
     c, s = math.cos(yaw), math.sin(yaw)
@@ -120,7 +116,7 @@ def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLA
 def mesh_layout(layout: Layout, tessellation: int = DEFAULT_TESSELLATION) -> TriangleMesh:
     """Concatenation of all primitive meshes, preserving primitive order."""
     if not layout.primitives:
-        return empty_mesh()
+        return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
     verts, faces, labels = [], [], []
     offset = 0
     for prim in layout.primitives:

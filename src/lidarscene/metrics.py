@@ -35,8 +35,7 @@ class BevGrid:
 @dataclass(frozen=True)
 class Histogram:
     grid: BevGrid
-    probs: np.ndarray  # resolution x resolution, sums to 1 unless empty
-    empty: bool
+    probs: np.ndarray  # resolution x resolution, sums to 1 unless no point falls in the grid
 
 
 def bev_histogram(cloud: LabeledPointCloud, grid: BevGrid = BevGrid()) -> Histogram:
@@ -50,9 +49,7 @@ def bev_histogram(cloud: LabeledPointCloud, grid: BevGrid = BevGrid()) -> Histog
         range=[grid.x_bounds, grid.y_bounds],
     )
     total = counts.sum()
-    if total == 0:
-        return Histogram(grid, counts, empty=True)
-    return Histogram(grid, counts / total, empty=False)
+    return Histogram(grid, counts / total if total else counts)
 
 
 def jsd(p: Histogram, q: Histogram) -> float:

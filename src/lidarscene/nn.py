@@ -66,15 +66,11 @@ def _im2col(x, k):
 class Conv2d:
     """Same-padded 2D convolution (odd kernel size, stride 1)."""
 
-    def __init__(self, cin, cout, ksize, rng, dtype=np.float32, zero_init=False):
+    def __init__(self, cin, cout, ksize, rng, dtype=np.float32):
         self.cin, self.cout, self.ksize = cin, cout, ksize
         scale = 1.0 / np.sqrt(cin * ksize * ksize)
-        if zero_init:
-            self.w = Param(np.zeros((cout, cin, ksize, ksize), dtype=dtype))
-            self.b = Param(np.zeros(cout, dtype=dtype))
-        else:
-            self.w = Param(_uniform(rng, scale, (cout, cin, ksize, ksize), dtype))
-            self.b = Param(_uniform(rng, scale, (cout,), dtype))
+        self.w = Param(_uniform(rng, scale, (cout, cin, ksize, ksize), dtype))
+        self.b = Param(_uniform(rng, scale, (cout,), dtype))
         self._cache = None
 
     def named_params(self, prefix):

@@ -220,8 +220,10 @@ class ControlAdapter:
         for name, p in self.encoder.named_params("enc").items():
             p.value = base_enc[name].value.copy()
         self.hint = Conv2d(COND_CHANNELS, cfg.widths[0], 3, rng, cfg.dtype)
-        self.zero_fusions = [Conv2d(w, w, 1, rng, cfg.dtype, zero_init=True) for w in cfg.widths]
-        self.zero_mid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype, zero_init=True)
+        self.zero_fusions = [Conv2d(w, w, 1, rng, cfg.dtype) for w in cfg.widths]
+        self.zero_mid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype)
+        for z in (*self.zero_fusions, self.zero_mid):
+            z.w.value[...] = z.b.value[...] = 0
 
     def named_params(self):
         out = self.encoder.named_params("adapter.enc")

@@ -262,8 +262,8 @@ def test_criterion_09_metric_identities():
         b[rng.random((8, 8)) < 0.5] = 0.0
         if a.sum() == 0 or b.sum() == 0:
             continue
-        p = Histogram(grid, a / a.sum(), False)
-        q = Histogram(grid, b / b.sum(), False)
+        p = Histogram(grid, a / a.sum())
+        q = Histogram(grid, b / b.sum())
         self_jsd = max(self_jsd, jsd(p, p))
         max_jsd = max(max_jsd, jsd(p, q))
     clouds = [rng.standard_normal((50, 3)) for _ in range(4)]

@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -109,7 +110,7 @@ def test_render_trajectory_cloud_is_each_frame_in_world(tmp_path, scene_file, sm
                "--cloud", "--out", str(out)])
     assert rc == 0
     cfg = config.load_config(small_cfg)
-    spec, scene = cfg.sensor_spec(), layout_mod.load_layout(scene_file)
+    spec, scene = cfg.build("sensor"), layout_mod.load_layout(scene_file)
     poses = [Pose((0.0, 0.0, 0.0), 0.0), Pose((2.0, -1.0, 0.5), math.radians(30)),
              Pose((-3.0, 1.0, 0.0), math.radians(-60))]
     for i, pose in enumerate(poses):
@@ -311,8 +312,8 @@ def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypat
     scene_path = tmp_path / "short.layout"
     layout_mod.save_layout(scene_path, scene)
     cfg = cli.load_config(train_cfg)
-    model = scorenet.ScoreModel(cfg.model_config(), seed=0)
-    state = scorenet.TrainState(model, cfg.noise_schedule(), adapter=scorenet.ControlAdapter(model))
+    model = scorenet.ScoreModel(cfg.build("model"), seed=0)
+    state = scorenet.TrainState(model, cfg.build("schedule"), adapter=scorenet.ControlAdapter(model))
     ckpt = tmp_path / "ctrl.ldck"
     scorenet.save_checkpoint(ckpt, state)
 
@@ -329,13 +330,13 @@ def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypat
     assert rc == 0
 
     # the same render, stored as a training pair, goes through the loader
-    spec = cfg.sensor_spec()
+    spec = cfg.build("sensor")
     img = raycast.render_conditional(layout_mod.load_layout(scene_path), spec, tessellation=cfg["render.tessellation"])
     data = tmp_path / "pairs"
     data.mkdir()
     sensor.write_lri(data / "x.lri", sensor.RangeImage(spec, img.depth))
     sensor.write_lri(data / "x.cond.lri", img)
-    _, conds = cli._load_training_images(data)
+    _, conds = cli._load_training_images(data, conditional=True)
     assert (seen[0][1] > 0).any()
     np.testing.assert_allclose(seen[0][1], conds[0, 1], rtol=1e-6)
     np.testing.assert_allclose(seen[0][1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
@@ -701,3 +702,57 @@ def test_unproject_bad_intrinsics_names_the_flag(tmp_path, capsys, intrinsics):
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: --intrinsics must be 'fx,fy,cx,cy', got {intrinsics!r}"]
     assert not out.exists()
+
+
+def test_train_controlnet_needs_a_partner_for_every_frame(tmp_path, train_cfg, capsys):
+    data = Path(_write_training_data(tmp_path, with_cond=True))
+    for name in ("img_001.cond.lri", "img_003.cond.lri"):
+        (data / name).unlink()
+    base = tmp_path / "base.ldck"
+    # plain training reads the partners it finds and needs none
+    assert main(["train", "--data", str(data), "--config", train_cfg, "--steps", "1", "--out", str(base)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "ctrl.ldck"
+    rc = main(["train", "--data", str(data), "--config", train_cfg, "--steps", "6",
+               "--controlnet", "--base", str(base), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {data / 'img_001.lri'} has no img_001.cond.lri: --controlnet needs a partner for every frame"
+    ]
+    assert captured.out == "" and not out.exists()
+
+
+def test_eval_reads_no_cond_partners(tmp_path, capsys):
+    spec = sensor.SensorSpec(rows=16, cols=64)
+    rng = np.random.default_rng(3)
+    gen, ref, paired = (tmp_path / name for name in ("gen", "ref", "paired"))
+    for d in (gen, ref, paired):
+        d.mkdir()
+    for i in range(2):
+        sensor.write_lri(gen / f"s_{i}.lri", sensor.RangeImage(spec, rng.uniform(1.0, 60.0, (16, 64))))
+        frame = sensor.RangeImage(spec, rng.uniform(1.0, 60.0, (16, 64)))
+        sensor.write_lri(ref / f"x_{i}.lri", frame)
+        sensor.write_lri(paired / f"x_{i}.lri", frame)
+        cond = np.stack([np.full((16, 64), 5.0), np.ones((16, 64))])
+        sensor.write_lri(paired / f"x_{i}.cond.lri", sensor.RangeImage(spec, cond))
+    reports = []
+    for d in (ref, paired):
+        csv = tmp_path / f"{d.name}.csv"
+        assert main(["eval", "--gen", str(gen), "--ref", str(d), "--metrics", "mmd,frechet", "--csv", str(csv)]) == 0
+        reports.append((capsys.readouterr().out, csv.read_text()))
+    assert reports[0] == reports[1]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("lidarscene ")]
+    parser = cli.build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    assert commands == {"gen-scenes", "render", "extract", "unproject", "train", "sample", "eval"}

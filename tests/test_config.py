@@ -9,13 +9,13 @@ from lidarscene.extraction import DEFAULT_CLUSTER_PARAMS, ClusterParams
 
 def test_defaults():
     cfg = Config()
-    spec = cfg.sensor_spec()
+    spec = cfg.build("sensor")
     assert (spec.rows, spec.cols) == (64, 1024)
     assert spec.pitch_max == pytest.approx(math.radians(2.0))
     assert spec.max_range == 80.0
-    sched = cfg.noise_schedule()
+    sched = cfg.build("schedule")
     assert (sched.sigma_max, sched.sigma_min, sched.levels) == (1.0, 0.01, 10)
-    assert cfg.model_config().widths == (16, 16, 32, 32)
+    assert cfg.build("model").widths == (16, 16, 32, 32)
 
 
 def test_parse_overrides_and_comments():
@@ -30,8 +30,8 @@ def test_parse_overrides_and_comments():
     )
     assert cfg["sensor.rows"] == 16
     assert cfg["sensor.cols"] == 32
-    assert cfg.model_config().widths == (4, 8)
-    assert cfg.train_config().lr == 5e-4
+    assert cfg.build("model").widths == (4, 8)
+    assert cfg.build("train").lr == 5e-4
     # untouched keys keep defaults
     assert cfg["sensor.max_range"] == 80.0
 
@@ -55,7 +55,7 @@ def test_missing_equals_reports_line():
 
 def test_train_config_overrides():
     cfg = Config()
-    tc = cfg.train_config(steps=7, phase="a")
+    tc = cfg.build("train", steps=7, phase="a")
     assert tc.steps == 7
     assert tc.phase == "a"
     assert tc.lr == cfg["train.lr"]
@@ -77,7 +77,7 @@ def test_load_config_none_is_defaults():
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("sampler.eps0 = 1e-4\nsampler.steps_per_level = 20\n")
-    sc = load_config(path).sampler_config()
+    sc = load_config(path).build("sampler")
     assert sc.eps0 == 1e-4
     assert sc.steps_per_level == 20
 
@@ -88,18 +88,18 @@ def test_accessor_defaults_equal_dataclass_defaults():
     from lidarscene.sensor import SensorSpec
 
     cfg = Config()
-    assert cfg.sensor_spec() == SensorSpec()
-    assert cfg.noise_schedule() == NoiseSchedule()
-    assert cfg.sampler_config() == SamplerConfig()
-    assert cfg.model_config() == ModelConfig()
-    assert cfg.train_config() == TrainConfig()
-    assert cfg.raydrop_params() == RaydropParams()
+    assert cfg.build("sensor") == SensorSpec()
+    assert cfg.build("schedule") == NoiseSchedule()
+    assert cfg.build("sampler") == SamplerConfig()
+    assert cfg.build("model") == ModelConfig()
+    assert cfg.build("train") == TrainConfig()
+    assert cfg.build("raydrop") == RaydropParams()
 
 
 def test_sensor_pitch_keys_are_degrees():
     assert Config()["sensor.pitch_max_deg"] == 2.0
     assert Config()["sensor.pitch_min_deg"] == -24.8
-    spec = parse_config("sensor.pitch_min_deg = -10").sensor_spec()
+    spec = parse_config("sensor.pitch_min_deg = -10").build("sensor")
     assert spec.pitch_min == math.radians(-10.0)
 
 

@@ -30,7 +30,6 @@ def test_bev_histogram_normalized_and_bounded():
     h = bev_histogram(c)
     assert h.probs.shape == (100, 100)
     assert h.probs.sum() == pytest.approx(1.0)
-    assert not h.empty
 
 
 def test_bev_histogram_ignores_out_of_bounds():
@@ -41,7 +40,7 @@ def test_bev_histogram_ignores_out_of_bounds():
 
 def test_bev_histogram_empty():
     h = bev_histogram(cloud_of(np.empty((0, 3))))
-    assert h.empty and h.probs.sum() == 0
+    assert h.probs.shape == (100, 100) and h.probs.sum() == 0
 
 
 def test_jsd_identical_zero():
