@@ -26,6 +26,14 @@ class LayoutError(ValueError):
         super().__init__(message)
 
 
+def _require_finite(obj, *fields):
+    """Raise LayoutError naming the first of ``fields`` that holds a NaN or inf,
+    which every later comparison would let through."""
+    for name in fields:
+        if not np.isfinite(getattr(obj, name)).all():
+            raise LayoutError(f"{type(obj).__name__} {name} must be finite, got {getattr(obj, name)}")
+
+
 @dataclass(frozen=True)
 class SemanticLabel:
     id: int
@@ -48,6 +56,7 @@ class SemanticPrimitive:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise LayoutError(f"unknown shape {self.shape!r}")
+        _require_finite(self, "center", "extents", "yaw")
         sx, sy, sz = self.extents
         used = (sx, sy) if self.shape == "plane" else (sx, sy, sz)
         if any(e <= 0 for e in used):
@@ -60,6 +69,9 @@ class Pose:
 
     translation: tuple = (0.0, 0.0, 0.0)
     yaw: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self, "translation", "yaw")
 
 
 # Label-RGB mapping of the default palette.

@@ -16,6 +16,8 @@ from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout, transform
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles, range_image_to_point_cloud
 
 LEAF_SIZE = 4
+#: A triangle whose box diagonal exceeds this share of the scene box's is scene-sized.
+SCENE_SIZED = 0.5
 #: Ray-triangle pairs per batch of ``intersect_brute``.
 BRUTE_CHUNK = 2**22
 
@@ -36,10 +38,10 @@ class RaydropParams:
 
 @dataclass(frozen=True)
 class BVH:
-    """Flat median-split BVH, component-major: ``bounds`` (6, N) holds each
-    node's min xyz and max xyz, ``tris`` (9, T) each triangle's v0, e1 and e2.
-    Leaves hold ranges into the triangle permutation, internal nodes child
-    indices; nodes are numbered level by level, children after parents."""
+    """Flat BVH, component-major: ``bounds`` (6, N) holds each node's min xyz
+    and max xyz, ``tris`` (9, T) each triangle's v0, e1 and e2. Leaves hold
+    ranges into the triangle permutation, internal nodes child indices; nodes
+    are numbered level by level, children after parents. See ``build_bvh``."""
 
     bounds: np.ndarray
     left: np.ndarray
@@ -53,7 +55,10 @@ class BVH:
 def build_bvh(mesh: TriangleMesh) -> BVH:
     """Median split over triangle centroids along the widest axis of each
     node's box, built one level at a time: one reduceat gives every box of a
-    level and one stable lexsort orders every node that splits."""
+    level and one stable lexsort orders every node that splits. The root's
+    left child instead takes the scene-sized triangles (the ground and road
+    planes) if not all are, so they widen no box of the others (cf. Ernst &
+    Greiner, "Early Split Clipping for Bounding Volume Hierarchies", 2007)."""
     v0, e1, e2 = mesh.edges()
     n = mesh.num_triangles
     tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
@@ -84,8 +89,12 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         node = np.repeat(np.arange(len(lo)), size)
         pos = np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
         key = centroids[perm[pos], axis[node]]
-        perm[pos] = perm[pos[np.lexsort((key, node))]]
         mid = (lo + hi) // 2
+        if numbered == 1 and len(lo):  # the root: scene-sized triangles first, if some but not all are
+            big = np.linalg.norm(tri_max - tri_min, axis=1) > SCENE_SIZED * np.linalg.norm(bmax[0] - bmin[0])
+            if 0 < big.sum() < n:
+                key, mid = ~big, big.sum(keepdims=True)
+        perm[pos] = perm[pos[np.lexsort((key, node))]]
         lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
     bounds, left, start, count = (np.concatenate(a, axis=-1) for a in zip(*levels))

@@ -141,6 +141,24 @@ def test_layout_rejects_unknown_label():
         Layout(primitives=(SemanticPrimitive(99, "cuboid", (0, 0, 0), (1, 1, 1)),))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("center", lambda x: SemanticPrimitive(3, "cuboid", (10.0, x, 1.0), (4.0, 2.0, 1.5))),
+        ("extents", lambda x: SemanticPrimitive(3, "cuboid", (10.0, 0.0, 1.0), (4.0, x, 1.5))),
+        ("yaw", lambda x: SemanticPrimitive(3, "cuboid", (10.0, 0.0, 1.0), (4.0, 2.0, 1.5), x)),
+        ("translation", lambda x: Pose((0.0, 0.0, x), 0.0)),
+        ("yaw", lambda x: Pose((0.0, 0.0, 0.0), x)),
+    ],
+    ids=["primitive-center", "primitive-extents", "primitive-yaw", "pose-translation", "pose-yaw"],
+)
+def test_non_finite_primitive_or_pose_is_rejected(field, make, value):
+    # One cuboid with an inf extent beside a ground plane rendered depth 0 on every pixel.
+    with pytest.raises(LayoutError, match=f"{field} must be finite"):
+        make(value)
+
+
 def test_plane_ignores_sz():
     prim = SemanticPrimitive(0, "plane", (0, 0, 0), (1.0, 1.0, 0.0))
     assert prim.extents[2] == 0.0

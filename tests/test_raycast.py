@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lidarscene.raycast import (
     render_point_cloud,
     surface_sample,
 )
-from lidarscene.sensor import SensorSpec, angles_to_direction
+from lidarscene.sensor import RangeImage, SensorSpec, angles_to_direction
 
 
 @pytest.fixture(scope="module")
@@ -141,10 +142,12 @@ def first_triangles(mesh, k):
     return TriangleMesh(mesh.vertices, mesh.triangles[:k], mesh.triangle_labels[:k])
 
 
-def recursive_build(mesh):
-    """The depth-first median-split build that the level-by-level one
-    replaced: its triangle permutation and, in preorder, each node's (box,
-    leaf start, leaf count), with 0, 0 for an internal node."""
+def recursive_build(mesh, partition_root=True):
+    """The depth-first build that the level-by-level one replaced: its
+    triangle permutation and, in preorder, each node's (box, leaf start,
+    leaf count), with 0, 0 for an internal node. Every node splits at the
+    median, except that with ``partition_root`` the root's left child takes
+    the scene-sized triangles, in index order, when some but not all are."""
     v0, e1, e2 = mesh.edges()
     tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
     tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
@@ -152,19 +155,23 @@ def recursive_build(mesh):
     perm = np.arange(mesh.num_triangles)
     nodes = []
 
-    def build(lo, hi):
+    def build(lo, hi, root=False):
         idx = perm[lo:hi]
         box_min, box_max = tri_min[idx].min(axis=0), tri_max[idx].max(axis=0)
         if hi - lo <= raycast.LEAF_SIZE:
             nodes.append((np.hstack([box_min, box_max]), lo, hi - lo))
             return
         nodes.append((np.hstack([box_min, box_max]), 0, 0))
-        order = np.argsort(centroids[idx, np.argmax(box_max - box_min)], kind="stable")
+        big = np.linalg.norm(tri_max[idx] - tri_min[idx], axis=1) > raycast.SCENE_SIZED * np.linalg.norm(box_max - box_min)
+        if root and 0 < big.sum() < hi - lo:
+            order, mid = np.argsort(~big, kind="stable"), lo + big.sum()
+        else:
+            order, mid = np.argsort(centroids[idx, np.argmax(box_max - box_min)], kind="stable"), (lo + hi) // 2
         perm[lo:hi] = idx[order]
-        build(lo, (lo + hi) // 2)
-        build((lo + hi) // 2, hi)
+        build(lo, mid)
+        build(mid, hi)
 
-    build(0, mesh.num_triangles)
+    build(0, mesh.num_triangles, root=partition_root)
     return perm, nodes
 
 
@@ -179,8 +186,8 @@ def preorder(bvh):
     return nodes
 
 
-def assert_same_as_recursive_build(mesh, bvh):
-    perm, nodes = recursive_build(mesh)
+def assert_same_as_recursive_build(mesh, bvh, partition_root=True):
+    perm, nodes = recursive_build(mesh, partition_root)
     np.testing.assert_array_equal(bvh.perm, perm)
     assert len(bvh.count) == len(nodes)
     for (box, start, count), (ref_box, ref_start, ref_count) in zip(preorder(bvh), nodes):
@@ -194,7 +201,7 @@ def test_bvh_structure(scene_mesh, street_mesh):
         first_triangles(five, 1),
         five,
         mesh_layout(generate_random_scene(0, C10_PARAMS), tessellation=12),
-        first_triangles(street_mesh, 37),  # leaves at depths 3 and 4
+        first_triangles(street_mesh, 37),  # leaves at depths 1, 4 and 5
         scene_mesh,
         street_mesh,
     ]
@@ -223,6 +230,33 @@ def test_bvh_structure(scene_mesh, street_mesh):
         for child in (bvh.left[internal], bvh.right[internal]):
             assert (bvh.bounds[:3, child] >= bvh.bounds[:3, internal]).all()
             assert (bvh.bounds[3:, child] <= bvh.bounds[3:, internal]).all()
+
+
+def test_bvh_root_splits_off_scene_sized_triangles(street_mesh):
+    # The ground and road planes (triangles 0-3) span the street scene; no
+    # other triangle's box diagonal reaches a fifth of the scene box's.
+    bvh = build_bvh(street_mesh)
+    v0, e1, e2 = street_mesh.edges()
+    tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
+    tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
+    share = np.linalg.norm(tri_max - tri_min, axis=1) / np.linalg.norm(tri_max.max(axis=0) - tri_min.min(axis=0))
+    assert (share[:4] > 0.7).all() and (share[4:] < 0.2).all()
+    first = bvh.left[0]
+    assert bvh.count[first] == 4
+    assert bvh.perm[bvh.start[first] : bvh.start[first] + 4].tolist() == [0, 1, 2, 3]
+    assert sorted(bvh.perm[4:].tolist()) == list(range(4, 1680))
+    assert_same_as_recursive_build(street_mesh, bvh)
+    # Without the planes, or with nothing but planes, every split is at the median.
+    rest = TriangleMesh(street_mesh.vertices, street_mesh.triangles[4:], street_mesh.triangle_labels[4:])
+    planes = first_triangles(street_mesh, 4)
+    stacked_planes = TriangleMesh(
+        np.vstack([planes.vertices + [0.0, 0.0, dz] for dz in (0.0, 0.5, 1.0)]),
+        np.vstack([planes.triangles + k * len(planes.vertices) for k in range(3)]),
+        np.tile(planes.triangle_labels, 3),
+    )
+    for mesh in (rest, planes, stacked_planes):
+        assert_same_as_recursive_build(mesh, build_bvh(mesh), partition_root=False)
+    assert stacked_planes.num_triangles == 12 and len(build_bvh(stacked_planes).count) == 7
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -254,11 +288,12 @@ def test_render_rays_pins_criterion_10_frames(seed):
     assert_render_rays_pinned(mesh, C10_SPEC, C10_POSE)
 
 
-@pytest.mark.parametrize("k", [9, 37, 75])
-def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k):
-    # Criterion 10's meshes split into leaves all at depth 4; these do not.
+@pytest.mark.parametrize("k, depths", [(9, {1, 2}), (37, {1, 4, 5}), (75, {1, 5, 6})], ids=["9", "37", "75"])
+def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k, depths):
+    # Criterion 10's meshes put their leaves at depth 1 (the ground and road
+    # planes) and at depths 4-5; these put them at other depths.
     mesh = first_triangles(street_mesh, k)
-    assert len(np.unique(leaf_depths(build_bvh(mesh)))) == 2
+    assert set(leaf_depths(build_bvh(mesh)).tolist()) == depths
     assert_render_rays_pinned(mesh, SensorSpec(rows=16, cols=128), Pose((0.0, 0.0, 0.0), 0.0))
 
 
@@ -266,6 +301,112 @@ def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k):
 def test_render_rays_pins_street_poses(street_mesh, x):
     assert street_mesh.num_triangles == 1680
     assert_render_rays_pinned(street_mesh, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0))
+
+
+# Checks that share no arithmetic with _kernels._triangle_hits, which the
+# traversal and its oracle both call.
+
+
+#: (layout, spec, pose, tessellation) of five criterion-10 frames and of the
+#: street scene from three of its poses.
+FRAMES = [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, 12) for seed in range(5)] + [
+    (generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0), 16)
+    for x in (-36, 4, 36)
+]
+FRAME_IDS = [f"c10-{seed}" for seed in range(5)] + [f"street{x}" for x in (-36, 4, 36)]
+
+
+def assert_same_image(a, b):
+    # Labels exactly; depth to rounding (the rays or vertices differ in their last bits).
+    np.testing.assert_array_equal(a.semantic, b.semantic)
+    np.testing.assert_allclose(a.depth, b.depth, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=FRAME_IDS)
+def test_render_rotating_the_pose_rolls_the_image(frame):
+    # Column u looks along yaw pi - 2 pi (u + 0.5) / cols minus the pose's
+    # yaw, so turning the pose by k columns' worth shows column u + k.
+    layout, spec, pose, tessellation = frame
+    img = render_conditional(layout, spec, pose, tessellation)
+    for k in (1, 5, -3):
+        turned = Pose(pose.translation, pose.yaw + 2.0 * math.pi * k / spec.cols)
+        rolled = RangeImage(spec, np.roll(img.data, -k, axis=2))
+        assert_same_image(render_conditional(layout, spec, turned, tessellation), rolled)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=FRAME_IDS)
+def test_render_moving_layout_and_pose_together_keeps_the_image(frame):
+    layout, spec, pose, tessellation = frame
+    img = render_conditional(layout, spec, pose, tessellation)
+    x, y, z = pose.translation
+    for dx, dy in ((3.0, -2.0), (-17.5, 40.25)):
+        moved = Layout(
+            layout.palette,
+            [replace(p, center=(p.center[0] + dx, p.center[1] + dy, p.center[2])) for p in layout.primitives],
+        )
+        assert_same_image(render_conditional(moved, spec, Pose((x + dx, y + dy, z), pose.yaw), tessellation), img)
+
+
+def plane_hits(mesh, origins, dirs, t_max, margin=1e-6):
+    """Nearest hit by f64 plane intersection, then a barycentric inside test
+    by sub-triangle areas: (t, triangle, clear) per ray, t = inf and
+    triangle = -1 on a miss. ``clear`` marks the rays that keep a margin
+    from every triangle's edges, its plane's direction and the ends of
+    (T_MIN, t_max], and whose nearest hit is ahead of the next by a margin."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+    normal = np.cross(b - a, c - a)
+    nn = np.sum(normal * normal, axis=1)
+    out_t, out_tri, out_clear = [], [], []
+    for lo in range(0, len(origins), 256):
+        o, d = origins[lo : lo + 256, None], dirs[lo : lo + 256, None]
+        facing = np.sum(d * normal, axis=2)  # (rays, triangles)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a ray along a plane: t = inf or NaN
+            t = np.sum((a - o) * normal, axis=2) / facing
+            p = o + t[..., None] * d
+            bary = np.stack([np.sum(np.cross(q - p, r - p) * normal, axis=2) / nn for q, r in ((b, c), (c, a), (a, b))])
+        inside = bary.min(axis=0) >= 0.0
+        ahead = (t > _kernels.T_MIN) & (t <= t_max)
+        hit_t = np.where(inside & ahead, t, np.inf)
+        order = np.sort(hit_t, axis=1)
+        nearest = order[:, 0]
+        clear = (
+            (np.abs(facing) > margin * np.sqrt(nn)).all(axis=1)
+            & ~(ahead & (np.abs(bary).min(axis=0) < margin)).any(axis=1)
+            & ~(np.abs(t - t_max) < margin * t_max).any(axis=1)
+            & ~(np.abs(t - _kernels.T_MIN) < margin).any(axis=1)
+        )
+        if mesh.num_triangles > 1:
+            clear &= ~np.isfinite(nearest) | (order[:, 1] > nearest * (1.0 + margin))
+        out_t.append(nearest)
+        out_tri.append(np.where(np.isfinite(nearest), np.argmin(hit_t, axis=1), -1))
+        out_clear.append(clear)
+    return tuple(map(np.concatenate, (out_t, out_tri, out_clear)))
+
+
+@pytest.mark.parametrize("frame", FRAMES[:5] + FRAMES[-1:], ids=FRAME_IDS[:5] + FRAME_IDS[-1:])
+def test_render_matches_plane_intersection_reference(frame):
+    layout, spec, pose, tessellation = frame
+    mesh = mesh_layout(layout, tessellation)
+    img = render_conditional(layout, spec, pose, tessellation)
+    origins, dirs = raycast._sensor_rays(spec, pose)
+    pick = np.arange(0, len(origins), 1 + mesh.num_triangles // 500)  # every 4th ray of a street frame
+    t, tri, clear = plane_hits(mesh, origins[pick], dirs[pick], spec.max_range)
+    assert clear.mean() > 0.95 and np.isfinite(t[clear]).mean() > 0.3
+    depth, label = img.depth.ravel()[pick][clear], img.semantic.ravel()[pick][clear]
+    hit = np.isfinite(t[clear])
+    np.testing.assert_array_equal(depth > 0, hit)
+    np.testing.assert_allclose(depth[hit], t[clear][hit], rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(label, np.where(hit, mesh.triangle_labels[tri[clear]], 0))
+
+
+def test_render_rays_match_plane_intersection_reference_on_random_rays(scene_mesh, scene_bvh):
+    origins, dirs = random_rays(1000, 5)
+    t, tri, clear = plane_hits(scene_mesh, origins, dirs, 200.0)
+    assert clear.mean() > 0.95 and np.isfinite(t[clear]).mean() > 0.3
+    kt, ki = _kernels.render_rays(origins, dirs, 200.0, scene_bvh)
+    np.testing.assert_array_equal(ki[clear], tri[clear])
+    hit = clear & (tri >= 0)
+    np.testing.assert_allclose(kt[hit], t[hit], rtol=1e-12, atol=0)
 
 
 def test_bvh_matches_brute_force(scene_mesh, scene_bvh):
