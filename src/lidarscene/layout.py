@@ -28,10 +28,14 @@ class LayoutError(ValueError):
 
 def _require_finite(obj, *fields):
     """Raise LayoutError naming the first of ``fields`` that holds a NaN or inf,
-    which every later comparison would let through."""
+    which every later comparison would let through. ``yaw`` is one number,
+    every other field three."""
     for name in fields:
-        if not np.isfinite(getattr(obj, name)).all():
-            raise LayoutError(f"{type(obj).__name__} {name} must be finite, got {getattr(obj, name)}")
+        value = getattr(obj, name)
+        if name != "yaw" and np.shape(value) != (3,):
+            raise LayoutError(f"{type(obj).__name__} {name} must be three numbers, got {value}")
+        if not all(map(math.isfinite, (value,) if name == "yaw" else value)):
+            raise LayoutError(f"{type(obj).__name__} {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -229,11 +229,82 @@ def read_lri(path) -> RangeImage:
     return RangeImage(SensorSpec(h, w, *geometry), data)
 
 
+#: Below this |coordinate|, |x| * 1e6 is under 2**52, where every k + 1/2 is
+#: a float, so rounding the float product cannot cross a half.
+_FIXED_LIMIT = 2.0**52 / 1e6
+
+
 def write_point_cloud(path, cloud: LabeledPointCloud):
-    """``np.savetxt``'s bytes in one ``%``: a ``# x y z label_id`` header, then one such line per point."""
-    rows = np.column_stack([cloud.points, cloud.labels])  # labels as f64: exact below 2**53
-    with open(path, "w") as f:
-        f.write("# x y z label_id\n" + "%.6f %.6f %.6f %d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    """``np.savetxt``'s bytes with ``fmt="%.6f %.6f %.6f %d"``: a
+    ``# x y z label_id`` header, then one such line per point, the label as
+    its exact int64. Coordinates round as printf rounds: the float's exact
+    value to 6 decimals, ties to even, and a ``-`` on every negative value
+    and on -0.0. Below ``_FIXED_LIMIT`` that is ``rint(|x| * 1e6)`` over
+    whole arrays, except where the float product is exactly k + 1/2, which
+    is decided from ``float.as_integer_ratio``. A cloud with any |coordinate|
+    at or above 2**52 / 1e6 (about 4.5e9 m) goes through one ``%`` per
+    value. A non-finite point raises ``SensorError`` and writes nothing."""
+    points, labels = cloud.points, cloud.labels
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise SensorError(f"{path}: point {i} is not finite: {tuple(points[i].tolist())}")
+    if np.abs(points).max(initial=0.0) >= _FIXED_LIMIT:
+        rows = np.empty((len(points), 4), dtype=object)  # Python floats and ints
+        rows[:, :3], rows[:, 3] = points, labels
+        body = ("%.6f %.6f %.6f %d\n" * len(rows) % tuple(rows.ravel())).encode()
+    else:
+        body = _xyz_lines(points, labels)
+    with open(path, "wb") as f:
+        f.write(b"# x y z label_id\n" + body)
+
+
+def _xyz_lines(points, labels) -> bytes:
+    """The point lines of ``write_point_cloud`` for finite points under
+    ``_FIXED_LIMIT``: one uint8 row per byte position, with 0 for an unused
+    sign or leading-zero position, dropped at the end."""
+    if not len(points):
+        return b""
+    xyz = np.ascontiguousarray(points.T)  # component-major: each digit row reads contiguous values
+    mag = np.abs(xyz)
+    scaled = mag * 1e6
+    q = np.rint(scaled)
+    # A float product exactly k + 1/2: decide from the exact value, ties to even.
+    for c, i in zip(*np.nonzero(np.abs(scaled - q) == 0.5)):
+        num, den = float(mag[c, i]).as_integer_ratio()
+        k = int(scaled[c, i])
+        excess = 2 * num * 10**6 - (2 * k + 1) * den
+        q[c, i] = k + (excess > 0 or (excess == 0 and k % 2 == 1))
+    q = q.astype(np.int64)
+    whole = q // 1_000_000
+    label_mag = labels.astype(np.uint64)  # |-2**63| fits in uint64, not in int64
+    label_mag = np.where(labels < 0, np.uint64(0) - label_mag, label_mag)
+    n_whole, n_label = len(str(int(whole.max()))), len(str(int(label_mag.max())))
+    width = n_whole + 9  # sign, whole digits, ".", 6 decimals, " "
+    rows = np.zeros((3 * width + n_label + 2, len(points)), dtype=np.uint8)
+    coords = rows[: 3 * width].reshape(3, width, -1)
+    coords[:, 0] = np.signbit(xyz) * ord("-")
+    _put_digits(coords[:, n_whole:0:-1], whole, strip=True)
+    coords[:, n_whole + 1] = ord(".")
+    _put_digits(coords[:, n_whole + 7 : n_whole + 1 : -1], q - 1_000_000 * whole, strip=False)
+    coords[:, -1] = ord(" ")
+    label = rows[3 * width :]
+    label[0] = (labels < 0) * ord("-")
+    _put_digits(label[n_label:0:-1], label_mag, strip=True)
+    label[-1] = ord("\n")
+    return rows.T.tobytes().translate(None, b"\0")
+
+
+def _put_digits(out, values, strip):
+    """Write the decimal digits of the non-negative ints ``values`` as ASCII
+    along ``out``'s second-to-last axis, units first. With ``strip``, the
+    positions above a value's leading digit get 0."""
+    rest = values.astype(np.min_scalar_type(values.max()))  # narrow ints divide faster
+    for j in range(out.shape[-2]):
+        tens = rest // 10
+        digit = (rest - 10 * tens) + ord("0")
+        out[..., j, :] = np.where(rest > 0, digit, 0) if strip and j else digit
+        rest = tens
 
 
 def read_point_cloud(path) -> LabeledPointCloud:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,24 @@ def test_non_finite_primitive_or_pose_is_rejected(field, make, value):
     # One cuboid with an inf extent beside a ground plane rendered depth 0 on every pixel.
     with pytest.raises(LayoutError, match=f"{field} must be finite"):
         make(value)
+
+
+@pytest.mark.parametrize("xyz", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)], ids=["2-numbers", "4-numbers"])
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("center", lambda v: SemanticPrimitive(0, "cuboid", v, (1.0, 1.0, 1.0))),
+        ("extents", lambda v: SemanticPrimitive(0, "cuboid", (0.0, 0.0, 1.0), v)),
+        ("extents", lambda v: SemanticPrimitive(0, "plane", (0.0, 0.0, 0.0), v)),
+        ("translation", lambda v: Pose(v)),
+    ],
+    ids=["primitive-center", "primitive-extents", "plane-extents", "pose-translation"],
+)
+def test_primitive_or_pose_vector_must_be_three_numbers(field, make, xyz):
+    # A 2-number center used to construct and then fail in meshing with a
+    # bare numpy broadcast error; a 2-number extents failed to unpack.
+    with pytest.raises(LayoutError, match=re.escape(f"{field} must be three numbers, got {xyz}")):
+        make(xyz)
 
 
 def test_plane_ignores_sz():

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lidarscene import _kernels, raycast
+from lidarscene import _kernels, raycast, sensor
 from lidarscene.layout import Layout, Pose, SceneParams, SemanticPrimitive, generate_random_scene
 from lidarscene.meshing import TriangleMesh, mesh_layout, mesh_primitive
 from lidarscene.raycast import (
@@ -301,6 +302,18 @@ def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k, depths):
 def test_render_rays_pins_street_poses(street_mesh, x):
     assert street_mesh.num_triangles == 1680
     assert_render_rays_pinned(street_mesh, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0))
+
+
+def test_street_point_clouds_are_pinned(tmp_path):
+    # The xyz files that render --trajectory --cloud writes over the 10 street poses.
+    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
+    path, digest = tmp_path / "frame.xyz", hashlib.sha256()
+    for x in STREET_POSE_X:
+        pose = Pose((float(x), 0.0, 0.0), 0.0)
+        img = render_conditional(scene, spec, pose, tessellation=16)
+        sensor.write_point_cloud(path, raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == "251a4ef02b9be0a433db3656831b66b97ea9c11ab306363df13bdf7712f875f5"
 
 
 # Checks that share no arithmetic with _kernels._triangle_hits, which the

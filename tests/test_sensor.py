@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidarscene import sensor
@@ -343,3 +343,48 @@ def test_point_cloud_text_roundtrip(tmp_path):
     back = sensor.read_point_cloud(path)
     np.testing.assert_allclose(back.points, cloud.points, atol=1e-6)
     np.testing.assert_array_equal(back.labels, cloud.labels)
+
+
+#: Coordinates whose float product |x| * 1e6 is exactly k + 1/2: exact ties
+#: k / 2**7, which round to even, and values that the float product rounds
+#: onto a half (1000.0000005 prints 1000.000001, rint gives 1000.000000).
+TIES = [0.0078125, -0.0234375, 1000.0000005, 2.5e-06, -123456.0000025, 5e-07]
+FIXED_LIMIT = 2.0**52 / 1e6
+coordinate = st.builds(lambda mag, neg: -mag if neg else mag, st.floats(1e-9, 4e9), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(coordinate, coordinate, coordinate, st.integers(-2**31, 2**31)), max_size=30))
+@example(rows=[(t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf), 7) for t in TIES])
+@example(rows=[(0.0, -0.0, -1e-9, 0), (5e-324, -5e-324, -2.2250738585072014e-308, -3)])
+@example(rows=[(np.nextafter(FIXED_LIMIT, 0.0), -np.nextafter(FIXED_LIMIT, 0.0), 1.0, 1)])
+# At and above the limit: 9732503960.16005 prints ...160049, rint(x * 1e6) ...160050.
+@example(rows=[(FIXED_LIMIT, 1.0, 0.0078125, 1), (9732503960.16005, -1000.0000005, 2.5e-06, 2)])
+def test_point_cloud_text_rounds_as_printf(tmp_path_factory, rows):
+    points = np.array([r[:3] for r in rows], dtype=np.float64).reshape(-1, 3)
+    labels = np.array([r[3] for r in rows], dtype=np.int64)
+    cloud = LabeledPointCloud(points, labels)
+    path = tmp_path_factory.mktemp("xyz") / "cloud.xyz"
+    sensor.write_point_cloud(path, cloud)
+    ref = path.with_name("ref.xyz")
+    np.savetxt(ref, np.column_stack([points, labels]), fmt="%.6f %.6f %.6f %d", header="x y z label_id")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 5e9], ids=["whole-array", "per-value"])
+def test_point_cloud_labels_keep_every_bit(tmp_path, scale):
+    labels = [2**53 + 1, 2**63 - 1, -2**63, -1, 0]
+    path = tmp_path / "cloud.xyz"
+    sensor.write_point_cloud(path, LabeledPointCloud(np.full((5, 3), 1.5 * scale), labels))
+    assert [line.split()[3] for line in path.read_text().splitlines()[1:]] == [str(v) for v in labels]
+    assert sensor.read_point_cloud(path).labels.tolist() == labels
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_write_point_cloud_rejects_non_finite_points(tmp_path, value):
+    points = np.zeros((4, 3))
+    points[2, 1] = points[3, 0] = value
+    path = tmp_path / "cloud.xyz"
+    with pytest.raises(sensor.SensorError, match=re.escape(f"{path}: point 2 is not finite: (0.0, {value}, 0.0)")):
+        sensor.write_point_cloud(path, LabeledPointCloud(points))
+    assert not path.exists()
