@@ -4,9 +4,11 @@
 the Efficiency of Ray Traversal on GPUs" (HPG 2009): it keeps a frontier of
 live (ray, node) pairs, slab-tests all of them in one pass, replaces each
 surviving internal node by its two children and sends each surviving leaf to
-a Moller-Trumbore test against the leaf's triangles. The all-triangle oracle
-``raycast.intersect_brute`` shares that test, so both give bit-identical t;
-it checks the traversal's culling and its winner rule.
+a Moller-Trumbore test against the leaf's triangles. A node is the record
+(``first``, ``count``): a leaf holds ``perm[first:first + count]``, an
+internal node (``count == 0``) has children ``first`` and ``first + 1``. The
+all-triangle oracle ``raycast.intersect_brute`` shares the triangle test, so
+both give bit-identical t; it checks the traversal's culling and winner rule.
 
 Every array is component-major (``BVH.bounds`` (6, N), ``BVH.tris`` (9, T),
 rays (3, n)), so gathers are ``np.take(a, idx, axis=1)`` and the tests'
@@ -91,10 +93,10 @@ def render_rays(origins, dirs, t_max, bvh):
         leaf = count > 0
         if leaf.any():
             # One row per (ray, triangle) of the leaf: row k of a leaf pair
-            # with first row f reads perm[start + k - f].
+            # whose rows start at row r0 reads perm[first + k - r0].
             count = count[leaf]
-            first = np.cumsum(count) - count
-            slot = np.arange(count.sum()) - np.repeat(first - bvh.start[node[leaf]], count)
+            row0 = np.cumsum(count) - count
+            slot = np.arange(count.sum()) - np.repeat(row0 - bvh.first[node[leaf]], count)
             r = np.repeat(ray[leaf], count)
             tri = bvh.perm[slot]
             rows = np.take(bvh.tris, tri, axis=1)
@@ -102,8 +104,9 @@ def render_rays(origins, dirs, t_max, bvh):
             found = np.isfinite(t)
             hits.append((r[found], tri[found], t[found]))
         inner = ~leaf
+        child = bvh.first[node[inner]]
         ray = np.concatenate([ray[inner], ray[inner]])
-        node = np.concatenate([bvh.left[node[inner]], bvh.right[node[inner]]])
+        node = np.concatenate([child, child + 1])
 
     if not hits:
         return out_t, out_i

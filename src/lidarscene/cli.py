@@ -42,7 +42,10 @@ def _parse_pose(text, flag):
 
 def _read_trajectory(path):
     lines = layout_mod.text_lines(layout_mod.read_text(path))
-    return [_parse_pose(line, f"{path}:{ln}: --trajectory line") for ln, line in lines]
+    poses = [_parse_pose(line, f"{path}:{ln}: --trajectory line") for ln, line in lines]
+    if not poses:
+        raise ValueError(f"--trajectory {path} holds no poses")
+    return poses
 
 
 def _check_num(num):
@@ -225,6 +228,8 @@ _EVAL_METRICS = ("jsd", "mmd", "frechet")
 def cmd_eval(args):
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     unknown = [m for m in wanted if m not in _EVAL_METRICS]
+    if not wanted:
+        raise ValueError(f"--metrics names no metric; choose from {', '.join(_EVAL_METRICS)}")
     if unknown:
         raise ValueError(f"unknown metric {unknown[0]!r}; choose from {', '.join(_EVAL_METRICS)}")
     gen = _load_cloud_dir(args.gen)
@@ -243,15 +248,10 @@ def cmd_eval(args):
         report["frechet"] = metrics.frechet(feats_gen, feats_ref)
     if args.layout:
         scene = layout_mod.load_layout(args.layout)
-        spec = gen[0][0].spec
-        recalls, ious = [], []
-        for img, cloud in gen:
-            world = raycast.sensor_to_world(cloud, spec, Pose())
-            recall, iou = metrics.layout_consistency(scene, world, spec)
-            recalls.append(recall)
-            ious.append(iou)
-        report["box_recall"] = float(np.mean(recalls))
-        report["bev_iou"] = float(np.mean(ious))
+        # Each frame in its own sensor; every frame is scored at the default pose.
+        scores = [metrics.layout_consistency(scene, raycast.sensor_to_world(cloud, img.spec, Pose()), img.spec)
+                  for img, cloud in gen]
+        report["box_recall"], report["bev_iou"] = (float(np.mean(s)) for s in zip(*scores))
     for key, val in report.items():
         print(f"{key}={val:.6g}")
     if args.csv:

@@ -14,7 +14,6 @@ from .layout import DEFAULT_PALETTE, Layout, SemanticPrimitive, rotate_yaw
 from .sensor import LabeledPointCloud
 
 NOISE = -1
-UNVISITED = -2
 
 #: Default per-label clustering parameters (eps meters, min_pts) and the
 #: shape each label's clusters are fit as. Ground/road are the "plane"
@@ -58,10 +57,10 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ExtractionError("focal lengths must be positive")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ExtractionError("principal point outside image")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):  # NaN fails too
+            raise ExtractionError(f"focal lengths must be finite and positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):  # NaN and inf fail too
+            raise ExtractionError(f"principal point ({self.cx}, {self.cy}) outside the {self.width}x{self.height} image")
 
 
 def unproject_depth_semantic(depth_map, sem_map, intr: CameraIntrinsics) -> LabeledPointCloud:
@@ -100,7 +99,7 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
 
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
-    labels = np.full(n, UNVISITED, dtype=np.int64)
+    labels = np.full(n, NOISE, dtype=np.int64)  # NOISE until a cluster claims the point
     if n == 0:
         return labels
     tree = cKDTree(points)
@@ -112,10 +111,10 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
     unlabeled = np.arange(n, dtype=np.int64)
     cluster = 0
     for i in range(n):
-        if labels[i] != UNVISITED or not core[i]:
+        if labels[i] != NOISE or not core[i]:
             continue
         labels[i] = cluster
-        unlabeled = unlabeled[labels[unlabeled] == UNVISITED]
+        unlabeled = unlabeled[labels[unlabeled] == NOISE]
         frontier = np.array([i], dtype=np.int64)
         while len(frontier):
             ftree = cKDTree(points[frontier])
@@ -127,7 +126,6 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
             unlabeled = unlabeled[dist > params.eps]
             frontier = new[core[new]]
         cluster += 1
-    labels[labels == UNVISITED] = NOISE
     return labels
 
 

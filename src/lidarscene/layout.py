@@ -121,7 +121,7 @@ class Layout:
 # DSL
 #
 # Line-oriented UTF-8, '#' comments. Labels are declared in id order from 0:
-#   palette <name> <r> <g> <b>
+#   palette <name> <r> <g> <b>     (color components: integers 0-255)
 # Primitives reference labels by name, yaw in degrees:
 #   prim <label-name> <cuboid|ellipsoid|plane> <cx> <cy> <cz> <sx> <sy> <sz> <yaw_deg>
 
@@ -166,13 +166,10 @@ def parse_layout(text: str) -> Layout:
             name = parts[1]
             if name in names:
                 raise LayoutError(f"duplicate label name {name!r}", ln)
-            rgb = []
             for tok in parts[2:5]:
-                val = int(_parse_float(tok, ln))
-                if not 0 <= val <= 255:
-                    raise LayoutError(f"color component out of range: {tok}", ln)
-                rgb.append(val)
-            lab = SemanticLabel(len(palette), name, tuple(rgb))
+                if not (tok.isdecimal() and int(tok) <= 255):
+                    raise LayoutError(f"color component {tok!r} out of range: need an integer 0-255", ln)
+            lab = SemanticLabel(len(palette), name, tuple(map(int, parts[2:5])))
             names[name] = lab
             palette.append(lab)
         elif kind == "prim":

@@ -39,14 +39,13 @@ class RaydropParams:
 @dataclass(frozen=True)
 class BVH:
     """Flat BVH, component-major: ``bounds`` (6, N) holds each node's min xyz
-    and max xyz, ``tris`` (9, T) each triangle's v0, e1 and e2. Leaves hold
-    ranges into the triangle permutation, internal nodes child indices; nodes
-    are numbered level by level, children after parents. See ``build_bvh``."""
+    and max xyz, ``tris`` (9, T) each triangle's v0, e1 and e2. A leaf
+    (``count > 0``) holds ``perm[first:first + count]``, an internal node the
+    children ``first`` and ``first + 1``: nodes are numbered level by level,
+    children after parents and siblings side by side. See ``build_bvh``."""
 
     bounds: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    start: np.ndarray
+    first: np.ndarray
     count: np.ndarray
     perm: np.ndarray
     tris: np.ndarray
@@ -68,7 +67,7 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
 
     lo = np.zeros(min(n, 1), dtype=np.int64)  # one root [0, n), none if empty
     hi = lo + n
-    levels = [(np.empty((6, 0)), *[np.empty(0, dtype=np.int64)] * 3)]  # (bounds, left, start, count)
+    levels = [(np.empty((6, 0)), *[np.empty(0, dtype=np.int64)] * 2)]  # (bounds, first, count)
     numbered = 0
     while len(lo):
         # Node boxes by reduceat over the interleaved [lo, hi) edges: the odd
@@ -78,9 +77,8 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         bmax = np.maximum.reduceat(tri_max[rows], edges)[::2]
         split = hi - lo > LEAF_SIZE
         numbered += len(lo)
-        left = np.full(len(lo), -1, dtype=np.int64)
-        left[split] = numbered + 2 * np.arange(split.sum())
-        levels.append((np.vstack([bmin.T, bmax.T]), left, np.where(split, 0, lo), np.where(split, 0, hi - lo)))
+        first = np.where(split, numbered + 2 * np.cumsum(split) - 2, lo)  # the k-th split's children: numbered + 2k, +1
+        levels.append((np.vstack([bmin.T, bmax.T]), first, np.where(split, 0, hi - lo)))
 
         # Sort each splitting node's slice by centroid along its widest axis.
         axis = np.argmax(bmax[split] - bmin[split], axis=1)
@@ -97,9 +95,8 @@ def build_bvh(mesh: TriangleMesh) -> BVH:
         perm[pos] = perm[pos[np.lexsort((key, node))]]
         lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
 
-    bounds, left, start, count = (np.concatenate(a, axis=-1) for a in zip(*levels))
-    right = np.where(left < 0, -1, left + 1)
-    return BVH(bounds, left, right, start, count, perm, np.vstack([v0.T, e1.T, e2.T]))
+    bounds, first, count = (np.concatenate(a, axis=-1) for a in zip(*levels))
+    return BVH(bounds, first, count, perm, np.vstack([v0.T, e1.T, e2.T]))
 
 
 def intersect_brute(mesh: TriangleMesh, origins, dirs, t_max: float):

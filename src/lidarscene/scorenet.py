@@ -472,13 +472,8 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     when log_every is 0). A non-finite loss raises ScoreNetError naming the
     step and phase; parameters keep the values of the last good step."""
     conditional = config.phase != "uncond"
-    if conditional:
-        images, conds = dataset
-        images = np.asarray(images)
-        conds = np.asarray(conds)
-    else:
-        images = np.asarray(dataset)
-        conds = None
+    images, conds = map(np.asarray, dataset) if conditional else (np.asarray(dataset), None)
+    adapter = state.adapter if conditional else None
     if len(images) == 0:
         raise ScoreNetError("empty dataset")
 
@@ -494,10 +489,8 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
             idx = rng.integers(0, len(images), size=config.batch_size)
             optimizer.zero_grad()
             try:
-                if conditional:
-                    loss = loss_cond(state.model, state.adapter, images[idx], conds[idx], state.schedule, rng, allowed)
-                else:
-                    loss = loss_uncond(state.model, images[idx], state.schedule, rng)
+                cond = conds[idx] if conditional else None
+                loss = loss_cond(state.model, adapter, images[idx], cond, state.schedule, rng, allowed)
             except ScoreNetError as exc:
                 raise ScoreNetError(f"training failed at step {state.step + 1} (phase {phase}): {exc}") from exc
             optimizer.step(allowed)

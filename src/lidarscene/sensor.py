@@ -168,10 +168,7 @@ def range_image_to_point_cloud(img: RangeImage) -> LabeledPointCloud:
     v, u = np.nonzero(img.depth > 0)
     yaw, pitch = pixel_to_angles(u, v, spec)
     pts = unproject(yaw, pitch, img.depth[v, u])
-    if img.semantic is not None:
-        labels = np.rint(img.semantic[v, u]).astype(np.int64)
-    else:
-        labels = np.zeros(len(u), dtype=np.int64)
+    labels = None if img.semantic is None else np.rint(img.semantic[v, u]).astype(np.int64)
     return LabeledPointCloud(pts, labels)
 
 

@@ -756,3 +756,39 @@ def test_readme_cli_examples_parse():
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
     assert commands == {"gen-scenes", "render", "extract", "unproject", "train", "sample", "eval"}
+
+
+def test_eval_layout_scores_each_frame_in_its_own_sensor(tmp_path, capsys):
+    # Two renders of one car, from the default sensor height and from 6 m:
+    # each frame, unprojected with its own sensor, matches the layout exactly.
+    scene = layout_mod.add_primitive(layout_mod.Layout(), SemanticPrimitive(3, "cuboid", (20.3, 0.4, 0.75), (4.0, 1.8, 1.5)))
+    layout_path, gen = tmp_path / "scene.layout", tmp_path / "gen"
+    layout_mod.save_layout(layout_path, scene)
+    gen.mkdir()
+    for i, height in enumerate((1.73, 6.0)):
+        spec = sensor.SensorSpec(rows=32, cols=512, origin_height=height)
+        sensor.write_lri(gen / f"f_{i}.lri", raycast.render_conditional(scene, spec))
+    rc = main(["eval", "--gen", str(gen), "--ref", str(gen), "--metrics", "jsd", "--layout", str(layout_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["jsd=0", "box_recall=1", "bev_iou=1"]
+
+
+@pytest.mark.parametrize("text", ["", "# no poses here\n\n"], ids=["empty", "comments-only"])
+def test_render_trajectory_without_poses_exits_nonzero(tmp_path, scene_file, small_cfg, capsys, text):
+    traj, out = tmp_path / "poses.txt", tmp_path / "frames"
+    traj.write_text(text)
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--trajectory", str(traj), "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: --trajectory {traj} holds no poses"]
+
+
+@pytest.mark.parametrize("names", [",", "", " , "])
+def test_eval_rejects_metrics_naming_no_metric(tmp_path, capsys, names):
+    data = _write_training_data(tmp_path)
+    rc = main(["eval", "--gen", data, "--ref", data, "--metrics", names])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --metrics names no metric; choose from jsd, mmd, frechet"]

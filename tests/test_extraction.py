@@ -265,3 +265,24 @@ def test_extract_layout_two_cars():
     assert len(cars) == 2
     ys = sorted(p.center[1] for p in cars)
     assert ys[0] == pytest.approx(-3.0, abs=0.2) and ys[1] == pytest.approx(3.0, abs=0.2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("fx", 0.0, "focal lengths must be finite and positive, got fx=0.0, fy=10.0"),
+        ("fy", -1.0, "focal lengths must be finite and positive, got fx=10.0, fy=-1.0"),
+        ("fx", math.nan, "focal lengths must be finite and positive, got fx=nan, fy=10.0"),
+        ("fy", math.inf, "focal lengths must be finite and positive, got fx=10.0, fy=inf"),
+        ("cx", 8.0, "principal point (8.0, 3.0) outside the 8x6 image"),
+        ("cy", -0.5, "principal point (4.0, -0.5) outside the 8x6 image"),
+        ("cx", math.nan, "principal point (nan, 3.0) outside the 8x6 image"),
+        ("cy", math.inf, "principal point (4.0, inf) outside the 8x6 image"),
+    ],
+    ids=["fx-zero", "fy-negative", "fx-nan", "fy-inf", "cx-at-width", "cy-negative", "cx-nan", "cy-inf"],
+)
+def test_camera_intrinsics_reject_bad_values(field, value, message):
+    intrinsics = dict(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=8, height=6)
+    with pytest.raises(ExtractionError) as exc:
+        CameraIntrinsics(**{**intrinsics, field: value})
+    assert str(exc.value) == message

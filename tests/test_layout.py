@@ -13,6 +13,7 @@ from lidarscene.layout import (
     LayoutError,
     Pose,
     SceneParams,
+    SemanticLabel,
     SemanticPrimitive,
     add_primitive,
     crop_local,
@@ -63,6 +64,11 @@ def test_default_palette_colors():
         ("palette ground 81 0", "palette needs 4 fields"),
         ("palette a 0 0 0\npalette a 0 0 0", "duplicate label name"),
         ("palette a 0 0 300", "out of range"),
+        ("palette a 0 0 0\npalette b 12.7 255.9 0", "^line 2: color component '12.7' out of range: need an integer 0-255$"),
+        ("palette a 0 1e2 0", "color component '1e2' out of range"),
+        ("palette a 0 0 -1", "color component '-1' out of range"),
+        ("palette a 0 x 0", "color component 'x' out of range"),
+        ("palette a 0 0 0\nprim a cuboid 0 0 nan 1 1 1 0", "non-finite number: 'nan'"),
         ("prim ghost cuboid 0 0 0 1 1 1 0", "unknown label"),
         ("palette a 0 0 0\nprim a torus 0 0 0 1 1 1 0", "unknown shape"),
         ("palette a 0 0 0\nprim a cuboid 0 0 0 1 1 1", "prim needs 9 fields"),
@@ -273,3 +279,22 @@ def test_save_load(tmp_path):
     path = tmp_path / "scene.layout"
     lo.save_layout(path, lay)
     assert_layouts_close(lo.load_layout(path), lay)
+
+
+def test_palette_color_keeps_integer_components():
+    assert parse_layout("palette car 0 255 007").palette[0].color == (0, 255, 7)
+
+
+def test_layout_rejects_duplicate_ids_and_unknown_lookups():
+    with pytest.raises(LayoutError, match="^duplicate label ids in palette$"):
+        Layout(palette=(SemanticLabel(0, "a", (0, 0, 0)), SemanticLabel(0, "b", (1, 1, 1))))
+    with pytest.raises(LayoutError, match="^unknown label name 'truck'$"):
+        Layout().label_by_name("truck")
+    with pytest.raises(LayoutError, match="^unknown label id 99$"):
+        Layout().label_by_id(99)
+
+
+def test_generate_random_scene_runs_out_of_placement_budget():
+    # 20 cars do not fit on a 12 m stretch of road
+    with pytest.raises(LayoutError, match="^placement retry budget exhausted$"):
+        generate_random_scene(0, SceneParams(area_x=(-6.0, 6.0), car_count=(20, 20)))

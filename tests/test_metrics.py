@@ -222,3 +222,20 @@ def test_bev_iou_sensitive_to_distribution_shift():
     _, iou_match = layout_consistency(lay, cloud, spec, pose)
     _, iou_shift = layout_consistency(lay, shifted, spec, pose)
     assert iou_shift < iou_match
+
+
+def test_bev_histogram_rejects_resolution_below_one():
+    with pytest.raises(MetricError, match="^resolution must be >= 1$"):
+        bev_histogram(cloud_of([[0.0, 0.0, 0.0]]), BevGrid(resolution=0))
+
+
+@pytest.mark.parametrize("gen, ref", [([], [np.zeros((1, 3))]), ([np.zeros((1, 3))], [])], ids=["no-gen", "no-ref"])
+def test_mmd_rejects_an_empty_set(gen, ref):
+    with pytest.raises(MetricError, match="^mmd requires nonempty cloud sets$"):
+        mmd(gen, ref)
+
+
+def test_layout_consistency_with_no_occupied_cell_in_either_cloud():
+    # No car, so recall is 1; the empty layout renders nothing and the one
+    # point lies outside the BEV grid, so no cell is occupied on either side.
+    assert layout_consistency(Layout(), cloud_of([[500.0, 500.0, 0.0]])) == (1.0, 0.0)

@@ -135,7 +135,7 @@ def leaf_depths(bvh):
     depth = np.zeros(len(bvh.count), dtype=np.int64)
     for node in range(len(bvh.count)):  # children have higher ids than parents
         if bvh.count[node] == 0:
-            depth[bvh.left[node]] = depth[bvh.right[node]] = depth[node] + 1
+            depth[bvh.first[node] : bvh.first[node] + 2] = depth[node] + 1
     return depth[bvh.count > 0]
 
 
@@ -181,9 +181,11 @@ def preorder(bvh):
     nodes, stack = [], [0]
     while stack:
         node = stack.pop()
-        nodes.append((bvh.bounds[:, node], bvh.start[node], bvh.count[node]))
         if bvh.count[node] == 0:
-            stack += [bvh.right[node], bvh.left[node]]
+            nodes.append((bvh.bounds[:, node], 0, 0))
+            stack += [bvh.first[node] + 1, bvh.first[node]]
+        else:
+            nodes.append((bvh.bounds[:, node], bvh.first[node], bvh.count[node]))
     return nodes
 
 
@@ -220,15 +222,15 @@ def test_bvh_structure(scene_mesh, street_mesh):
         # inside every leaf box containing it and every internal box
         # encloses both of its children's boxes
         internal = np.flatnonzero(~leaves)
-        assert (bvh.left[internal] > internal).all() and (bvh.right[internal] > internal).all()
+        assert (bvh.first[internal] > internal).all() and (bvh.first[internal] + 1 < len(bvh.count)).all()
         v0, e1, e2 = bvh.tris[:3], bvh.tris[3:6], bvh.tris[6:]
         tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
         tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
         for node in np.flatnonzero(leaves):
-            idx = bvh.perm[bvh.start[node] : bvh.start[node] + bvh.count[node]]
+            idx = bvh.perm[bvh.first[node] : bvh.first[node] + bvh.count[node]]
             assert (tri_min[:, idx] >= bvh.bounds[:3, node, None] - 1e-9).all()
             assert (tri_max[:, idx] <= bvh.bounds[3:, node, None] + 1e-9).all()
-        for child in (bvh.left[internal], bvh.right[internal]):
+        for child in (bvh.first[internal], bvh.first[internal] + 1):
             assert (bvh.bounds[:3, child] >= bvh.bounds[:3, internal]).all()
             assert (bvh.bounds[3:, child] <= bvh.bounds[3:, internal]).all()
 
@@ -242,9 +244,9 @@ def test_bvh_root_splits_off_scene_sized_triangles(street_mesh):
     tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
     share = np.linalg.norm(tri_max - tri_min, axis=1) / np.linalg.norm(tri_max.max(axis=0) - tri_min.min(axis=0))
     assert (share[:4] > 0.7).all() and (share[4:] < 0.2).all()
-    first = bvh.left[0]
-    assert bvh.count[first] == 4
-    assert bvh.perm[bvh.start[first] : bvh.start[first] + 4].tolist() == [0, 1, 2, 3]
+    left = bvh.first[0]  # the root's left child
+    assert bvh.count[left] == 4
+    assert bvh.perm[bvh.first[left] : bvh.first[left] + 4].tolist() == [0, 1, 2, 3]
     assert sorted(bvh.perm[4:].tolist()) == list(range(4, 1680))
     assert_same_as_recursive_build(street_mesh, bvh)
     # Without the planes, or with nothing but planes, every split is at the median.
@@ -314,6 +316,32 @@ def test_street_point_clouds_are_pinned(tmp_path):
         sensor.write_point_cloud(path, raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose))
         digest.update(path.read_bytes())
     assert digest.hexdigest() == "251a4ef02b9be0a433db3656831b66b97ea9c11ab306363df13bdf7712f875f5"
+
+
+def test_render_digests_are_pinned():
+    # sha256 of the depth, label and incidence channels of every frame, in
+    # order: the 10 street poses, then criterion-10 scenes 0-49.
+    street = generate_random_scene(0, STREET_PARAMS)
+    frames = [(street, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0), 16) for x in STREET_POSE_X]
+    frames += [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, 12) for seed in range(50)]
+    digests = [hashlib.sha256() for _ in range(3)]
+    for scene, spec, pose, tessellation in frames:
+        img, cos = render_conditional(scene, spec, pose, tessellation, return_incidence=True)
+        for digest, channel in zip(digests, (img.depth, img.semantic, cos)):
+            digest.update(channel.tobytes())
+    assert [d.hexdigest() for d in digests] == [
+        "1588f3212e0a8e9deff14c641ae9529cea9f7eebba445b2d87fd184953fea646",
+        "57a91952105f5b3abc89dea64b2e8380d02655765b24379fb73734e3e3182978",
+        "d17a98c78bd05bfa9667565dc8a6df86dac99071adc12bf05cad5abd7af30357",
+    ]
+
+
+def test_empty_mesh_has_no_hits_and_no_surface_points():
+    empty = TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
+    t, tri = intersect_brute(empty, [[0.0, 0.0, 0.0]] * 2, [[1.0, 0.0, 0.0]] * 2, 10.0)
+    assert t.tolist() == [-1.0, -1.0] and tri.tolist() == [-1, -1]
+    cloud = surface_sample(empty, 5.0)
+    assert cloud.points.shape == (0, 3) and cloud.labels.dtype == np.int64 and len(cloud.labels) == 0
 
 
 # Checks that share no arithmetic with _kernels._triangle_hits, which the

@@ -575,3 +575,58 @@ def test_seeded_training_and_sampling_keep_pinned_digests(dtype):
     build may need new ones; take those at a commit before the change under
     test, never from the change itself."""
     assert _seeded_run_digests(dtype) == PINNED_DIGESTS[np.dtype(dtype).name]
+
+
+def test_forward_adapter_requires_a_condition():
+    model = ScoreModel(TINY64, seed=30)
+    x = np.zeros((1, 1, 8, 16))
+    with pytest.raises(ScoreNetError, match="^adapter requires a conditional image$"):
+        model.forward(x, 0.5, adapter=ControlAdapter(model, seed=31))
+
+
+@pytest.mark.parametrize(
+    "phase, dataset, message",
+    [
+        ("a", (make_dataset(n=2), make_dataset(n=2, shape=(2, 8, 16))), "conditional phase requires an adapter"),
+        ("uncond", make_dataset(n=0), "empty dataset"),
+        ("b", (make_dataset(n=0), make_dataset(n=0, shape=(2, 8, 16))), "empty dataset"),
+    ],
+    ids=["no-adapter", "empty-uncond", "empty-cond"],
+)
+def test_train_rejects_missing_adapter_and_empty_dataset(phase, dataset, message):
+    state = TrainState(model=ScoreModel(TINY64, seed=32), schedule=NoiseSchedule())
+    with pytest.raises(ScoreNetError, match=f"^{message}$"):
+        train(state, dataset, TrainConfig(steps=2, batch_size=2, phase=phase))
+    assert state.step == 0
+
+
+def test_train_logs_every_log_every_th_step():
+    state = TrainState(model=ScoreModel(TINY64, seed=33), schedule=NoiseSchedule())
+    lines = []
+    losses = train(state, make_dataset(n=4), TrainConfig(steps=5, batch_size=2, log_every=2), log=lines.append)
+    assert lines == [f"step {k} phase uncond loss {losses[k - 1]:.4f}" for k in (2, 4)]
+
+
+def test_sampler_rejects_a_non_finite_state():
+    with pytest.raises(ScoreNetError, match="^non-finite sampler state$"):
+        sample_annealed_langevin(lambda x, sigma: np.full(x.shape, np.nan), NoiseSchedule(), SamplerConfig(), (1, 1, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported version 2"),
+        (
+            lambda raw: raw.replace(b"base.out_conv.w", b"base.out_conv.v", 1),
+            "tensor name mismatch (unknown=['base.out_conv.v'], missing=['base.out_conv.w'])",
+        ),
+    ],
+    ids=["version", "tensor-name"],
+)
+def test_checkpoint_rejects_another_version_or_tensor_name(tmp_path, edit, message):
+    path = tmp_path / "base.ldck"
+    save_checkpoint(path, TrainState(ScoreModel(ModelConfig(widths=(2, 2), emb_dim=4, blocks_per_level=1)), NoiseSchedule()))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ScoreNetError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"

@@ -388,3 +388,26 @@ def test_write_point_cloud_rejects_non_finite_points(tmp_path, value):
     with pytest.raises(sensor.SensorError, match=re.escape(f"{path}: point 2 is not finite: (0.0, {value}, 0.0)")):
         sensor.write_point_cloud(path, LabeledPointCloud(points))
     assert not path.exists()
+
+
+def test_range_image_rejects_data_of_another_shape():
+    with pytest.raises(sensor.SensorError, match=re.escape("data shape (1, 4, 9) does not match spec (4x8)")):
+        RangeImage(SensorSpec(rows=4, cols=8), np.zeros((4, 9)))
+
+
+def test_point_cloud_rejects_points_and_labels_of_different_lengths():
+    with pytest.raises(sensor.SensorError, match="^points and labels length mismatch$"):
+        LabeledPointCloud(np.zeros((3, 3)), [0, 1])
+
+
+def test_range_image_without_semantics_gives_zero_labels():
+    cloud = range_image_to_point_cloud(RangeImage(SensorSpec(rows=2, cols=4), np.full((2, 4), 5.0)))
+    assert len(cloud) == 8 and cloud.labels.dtype == np.int64 and not cloud.labels.any()
+
+
+@pytest.mark.parametrize("line", ["1 2 3", "1 2 3 0 5"], ids=["3-fields", "5-fields"])
+def test_read_point_cloud_needs_four_fields(tmp_path, line):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(f"# x y z label_id\n1 2 3 0\n{line}\n")
+    with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: expected 'x y z label_id'")):
+        sensor.read_point_cloud(path)
