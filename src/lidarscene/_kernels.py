@@ -77,7 +77,7 @@ def render_rays(origins, dirs, t_max, bvh):
     n = origins.shape[1]
     out_t = np.full(n, -1.0)
     out_i = np.full(n, -1, dtype=np.int64)
-    if n == 0 or len(bvh.count) == 0:
+    if len(bvh.count) == 0:
         return out_t, out_i
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs

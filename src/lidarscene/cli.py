@@ -64,7 +64,15 @@ def cmd_gen_scenes(args):
     print(f"wrote {args.num} layouts to {out}")
 
 
+#: render flag -> the flags its mode would ignore.
+_RENDER_EXCLUDES = {"surface_sample": ("trajectory", "pose", "raydrop", "cloud"), "trajectory": ("pose",)}
+
+
 def cmd_render(args):
+    for flag, ignored in _RENDER_EXCLUDES.items():
+        for other in ignored:
+            if getattr(args, flag) is not None and getattr(args, other) not in (None, False):
+                raise ValueError(f"--{flag.replace('_', '-')} cannot be combined with --{other}")
     cfg = load_config(args.sensor)
     spec = cfg.build("sensor")
     scene = layout_mod.load_layout(args.layout)
@@ -82,7 +90,8 @@ def cmd_render(args):
         out.mkdir(parents=True, exist_ok=True)
         done = f"wrote {len(frames)} frames to {out}"
     else:
-        frames = [(_parse_pose(args.pose, "--pose"), args.out, str(args.out) + ".xyz")]
+        pose = _parse_pose(args.pose, "--pose") if args.pose is not None else Pose()
+        frames = [(pose, args.out, str(args.out) + ".xyz")]
         done = f"wrote {args.out}"
     for i, (pose, lri_path, xyz_path) in enumerate(frames):
         img, cos = raycast.render_conditional(scene, spec, pose, cfg["render.tessellation"], return_incidence=True)
@@ -169,13 +178,13 @@ def cmd_train(args):
     for flag in ("base", "phase"):
         if getattr(args, flag) is not None and not args.controlnet:
             raise ValueError(f"--{flag} requires --controlnet")
+    if args.controlnet and not args.base:
+        raise ValueError("--controlnet requires --base CKPT")
     cfg = load_config(args.config)
     overrides = {k: v for k, v in (("steps", args.steps), ("seed", args.seed)) if v is not None}
     train_cfg = cfg.build("train", phase=(args.phase or "ab") if args.controlnet else "uncond", **overrides)
     images, conds = _load_training_images(args.data, conditional=args.controlnet)
     if args.controlnet:
-        if not args.base:
-            raise ValueError("--controlnet requires --base CKPT")
         state = scorenet.load_checkpoint(args.base)
         if state.adapter is None:
             state.adapter = scorenet.ControlAdapter(state.model, seed=train_cfg.seed)
@@ -198,6 +207,8 @@ def cmd_sample(args):
     cfg = load_config(args.config)
     spec = cfg.build("sensor")
     state = scorenet.load_checkpoint(args.ckpt)
+    if args.layout and state.adapter is None:
+        raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     sampler_cfg = cfg.build("sampler")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,8 +217,6 @@ def cmd_sample(args):
         scene = layout_mod.load_layout(args.layout)
         pose = _parse_pose(args.pose, "--pose") if args.pose else Pose()
         cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
-        if state.adapter is None:
-            raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
     shape = (1, scorenet.IN_CHANNELS, spec.rows, spec.cols)
     for i in range(args.num):
@@ -274,7 +283,7 @@ def build_parser():
     p = sub.add_parser("render", help="raycast a layout into range images")
     p.add_argument("--layout", required=True)
     p.add_argument("--sensor", default=None, help="config file for the sensor")
-    p.add_argument("--pose", default="0,0,0,0")
+    p.add_argument("--pose", default=None, help="x,y,z,yaw_deg (default 0,0,0,0)")
     p.add_argument("--trajectory", default=None, help="file of 'x y z yaw_deg' lines")
     p.add_argument("--out", required=True)
     p.add_argument("--raydrop", action="store_true")

@@ -100,8 +100,6 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = len(points)
     labels = np.full(n, NOISE, dtype=np.int64)  # NOISE until a cluster claims the point
-    if n == 0:
-        return labels
     tree = cKDTree(points)
     core = tree.query_ball_point(points, params.eps, return_length=True) >= params.min_pts
     # Inverted frontier query: instead of enumerating each core point's

@@ -115,9 +115,7 @@ def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLA
 
 def mesh_layout(layout: Layout, tessellation: int = DEFAULT_TESSELLATION) -> TriangleMesh:
     """Concatenation of all primitive meshes, preserving primitive order."""
-    if not layout.primitives:
-        return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64))
-    verts, faces, labels = [], [], []
+    verts, faces, labels = [np.empty((0, 3))], [np.empty((0, 3), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     offset = 0
     for prim in layout.primitives:
         m = mesh_primitive(prim, tessellation)

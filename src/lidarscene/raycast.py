@@ -171,8 +171,8 @@ def render_conditional(
 def surface_sample(mesh: TriangleMesh, points_per_m2: float, seed: int = 0) -> LabeledPointCloud:
     """Area-weighted uniform sampling of the mesh surface (the ablation
     baseline that ignores occlusion)."""
-    if points_per_m2 <= 0:
-        raise ValueError("density must be positive")
+    if not 0 < points_per_m2 < np.inf:  # False for NaN too
+        raise ValueError(f"surface sample density must be finite and > 0, got {points_per_m2}")
     if mesh.num_triangles == 0:
         return LabeledPointCloud(np.empty((0, 3)), np.empty(0, dtype=np.int64))
     rng = np.random.default_rng(seed)

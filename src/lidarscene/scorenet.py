@@ -158,7 +158,8 @@ class _Level:
 class _Encoder:
     """Input conv plus per-level residual stacks and a bottleneck stack
     (shared layout between the base model and the conditioning adapter).
-    Levels below the first halve resolution with average pooling."""
+    Levels below the first halve resolution with average pooling. Its skips
+    are each level's output and, last, the bottleneck's."""
 
     def __init__(self, cfg: ModelConfig, rng):
         w = cfg.widths
@@ -180,25 +181,23 @@ class _Encoder:
         h = self.in_conv.forward(x)
         if hint is not None:
             h = h + hint
-        feats = []
+        skips = []
         for i, lvl in enumerate(self.levels):
             if i > 0:
                 h = avgpool2(h)
             h = lvl.forward(h, emb)
-            feats.append(h)
-        return feats, self.mid.forward(feats[-1], emb)
+            skips.append(h)
+        return skips + [self.mid.forward(h, emb)]
 
-    def backward(self, dfeats, dmid):
+    def backward(self, dskips):
         demb = 0.0
-        dh, de = self.mid.backward(dmid, True)
+        dh, de = self.mid.backward(dskips[-1], True)
         demb = demb + de
-        dh = dh + dfeats[-1]
         for i in reversed(range(len(self.levels))):
-            dh, de = self.levels[i].backward(dh, True)
+            dh, de = self.levels[i].backward(dh + dskips[i], True)
             demb = demb + de
             if i > 0:
                 dh = avgpool2_backward(dh)
-                dh = dh + dfeats[i - 1]
         self.in_conv.backward(dh, inputs=False)  # the network's input needs no gradient
         return dh, demb  # dh is the gradient where a hint joins, right after in_conv
 
@@ -209,7 +208,8 @@ _FUSION = ("adapter.zero", "adapter.zmid")
 
 class ControlAdapter:
     """Trainable encoder copy + conditional-image hint projection +
-    zero-initialized 1x1 fusion convs into the decoder."""
+    zero-initialized 1x1 fusion convs into the decoder, one per encoder skip
+    (the bottleneck's last)."""
 
     def __init__(self, base: "ScoreModel", seed: int = 0):
         cfg = base.config
@@ -220,26 +220,25 @@ class ControlAdapter:
         for name, p in self.encoder.named_params("enc").items():
             p.value = base_enc[name].value.copy()
         self.hint = Conv2d(COND_CHANNELS, cfg.widths[0], 3, rng, cfg.dtype)
-        self.zero_fusions = [Conv2d(w, w, 1, rng, cfg.dtype) for w in cfg.widths]
-        self.zero_mid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype)
-        for z in (*self.zero_fusions, self.zero_mid):
+        self.fusions = [Conv2d(w, w, 1, rng, cfg.dtype) for w in (*cfg.widths, cfg.widths[-1])]
+        for z in self.fusions:
             z.w.value[...] = z.b.value[...] = 0
 
     def named_params(self):
         out = self.encoder.named_params("adapter.enc")
         out.update(self.hint.named_params("adapter.hint"))
-        for i, z in enumerate(self.zero_fusions):
-            out.update(z.named_params(f"adapter.zero{i}"))
-        out.update(self.zero_mid.named_params("adapter.zmid"))
+        for i, z in enumerate(self.fusions):
+            out.update(z.named_params(f"adapter.zero{i}" if i < len(self.fusions) - 1 else "adapter.zmid"))
         return out
 
 
 class ScoreModel:
     """Score network S(x, sigma[, cond]) with manual backprop.
 
-    The decoder mirrors the encoder levels in reverse width order; each
-    stage consumes the matching encoder feature as an additive skip (plus
-    the adapter's zero-fused control signal when conditioning).
+    The decoder starts from the encoder's last skip, the bottleneck, and
+    mirrors the encoder levels in reverse width order; each stage consumes
+    the matching encoder level's skip additively. When conditioning, the
+    adapter's zero-fused control signal for each skip is added after it.
     """
 
     def __init__(self, config: ModelConfig = ModelConfig(), seed: int = 0):
@@ -301,18 +300,17 @@ class ScoreModel:
         if x.shape[2] % depth_div or x.shape[3] % depth_div:
             raise ScoreNetError(f"H and W must be divisible by {depth_div}")
         emb = self._embed(sigma, x.shape[0])
-        feats, mid = self.encoder.forward(x, emb)
+        skips = self.encoder.forward(x, emb)
         controls = None
         if adapter is not None:
             if cond is None:
                 raise ScoreNetError("adapter requires a conditional image")
             cond = np.asarray(cond, dtype=self.config.dtype)
             hint = adapter.hint.forward(cond)
-            a_feats, a_mid = adapter.encoder.forward(x, emb, hint=hint)
-            controls = [z.forward(f) for z, f in zip(adapter.zero_fusions, a_feats)]
-            controls.append(adapter.zero_mid.forward(a_mid))
-        n = len(feats)
-        h = mid
+            a_skips = adapter.encoder.forward(x, emb, hint=hint)
+            controls = [z.forward(s) for z, s in zip(adapter.fusions, a_skips)]
+        n = len(self.config.widths)
+        h = skips[n]
         if controls is not None:
             h = h + controls[n]
         for k, lvl in enumerate(self.dec_levels):
@@ -321,7 +319,7 @@ class ScoreModel:
                 h = upnearest2(h)
                 if self.up_projs[k - 1] is not None:
                     h = self.up_projs[k - 1].forward(h)
-            h = h + feats[i]
+            h = h + skips[i]
             if controls is not None:
                 h = h + controls[i]
             h = lvl.forward(h, emb)
@@ -344,26 +342,25 @@ class ScoreModel:
         n = len(self.config.widths)
         demb = 0.0
         dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype), base)
-        # Skips and controls add to the same decoder inputs: dfeats and dmid serve both.
-        dfeats = [0.0] * n
+        # Skips and controls add to the same decoder inputs: dskips serves both.
+        dskips = [0.0] * (n + 1)
         for k in reversed(range(len(self.dec_levels))):
             i = n - 1 - k
             dh, de = self.dec_levels[k].backward(dh, base)
             demb = demb + de
-            dfeats[i] = dfeats[i] + dh
+            dskips[i] = dskips[i] + dh
             if k > 0:
                 if self.up_projs[k - 1] is not None:
                     dh = self.up_projs[k - 1].backward(dh, base)
                 dh = upnearest2_backward(dh)
-        dmid = dh  # gradient w.r.t. the decoder's initial state (mid + control)
+        dskips[n] = dh  # gradient w.r.t. the decoder's initial state (bottleneck + control)
         if base:
-            _, de = self.encoder.backward(dfeats, dmid)
+            _, de = self.encoder.backward(dskips)
             demb = demb + de
         if fusion or control:
-            da_feats = [z.backward(df, fusion, control) for z, df in zip(adapter.zero_fusions, dfeats)]
-            da_mid = adapter.zero_mid.backward(dmid, fusion, control)
+            da_skips = [z.backward(ds, fusion, control) for z, ds in zip(adapter.fusions, dskips)]
             if control:
-                dhint, de = adapter.encoder.backward(da_feats, da_mid)
+                dhint, de = adapter.encoder.backward(da_skips)
                 demb = demb + de
                 adapter.hint.backward(dhint, inputs=False)  # the condition needs no gradient
         if base:  # the embedding MLP belongs to the base
@@ -380,16 +377,6 @@ def _trains(allowed, prefixes):
 # Losses
 
 
-def _perturb(batch, schedule: NoiseSchedule, rng):
-    batch = np.asarray(batch)
-    b = batch.shape[0]
-    levels = rng.integers(0, schedule.levels, size=b)
-    sigma = schedule.sigmas[levels].astype(batch.dtype)
-    noise = rng.standard_normal(batch.shape).astype(batch.dtype)
-    noisy = batch + sigma[:, None, None, None] * noise
-    return noisy, noise, sigma
-
-
 def loss_uncond(model: ScoreModel, batch, schedule: NoiseSchedule, rng):
     """Denoising score-matching loss (level drawn uniformly per sample,
     per-term weight sigma^2/2). Accumulates parameter gradients."""
@@ -404,7 +391,10 @@ def loss_cond(model: ScoreModel, adapter: ControlAdapter | None, batch, cond_bat
     batch = np.asarray(batch, dtype=model.config.dtype)
     if batch.shape[0] == 0:
         raise ScoreNetError("empty batch")
-    noisy, noise, sigma = _perturb(batch, schedule, rng)
+    levels = rng.integers(0, schedule.levels, size=batch.shape[0])
+    sigma = schedule.sigmas[levels].astype(batch.dtype)
+    noise = rng.standard_normal(batch.shape).astype(batch.dtype)
+    noisy = batch + sigma[:, None, None, None] * noise
     score = model.forward(noisy, sigma, cond=cond_batch, adapter=adapter)
     resid = score + noise / sigma[:, None, None, None]
     per_sample = 0.5 * sigma**2 * (resid.astype(np.float64) ** 2).sum(axis=(1, 2, 3))

@@ -313,6 +313,8 @@ def read_point_cloud(path) -> LabeledPointCloud:
         try:
             pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
             labels.append(int(parts[3]))
+            if not -(2**63) <= labels[-1] < 2**63:
+                raise ValueError(f"label {labels[-1]} does not fit in int64")
             if not all(map(math.isfinite, pts[-1])):
                 raise ValueError(f"coordinates must be finite, got {line!r}")
         except ValueError as exc:

@@ -170,6 +170,34 @@ def test_render_surface_sample(tmp_path, scene_file, small_cfg):
     assert len(cloud) > 0
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("--surface-sample", "50"), ("--trajectory", "traj.txt")),
+        (("--surface-sample", "50"), ("--pose", "1,2,0,30")),
+        (("--surface-sample", "50"), ("--raydrop",)),
+        (("--surface-sample", "50"), ("--cloud",)),
+        (("--trajectory", "traj.txt"), ("--pose", "1,2,0,30")),
+    ],
+    ids=["surface-trajectory", "surface-pose", "surface-raydrop", "surface-cloud", "trajectory-pose"],
+)
+def test_render_rejects_a_flag_its_mode_would_ignore(tmp_path, scene_file, small_cfg, capsys, first, second):
+    (tmp_path / "traj.txt").write_text("0 0 0 0\n")
+    out = tmp_path / "out"
+    argv = [str(tmp_path / a) if a == "traj.txt" else a for a in (*first, *second)]
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, *argv, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {first[0]} cannot be combined with {second[0]}"]
+    assert not out.exists()
+
+
+def test_render_default_pose_is_the_origin(tmp_path, scene_file, small_cfg):
+    default, origin = tmp_path / "default.lri", tmp_path / "origin.lri"
+    assert main(["render", "--layout", scene_file, "--sensor", small_cfg, "--out", str(default)]) == 0
+    assert main(["render", "--layout", scene_file, "--sensor", small_cfg, "--pose", "0,0,0,0", "--out", str(origin)]) == 0
+    assert default.read_bytes() == origin.read_bytes()
+
+
 def test_extract_roundtrip(tmp_path, scene_file, small_cfg):
     # elevated side view gives a clean single-car cloud
     lri = tmp_path / "view.lri"
@@ -342,21 +370,29 @@ def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypat
     np.testing.assert_allclose(seen[0][1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
 
 
-def test_train_controlnet_requires_base(tmp_path, train_cfg):
-    data = _write_training_data(tmp_path, with_cond=True)
-    rc = main(["train", "--data", data, "--config", train_cfg, "--steps", "1",
-               "--controlnet", "--out", str(tmp_path / "x.ldck")])
+def test_train_controlnet_requires_base(tmp_path, train_cfg, capsys):
+    # The frames have no .cond.lri partners: the missing --base is named before they are read.
+    data = _write_training_data(tmp_path)
+    out = tmp_path / "x.ldck"
+    rc = main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--controlnet", "--out", str(out)])
     assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --controlnet requires --base CKPT"]
+    assert not out.exists()
 
 
-def test_sample_cond_without_adapter_fails(tmp_path, train_cfg, scene_file, capsys):
+def test_sample_cond_without_adapter_fails(tmp_path, train_cfg, scene_file, capsys, monkeypatch):
     data = _write_training_data(tmp_path)
     base = tmp_path / "base.ldck"
     main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(base)])
+    capsys.readouterr()
+    renders = []
+    monkeypatch.setattr(raycast, "render_conditional", lambda *args, **kwargs: renders.append(args))
+    out = tmp_path / "s"
     rc = main(["sample", "--ckpt", str(base), "--config", train_cfg,
-               "--layout", scene_file, "--num", "1", "--out", str(tmp_path / "s")])
+               "--layout", scene_file, "--num", "1", "--out", str(out)])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["error: checkpoint has no conditioning adapter; train with --controlnet"]
+    assert renders == [] and not out.exists()
 
 
 def test_missing_layout_exits_nonzero(tmp_path, capsys):

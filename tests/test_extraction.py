@@ -91,7 +91,8 @@ def test_self_inclusive_neighborhood():
 
 
 def test_empty_input():
-    assert len(dbscan(np.empty((0, 3)), ClusterParams(1.0, 3))) == 0
+    labels = dbscan(np.empty((0, 3)), ClusterParams(1.0, 3))
+    assert labels.shape == (0,) and labels.dtype == np.int64
 
 
 def test_params_validation():

@@ -109,7 +109,8 @@ def test_mesh_layout_concatenates_in_order():
 
 def test_empty_layout_empty_mesh():
     mesh = mesh_layout(Layout())
-    assert mesh.num_triangles == 0 and len(mesh.vertices) == 0
+    assert mesh.vertices.shape == mesh.triangles.shape == (0, 3) and mesh.triangle_labels.shape == (0,)
+    assert mesh.vertices.dtype == np.float64 and mesh.triangles.dtype == mesh.triangle_labels.dtype == np.int64
 
 
 def test_mesh_validation():

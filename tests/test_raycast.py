@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -486,6 +487,7 @@ def test_render_rays_empty_inputs():
     mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (5.0, 0, 0), (1, 1, 1)))
     t, i = _kernels.render_rays(np.empty((0, 3)), np.empty((0, 3)), 10.0, build_bvh(mesh))
     assert t.shape == i.shape == (0,)
+    assert t.dtype == np.float64 and i.dtype == np.int64
 
 
 def test_render_rays_kernel_matches_brute(scene_mesh, scene_bvh):
@@ -623,6 +625,13 @@ def test_surface_sample_deterministic_and_validated():
     np.testing.assert_array_equal(a.points, b.points)
     with pytest.raises(ValueError):
         surface_sample(mesh, 0.0)
+
+
+@pytest.mark.parametrize("density", [-1.0, math.nan, math.inf, -math.inf])
+def test_surface_sample_rejects_a_density_that_is_not_finite_and_positive(density):
+    mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (0, 0, 0), (1, 1, 1)))
+    with pytest.raises(ValueError, match=re.escape(f"surface sample density must be finite and > 0, got {density}")):
+        surface_sample(mesh, density)
 
 
 def test_surface_sample_ignores_occlusion():

@@ -258,6 +258,20 @@ def test_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(orig[name].value, new[name].value)
 
 
+def test_checkpoint_tensor_names_are_pinned():
+    # Tensor names are part of the LDCK file format: a renamed parameter
+    # would make every existing checkpoint unreadable.
+    model = ScoreModel(ModelConfig(widths=(8, 16, 16), emb_dim=16, blocks_per_level=1))
+    state = TrainState(model, NoiseSchedule(), ControlAdapter(model))
+    names = sorted(state.params())
+    assert len(names) == 92
+    assert [n for n in names if n.startswith(("adapter.zero", "adapter.zmid"))] == [
+        f"adapter.{z}.{p}" for z in ("zero0", "zero1", "zero2", "zmid") for p in ("b", "w")
+    ]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == "55fe861c2c0180321d3e2a520b56d1637780355098d3bf34f4b3568ab4f842a3"
+
+
 def test_checkpoint_no_adapter(tmp_path):
     model = ScoreModel(SMALL32, seed=20)
     state = TrainState(model=model, schedule=NoiseSchedule())

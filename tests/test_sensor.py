@@ -304,6 +304,14 @@ def test_read_point_cloud_rejects_non_finite_coordinates(tmp_path, field):
         sensor.read_point_cloud(path)
 
 
+@pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809", "9223372036854775808"])
+def test_read_point_cloud_rejects_labels_outside_int64(tmp_path, label):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(f"1 2 3 {2**63 - 1}\n4 5 6 {-2**63}\n7 8 9 {label}\n")
+    with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: label {label} does not fit in int64")):
+        sensor.read_point_cloud(path)
+
+
 def test_point_cloud_text_is_pinned(tmp_path):
     path = tmp_path / "cloud.xyz"
     sensor.write_point_cloud(path, LabeledPointCloud(np.array([[-0.0, 1e6, 1.25], [0.5, -2.0, 1e-7]]), [0, 12]))
