@@ -13,8 +13,9 @@ both give bit-identical t; it checks the traversal's culling and winner rule.
 Every array is component-major (``BVH.bounds`` (6, N), ``BVH.tris`` (9, T),
 rays (3, n)), so gathers are ``np.take(a, idx, axis=1)`` and the tests'
 elementwise passes run over contiguous rows. A 32x256 street frame slab-tests
-233k (ray, node) pairs and runs 79k triangle tests: 7 ms of slab tests and 7 ms
-of triangle tests in 24 ms of traversal (2-core VM).
+118k (ray, node) pairs and runs 59k triangle tests (means over 10 poses): 2.5-2.8
+ms of slab tests and 3.0-3.4 ms of triangle tests in 10-12 ms of traversal (2-core
+VM; median splits alone gave 233k pairs, 79k tests and 24 ms).
 """
 
 import numpy as np

@@ -44,12 +44,17 @@ class SemanticLabel:
     name: str
     color: tuple  # (r, g, b) bytes
 
+    def __post_init__(self):
+        object.__setattr__(self, "color", tuple(self.color))
+
 
 @dataclass(frozen=True)
 class SemanticPrimitive:
     """One labeled solid. Extents are full widths (ellipsoid semi-axes are
     extents/2; a plane is an sx by sy rectangle, sz ignored); yaw rotates
-    about +z."""
+    about +z. Center and extents are stored as tuples of floats and yaw as a
+    float, whatever sequences and numbers they were given as, so a layout
+    hashes and no caller's list can change it."""
 
     label: int
     shape: str
@@ -61,6 +66,9 @@ class SemanticPrimitive:
         if self.shape not in SHAPES:
             raise LayoutError(f"unknown shape {self.shape!r}")
         _require_finite(self, "center", "extents", "yaw")
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        object.__setattr__(self, "extents", tuple(map(float, self.extents)))
+        object.__setattr__(self, "yaw", float(self.yaw))
         sx, sy, sz = self.extents
         used = (sx, sy) if self.shape == "plane" else (sx, sy, sz)
         if any(e <= 0 for e in used):

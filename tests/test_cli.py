@@ -102,6 +102,18 @@ def test_render_trajectory(tmp_path, scene_file, small_cfg):
     assert len(sorted(out.glob("*.lri"))) == 3
 
 
+def test_render_trajectory_meshes_and_builds_the_scene_once(tmp_path, scene_file, small_cfg, monkeypatch):
+    built, build = [], raycast.build_bvh
+    raycast._scene.cache_clear()
+    monkeypatch.setattr(raycast, "build_bvh", lambda mesh: built.append(mesh) or build(mesh))
+    traj = tmp_path / "traj.txt"
+    traj.write_text("0 0 0 0\n1 0 0 15\n2 0 0 30\n")
+    out = tmp_path / "frames"
+    assert main(["render", "--layout", scene_file, "--sensor", small_cfg, "--trajectory", str(traj),
+                 "--out", str(out)]) == 0
+    assert len(sorted(out.glob("*.lri"))) == 3 and len(built) == 1
+
+
 def test_render_trajectory_cloud_is_each_frame_in_world(tmp_path, scene_file, small_cfg):
     traj = tmp_path / "traj.txt"
     traj.write_text("0 0 0 0\n2 -1 0.5 30\n-3 1 0 -60\n")
@@ -168,6 +180,16 @@ def test_render_surface_sample(tmp_path, scene_file, small_cfg):
     assert rc == 0
     cloud = sensor.read_point_cloud(out)
     assert len(cloud) > 0
+
+
+@pytest.mark.parametrize("density", ["1e12", "1e300"])
+def test_render_surface_sample_over_the_point_budget_is_one_error_line(tmp_path, scene_file, small_cfg, capsys, density):
+    out = tmp_path / "surf.xyz"
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--surface-sample", density, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: surface sample density {float(density)} points/m2 on ")
+    assert err.endswith(" points, over the budget of 1e7")
 
 
 @pytest.mark.parametrize(

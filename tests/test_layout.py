@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lidarscene import layout as lo
+from lidarscene import layout as lo, raycast
 from lidarscene.layout import (
     DEFAULT_PALETTE,
     Layout,
@@ -24,6 +24,7 @@ from lidarscene.layout import (
     serialize_layout,
     world_to_ego,
 )
+from lidarscene.sensor import SensorSpec
 
 EXAMPLE = """
 # a tiny scene
@@ -298,3 +299,38 @@ def test_generate_random_scene_runs_out_of_placement_budget():
     # 20 cars do not fit on a 12 m stretch of road
     with pytest.raises(LayoutError, match="^placement retry budget exhausted$"):
         generate_random_scene(0, SceneParams(area_x=(-6.0, 6.0), car_count=(20, 20)))
+
+
+@pytest.mark.parametrize("vector", [list, np.array], ids=["list", "ndarray"])
+def test_layout_from_lists_or_arrays_hashes_and_equals_the_tuple_layout(vector):
+    # Rendering memoizes the mesh by layout, so every layout must hash; a
+    # list center used to make it unhashable.
+    def scene(vec):
+        palette = [SemanticLabel(0, "ground", vec([81, 0, 81])), SemanticLabel(1, "car", vec([0, 0, 142]))]
+        prims = [
+            SemanticPrimitive(0, "plane", vec([0, 0, 0]), vec([200.0, 200.0, 0.0])),
+            SemanticPrimitive(1, "cuboid", vec([10.0, 2.0, 0.75]), vec([4.0, 1.8, 1.5]), np.float64(0.3)),
+        ]
+        return Layout(palette, prims)
+
+    lay, ref = scene(vector), scene(tuple)
+    assert hash(lay) == hash(ref) and lay == ref
+    prim = lay.primitives[1]
+    assert type(prim.center) is type(prim.extents) is type(lay.palette[0].color) is tuple
+    assert all(type(x) is float for x in (*prim.center, *prim.extents, prim.yaw))
+    assert serialize_layout(lay) == serialize_layout(ref)
+    assert_layouts_close(parse_layout(serialize_layout(lay)), ref)
+    spec = SensorSpec(rows=8, cols=32)
+    raycast._scene.cache_clear()
+    img, cos = raycast.render_conditional(lay, spec, return_incidence=True)
+    raycast._scene.cache_clear()
+    img_ref, cos_ref = raycast.render_conditional(ref, spec, return_incidence=True)
+    np.testing.assert_array_equal(img.data, img_ref.data)
+    np.testing.assert_array_equal(cos, cos_ref)
+
+
+def test_changing_the_callers_list_leaves_the_primitive_as_built():
+    center = [1.0, 2.0, 3.0]
+    prim = SemanticPrimitive(0, "cuboid", center, (1.0, 1.0, 1.0))
+    center[0] = 9.0
+    assert prim.center == (1.0, 2.0, 3.0)

@@ -116,7 +116,7 @@ def test_tie_window_is_anchored_at_the_minimum(offsets, winner):
     assert t[0] == t_brute[0] == pytest.approx(2.0 + offsets[winner], abs=1e-12)
 
 
-# Criterion 10's frames: a close side view of 2-4 cars, 40-52 triangles.
+# Criterion 10's frames: a close side view of 2-4 cars, 28-52 triangles.
 C10_PARAMS = SceneParams(area_x=(-12.0, 12.0), car_count=(2, 4), vegetation_count=(0, 0), building_count=(0, 0))
 C10_SPEC = SensorSpec(rows=16, cols=128)
 C10_POSE = Pose((0.0, -8.0, 2.0), math.pi / 2.0)
@@ -144,18 +144,26 @@ def first_triangles(mesh, k):
     return TriangleMesh(mesh.vertices, mesh.triangles[:k], mesh.triangle_labels[:k])
 
 
-def recursive_build(mesh, partition_root=True):
+def recursive_build(mesh, partition_root=True, sah_min=64):
     """The depth-first build that the level-by-level one replaced: its
     triangle permutation and, in preorder, each node's (box, leaf start,
-    leaf count), with 0, 0 for an internal node. Every node splits at the
-    median, except that with ``partition_root`` the root's left child takes
-    the scene-sized triangles, in index order, when some but not all are."""
+    leaf count), with 0, 0 for an internal node. A node sorts its triangles
+    by centroid along its box's widest axis. With more than ``sah_min``
+    triangles it splits where A(left) * n_left + A(right) * n_right is
+    first least over every split position, A the half surface area of a
+    part's box, and otherwise at the median. With ``partition_root`` the
+    root's left child instead takes the scene-sized triangles, in index
+    order, when some but not all are."""
     v0, e1, e2 = mesh.edges()
     tri_min = np.minimum(np.minimum(v0, v0 + e1), v0 + e2)
     tri_max = np.maximum(np.maximum(v0, v0 + e1), v0 + e2)
     centroids = (tri_min + tri_max) / 2.0
     perm = np.arange(mesh.num_triangles)
     nodes = []
+
+    def half_area(part):
+        dx, dy, dz = tri_max[part].max(axis=0) - tri_min[part].min(axis=0)
+        return dx * dy + dy * dz + dz * dx
 
     def build(lo, hi, root=False):
         idx = perm[lo:hi]
@@ -169,6 +177,10 @@ def recursive_build(mesh, partition_root=True):
             order, mid = np.argsort(~big, kind="stable"), lo + big.sum()
         else:
             order, mid = np.argsort(centroids[idx, np.argmax(box_max - box_min)], kind="stable"), (lo + hi) // 2
+            if hi - lo > sah_min:
+                part = idx[order]
+                costs = [half_area(part[:k]) * k + half_area(part[k:]) * (hi - lo - k) for k in range(1, hi - lo)]
+                mid = lo + 1 + int(np.argmin(costs))
         perm[lo:hi] = idx[order]
         build(lo, mid)
         build(mid, hi)
@@ -190,8 +202,8 @@ def preorder(bvh):
     return nodes
 
 
-def assert_same_as_recursive_build(mesh, bvh, partition_root=True):
-    perm, nodes = recursive_build(mesh, partition_root)
+def assert_same_as_recursive_build(mesh, bvh, partition_root=True, sah_min=64):
+    perm, nodes = recursive_build(mesh, partition_root, sah_min)
     np.testing.assert_array_equal(bvh.perm, perm)
     assert len(bvh.count) == len(nodes)
     for (box, start, count), (ref_box, ref_start, ref_count) in zip(preorder(bvh), nodes):
@@ -250,7 +262,7 @@ def test_bvh_root_splits_off_scene_sized_triangles(street_mesh):
     assert bvh.perm[bvh.first[left] : bvh.first[left] + 4].tolist() == [0, 1, 2, 3]
     assert sorted(bvh.perm[4:].tolist()) == list(range(4, 1680))
     assert_same_as_recursive_build(street_mesh, bvh)
-    # Without the planes, or with nothing but planes, every split is at the median.
+    # Without the planes, or with nothing but planes, the root splits like any other node.
     rest = TriangleMesh(street_mesh.vertices, street_mesh.triangles[4:], street_mesh.triangle_labels[4:])
     planes = first_triangles(street_mesh, 4)
     stacked_planes = TriangleMesh(
@@ -261,6 +273,38 @@ def test_bvh_root_splits_off_scene_sized_triangles(street_mesh):
     for mesh in (rest, planes, stacked_planes):
         assert_same_as_recursive_build(mesh, build_bvh(mesh), partition_root=False)
     assert stacked_planes.num_triangles == 12 and len(build_bvh(stacked_planes).count) == 7
+
+
+def test_bvh_of_criterion_10_meshes_splits_every_node_at_the_median():
+    # Their at most 52 triangles never reach SAH_MIN_TRIANGLES, so they build
+    # the median tree, and the dataset frames do the same work as before.
+    for seed in range(50):
+        mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), tessellation=12)
+        assert mesh.num_triangles <= 52 < raycast.SAH_MIN_TRIANGLES
+        assert_same_as_recursive_build(mesh, build_bvh(mesh), sah_min=math.inf)
+
+
+def test_street_frame_traversal_work(street_mesh, monkeypatch):
+    # Per street frame, mean over the 10 poses: (ray, node) pairs slab-tested
+    # and ray-triangle tests. Median splits alone give 233k and 79k.
+    work = {"pairs": 0, "tests": 0}
+
+    def counted(name, key):
+        inner = getattr(_kernels, name)
+
+        def count(o, *args):
+            work[key] += o.shape[1]
+            return inner(o, *args)
+
+        monkeypatch.setattr(_kernels, name, count)
+
+    counted("_slab_hits", "pairs")
+    counted("_triangle_hits", "tests")
+    bvh, spec = build_bvh(street_mesh), SensorSpec(rows=32, cols=256)
+    for x in STREET_POSE_X:
+        _kernels.render_rays(*raycast._sensor_rays(spec, Pose((float(x), 0.0, 0.0), 0.0)), spec.max_range, bvh)
+    assert work["pairs"] <= 130_000 * len(STREET_POSE_X)
+    assert work["tests"] <= 65_000 * len(STREET_POSE_X)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -317,6 +361,48 @@ def test_street_point_clouds_are_pinned(tmp_path):
         sensor.write_point_cloud(path, raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose))
         digest.update(path.read_bytes())
     assert digest.hexdigest() == "251a4ef02b9be0a433db3656831b66b97ea9c11ab306363df13bdf7712f875f5"
+
+
+def test_street_poses_render_the_same_with_and_without_the_memo():
+    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
+    for x in STREET_POSE_X:
+        pose = Pose((float(x), 0.0, 0.0), 0.0)
+        img, cos = render_conditional(scene, spec, pose, 16, return_incidence=True)
+        raycast._scene.cache_clear()
+        fresh, fresh_cos = render_conditional(scene, spec, pose, 16, return_incidence=True)
+        np.testing.assert_array_equal(img.data, fresh.data)
+        np.testing.assert_array_equal(cos, fresh_cos)
+
+
+CAR = SemanticPrimitive(3, "cuboid", (6.0, 0.0, 0.75), (4.0, 1.8, 1.5))
+
+
+def test_render_builds_one_bvh_per_layout_and_tessellation(monkeypatch):
+    spec, scene, other = SensorSpec(rows=4, cols=16), Layout(primitives=(CAR,)), Layout(primitives=(replace(CAR, yaw=0.3),))
+    built = []
+    raycast._scene.cache_clear()
+    monkeypatch.setattr(raycast, "build_bvh", lambda mesh: built.append(mesh) or build_bvh(mesh))
+    for x in (0.0, 1.0, 2.0):
+        render_conditional(scene, spec, Pose((x, 0.0, 0.0), 0.0), tessellation=8)
+    assert len(built) == 1
+    render_conditional(Layout(primitives=[replace(CAR)]), spec, tessellation=8)  # equal, not the same object
+    assert len(built) == 1
+    render_conditional(scene, spec, tessellation=6)
+    assert len(built) == 2
+    render_conditional(other, spec, tessellation=6)
+    assert len(built) == 3
+    render_conditional(scene, spec, tessellation=6)  # one entry: the other layout displaced it
+    assert len(built) == 4
+
+
+def test_render_calls_a_replaced_build_bvh_for_a_memoized_layout(monkeypatch):
+    # A tracer or a test that wraps raycast.build_bvh sees the next render build.
+    scene, spec = Layout(primitives=(CAR,)), SensorSpec(rows=4, cols=16)
+    render_conditional(scene, spec)
+    built = []
+    monkeypatch.setattr(raycast, "build_bvh", lambda mesh: built.append(mesh) or build_bvh(mesh))
+    render_conditional(scene, spec)
+    assert len(built) == 1
 
 
 def test_render_digests_are_pinned():
@@ -631,6 +717,15 @@ def test_surface_sample_deterministic_and_validated():
 def test_surface_sample_rejects_a_density_that_is_not_finite_and_positive(density):
     mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (0, 0, 0), (1, 1, 1)))
     with pytest.raises(ValueError, match=re.escape(f"surface sample density must be finite and > 0, got {density}")):
+        surface_sample(mesh, density)
+
+
+@pytest.mark.parametrize("density, expected", [(1e12, "6e+12"), (1e300, "6e+300")])
+def test_surface_sample_rejects_a_density_over_the_point_budget(density, expected):
+    # 1e12 points/m2 on a unit cube failed allocating 43.7 TiB, 1e300 in rng.poisson.
+    mesh = mesh_primitive(SemanticPrimitive(0, "cuboid", (0, 0, 0), (1, 1, 1)))
+    message = f"surface sample density {density} points/m2 on 6 m2 expects {expected} points, over the budget of 1e7"
+    with pytest.raises(ValueError, match=re.escape(message)):
         surface_sample(mesh, density)
 
 
