@@ -85,7 +85,7 @@ def render_rays(origins, dirs, t_max, bvh):
 
     ray = np.arange(n)
     node = np.zeros(n, dtype=np.int64)
-    hits = []
+    hits = [(ray[:0], ray[:0], np.empty(0))]  # (ray, triangle, t); a frame may hit nothing
     while len(ray):
         box = np.take(bvh.bounds, node, axis=1)
         keep = _slab_hits(np.take(origins, ray, axis=1), np.take(inv, ray, axis=1), *np.split(box, 2), t_max)
@@ -109,8 +109,6 @@ def render_rays(origins, dirs, t_max, bvh):
         ray = np.concatenate([ray[inner], ray[inner]])
         node = np.concatenate([child, child + 1])
 
-    if not hits:
-        return out_t, out_i
     ray, tri, t = map(np.concatenate, zip(*hits))
     # Each ray's minimum t, then the lowest triangle index among its hits
     # within TIE_EPS of that minimum; a (ray, triangle) pair occurs once.

@@ -108,8 +108,8 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
     # level rather than once per neighbor.
     unlabeled = np.arange(n, dtype=np.int64)
     cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
         labels[i] = cluster
         unlabeled = unlabeled[labels[unlabeled] == NOISE]

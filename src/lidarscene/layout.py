@@ -298,14 +298,9 @@ class SceneParams:
 
 
 def _rect_corners(cx, cy, sx, sy, yaw):
-    c, s = math.cos(yaw), math.sin(yaw)
     hx, hy = sx / 2.0, sy / 2.0
-    return np.array(
-        [
-            (cx + c * dx - s * dy, cy + s * dx + c * dy)
-            for dx, dy in ((hx, hy), (hx, -hy), (-hx, -hy), (-hx, hy))
-        ]
-    )
+    dx, dy = rotate_yaw(np.array([hx, hx, -hx, -hx]), np.array([hy, -hy, -hy, hy]), yaw)
+    return np.stack([cx + dx, cy + dy], axis=1)
 
 
 def rects_overlap(a, b):

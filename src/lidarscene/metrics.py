@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import Layout, Pose, rotate_yaw
-from .sensor import LabeledPointCloud, RangeImage, SensorSpec, normalize_depth
+from .sensor import LabeledPointCloud, RangeImage, SensorSpec, normalize_depth, range_image_to_point_cloud
 
 
 #: Bins of the ``log_depth_features`` histogram.
@@ -153,9 +153,11 @@ def layout_consistency(
     points. The box floor is lifted 0.1 m so ground returns under an absent
     car never count toward its recall. bev_iou: IoU of the occupied BEV
     cells (1 m resolution) of the cloud versus the layout's own raycast
-    cloud. The cloud is taken in world frame.
+    cloud, its depth rounded through f32 as a frame read back from ``.lri``
+    is, so a surface on a cell edge falls on the same side in both. The
+    cloud is taken in world frame.
     """
-    from .raycast import render_point_cloud
+    from .raycast import render_conditional, sensor_to_world
 
     car_id = layout.label_by_name("car").id
     cars = [p for p in layout.primitives if p.label == car_id]
@@ -178,7 +180,8 @@ def layout_consistency(
     else:
         box_recall = 1.0
 
-    ref_cloud = render_point_cloud(layout, spec, pose)
+    ref = RangeImage(spec, render_conditional(layout, spec, pose).data.astype(np.float32))
+    ref_cloud = sensor_to_world(range_image_to_point_cloud(ref), spec, pose)
     grid = BevGrid((-80.0, 80.0), (-80.0, 80.0), 160)
     occ_a = bev_histogram(cloud, grid).probs > 0
     occ_b = bev_histogram(ref_cloud, grid).probs > 0

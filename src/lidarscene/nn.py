@@ -207,9 +207,8 @@ class Adam:
         self.t = dict.fromkeys(params, 0)
 
     def step(self, allowed):
-        for name, p in self.params.items():
-            if name not in allowed:
-                continue
+        for name in allowed:
+            p = self.params[name]
             self.t[name] += 1
             b1t = 1.0 - ADAM_BETA1 ** self.t[name]
             b2t = 1.0 - ADAM_BETA2 ** self.t[name]

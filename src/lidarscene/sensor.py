@@ -236,32 +236,25 @@ def write_point_cloud(path, cloud: LabeledPointCloud):
     ``# x y z label_id`` header, then one such line per point, the label as
     its exact int64. Coordinates round as printf rounds: the float's exact
     value to 6 decimals, ties to even, and a ``-`` on every negative value
-    and on -0.0. Below ``_FIXED_LIMIT`` that is ``rint(|x| * 1e6)`` over
-    whole arrays, except where the float product is exactly k + 1/2, which
-    is decided from ``float.as_integer_ratio``. A cloud with any |coordinate|
-    at or above 2**52 / 1e6 (about 4.5e9 m) goes through one ``%`` per
-    value. A non-finite point raises ``SensorError`` and writes nothing."""
+    and on -0.0. That is ``rint(|x| * 1e6)`` over whole arrays, except where
+    the float product is exactly k + 1/2, which is decided from
+    ``float.as_integer_ratio``. A non-finite point, or a |coordinate| of
+    ``_FIXED_LIMIT`` (2**52 / 1e6, about 4.5e9 m) or more, raises
+    ``SensorError`` and writes nothing."""
     points, labels = cloud.points, cloud.labels
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise SensorError(f"{path}: point {i} is not finite: {tuple(points[i].tolist())}")
-    if np.abs(points).max(initial=0.0) >= _FIXED_LIMIT:
-        rows = np.empty((len(points), 4), dtype=object)  # Python floats and ints
-        rows[:, :3], rows[:, 3] = points, labels
-        body = ("%.6f %.6f %.6f %d\n" * len(rows) % tuple(rows.ravel())).encode()
-    else:
-        body = _xyz_lines(points, labels)
+    bad = ~(np.abs(points) < _FIXED_LIMIT).all(axis=1)  # NaN compares False too
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "is not finite" if not np.isfinite(points[i]).all() else f"has a |coordinate| of {_FIXED_LIMIT} or more"
+        raise SensorError(f"{path}: point {i} {why}: {tuple(points[i].tolist())}")
     with open(path, "wb") as f:
-        f.write(b"# x y z label_id\n" + body)
+        f.write(b"# x y z label_id\n" + _xyz_lines(points, labels))
 
 
 def _xyz_lines(points, labels) -> bytes:
     """The point lines of ``write_point_cloud`` for finite points under
     ``_FIXED_LIMIT``: one uint8 row per byte position, with 0 for an unused
     sign or leading-zero position, dropped at the end."""
-    if not len(points):
-        return b""
     xyz = np.ascontiguousarray(points.T)  # component-major: each digit row reads contiguous values
     mag = np.abs(xyz)
     scaled = mag * 1e6
@@ -276,7 +269,7 @@ def _xyz_lines(points, labels) -> bytes:
     whole = q // 1_000_000
     label_mag = labels.astype(np.uint64)  # |-2**63| fits in uint64, not in int64
     label_mag = np.where(labels < 0, np.uint64(0) - label_mag, label_mag)
-    n_whole, n_label = len(str(int(whole.max()))), len(str(int(label_mag.max())))
+    n_whole, n_label = len(str(int(whole.max(initial=0)))), len(str(int(label_mag.max(initial=0))))
     width = n_whole + 9  # sign, whole digits, ".", 6 decimals, " "
     rows = np.zeros((3 * width + n_label + 2, len(points)), dtype=np.uint8)
     coords = rows[: 3 * width].reshape(3, width, -1)
@@ -296,7 +289,7 @@ def _put_digits(out, values, strip):
     """Write the decimal digits of the non-negative ints ``values`` as ASCII
     along ``out``'s second-to-last axis, units first. With ``strip``, the
     positions above a value's leading digit get 0."""
-    rest = values.astype(np.min_scalar_type(values.max()))  # narrow ints divide faster
+    rest = values.astype(np.min_scalar_type(values.max(initial=0)))  # narrow ints divide faster
     for j in range(out.shape[-2]):
         tens = rest // 10
         digit = (rest - 10 * tens) + ord("0")

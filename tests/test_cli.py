@@ -192,6 +192,17 @@ def test_render_surface_sample_over_the_point_budget_is_one_error_line(tmp_path,
     assert err.endswith(" points, over the budget of 1e7")
 
 
+def test_render_surface_sample_of_a_far_primitive_is_one_error_line(tmp_path, small_cfg, capsys):
+    scene = tmp_path / "far.layout"
+    car = SemanticPrimitive(3, "cuboid", (5e9, 0.0, 0.75), (4.0, 1.8, 1.5))
+    layout_mod.save_layout(scene, layout_mod.Layout(primitives=(car,)))
+    out = tmp_path / "surf.xyz"
+    rc = main(["render", "--layout", str(scene), "--sensor", small_cfg, "--surface-sample", "5", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(f"error: {out}: point 0 has a |coordinate| of {2.0**52 / 1e6} or more: (")
+
+
 @pytest.mark.parametrize(
     "first, second",
     [

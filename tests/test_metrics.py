@@ -15,8 +15,8 @@ from lidarscene.metrics import (
     log_depth_features,
     mmd,
 )
-from lidarscene.raycast import render_conditional, render_point_cloud
-from lidarscene.sensor import LabeledPointCloud, SensorSpec
+from lidarscene.raycast import render_conditional, render_point_cloud, sensor_to_world
+from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud, read_lri, write_lri
 
 
 def cloud_of(points):
@@ -181,6 +181,18 @@ def test_layout_consistency_self_is_perfect():
     recall, iou = layout_consistency(lay, cloud, spec, pose)
     assert recall == pytest.approx(1.0)
     assert iou == pytest.approx(1.0)
+
+
+def test_layout_consistency_of_a_frame_read_back_from_lri(tmp_path):
+    # The car's near face at x = 18 lies on a BEV cell edge; f32 depth moves its
+    # 4 points to 17.9999992, so the reference must be rounded the same way.
+    lay = Layout(primitives=(SemanticPrimitive(3, "cuboid", (20.0, 0.0, 0.75), (4.0, 1.8, 1.5)),))
+    spec = SensorSpec(rows=16, cols=128)
+    write_lri(tmp_path / "frame.lri", render_conditional(lay, spec))
+    cloud = range_image_to_point_cloud(read_lri(tmp_path / "frame.lri"))
+    recall, iou = layout_consistency(lay, sensor_to_world(cloud, spec, Pose()), spec)
+    assert len(cloud) == 4 and iou == 1.0
+    assert recall == 0.0  # 4 points, under CAR_MIN_POINTS
 
 
 def test_layout_consistency_missing_car_lowers_recall():

@@ -574,6 +574,11 @@ def test_render_rays_empty_inputs():
     t, i = _kernels.render_rays(np.empty((0, 3)), np.empty((0, 3)), 10.0, build_bvh(mesh))
     assert t.shape == i.shape == (0,)
     assert t.dtype == np.float64 and i.dtype == np.int64
+    # Every ray misses a non-empty BVH: one looks away, one falls short, one passes beside it.
+    origins, dirs = [[0.0, 0, 0], [0.0, 0, 0], [0.0, 5, 0]], [[-1.0, 0, 0], [1.0, 0, 0], [1.0, 0, 0]]
+    t, i = _kernels.render_rays(origins, dirs, 4.0, build_bvh(mesh))
+    assert t.tolist() == [-1.0] * 3 and i.tolist() == [-1] * 3
+    assert t.dtype == np.float64 and i.dtype == np.int64
 
 
 def test_render_rays_kernel_matches_brute(scene_mesh, scene_bvh):

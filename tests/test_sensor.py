@@ -366,8 +366,6 @@ coordinate = st.builds(lambda mag, neg: -mag if neg else mag, st.floats(1e-9, 4e
 @example(rows=[(t, np.nextafter(t, np.inf), np.nextafter(t, -np.inf), 7) for t in TIES])
 @example(rows=[(0.0, -0.0, -1e-9, 0), (5e-324, -5e-324, -2.2250738585072014e-308, -3)])
 @example(rows=[(np.nextafter(FIXED_LIMIT, 0.0), -np.nextafter(FIXED_LIMIT, 0.0), 1.0, 1)])
-# At and above the limit: 9732503960.16005 prints ...160049, rint(x * 1e6) ...160050.
-@example(rows=[(FIXED_LIMIT, 1.0, 0.0078125, 1), (9732503960.16005, -1000.0000005, 2.5e-06, 2)])
 def test_point_cloud_text_rounds_as_printf(tmp_path_factory, rows):
     points = np.array([r[:3] for r in rows], dtype=np.float64).reshape(-1, 3)
     labels = np.array([r[3] for r in rows], dtype=np.int64)
@@ -379,11 +377,10 @@ def test_point_cloud_text_rounds_as_printf(tmp_path_factory, rows):
     assert path.read_bytes() == ref.read_bytes()
 
 
-@pytest.mark.parametrize("scale", [1.0, 5e9], ids=["whole-array", "per-value"])
-def test_point_cloud_labels_keep_every_bit(tmp_path, scale):
+def test_point_cloud_labels_keep_every_bit(tmp_path):
     labels = [2**53 + 1, 2**63 - 1, -2**63, -1, 0]
     path = tmp_path / "cloud.xyz"
-    sensor.write_point_cloud(path, LabeledPointCloud(np.full((5, 3), 1.5 * scale), labels))
+    sensor.write_point_cloud(path, LabeledPointCloud(np.full((5, 3), 1.5), labels))
     assert [line.split()[3] for line in path.read_text().splitlines()[1:]] == [str(v) for v in labels]
     assert sensor.read_point_cloud(path).labels.tolist() == labels
 
@@ -394,6 +391,18 @@ def test_write_point_cloud_rejects_non_finite_points(tmp_path, value):
     points[2, 1] = points[3, 0] = value
     path = tmp_path / "cloud.xyz"
     with pytest.raises(sensor.SensorError, match=re.escape(f"{path}: point 2 is not finite: (0.0, {value}, 0.0)")):
+        sensor.write_point_cloud(path, LabeledPointCloud(points))
+    assert not path.exists()
+
+
+# 9732503960.16005 would print ...160049, while rint(x * 1e6) gives ...160050.
+@pytest.mark.parametrize("value", [FIXED_LIMIT, 5e9, -9732503960.16005])
+def test_write_point_cloud_rejects_coordinates_at_or_over_the_limit(tmp_path, value):
+    points = np.zeros((4, 3))
+    points[2, 1] = points[3, 0] = value
+    path = tmp_path / "cloud.xyz"
+    message = f"{path}: point 2 has a |coordinate| of {FIXED_LIMIT} or more: (0.0, {value}, 0.0)"
+    with pytest.raises(sensor.SensorError, match=re.escape(message)):
         sensor.write_point_cloud(path, LabeledPointCloud(points))
     assert not path.exists()
 

@@ -1,0 +1,55 @@
+"""Print the three size tallies of ROADMAP aim 2 for the source tree.
+
+- lines: the lines of every ``src/lidarscene/*.py`` file (``cat | wc -l``);
+- defaulted settings: every parameter default (positional and keyword-only)
+  of every function and lambda, plus every field default of every
+  ``@dataclass`` class, counted from the syntax tree;
+- config keys: ``len(config.SCHEMA)``.
+
+Run from anywhere: ``python3 tools/tally.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "lidarscene"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def defaulted_settings(tree: ast.AST) -> int:
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def main() -> None:
+    files = sorted(PACKAGE.glob("*.py"))
+    texts = [f.read_text(encoding="utf-8") for f in files]
+    lines = sum(t.count("\n") for t in texts)
+    settings = sum(defaulted_settings(ast.parse(t)) for t in texts)
+    sys.path.insert(0, str(SRC))
+    from lidarscene import config
+
+    print(f"source lines: {lines:,}")
+    print(f"defaulted settings: {settings}")
+    print(f"config keys: {len(config.SCHEMA)}")
+
+
+if __name__ == "__main__":
+    main()
