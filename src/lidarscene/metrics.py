@@ -68,28 +68,39 @@ def jsd(p: Histogram, q: Histogram) -> float:
     return 0.5 * kl(pp, m) + 0.5 * kl(qq, m)
 
 
+def _tree(points):
+    """The kd-tree of a nonempty point set; ``tree.data`` holds its points as float64."""
+    from scipy.spatial import cKDTree
+
+    points = np.asarray(points, dtype=np.float64)
+    if len(points) == 0:
+        raise MetricError("chamfer requires nonempty sets")
+    return cKDTree(points)
+
+
+def _chamfer(x, y) -> float:
+    """``chamfer`` of the point sets of two ``_tree``s."""
+    d_xy, _ = y.query(x.data)
+    d_yx, _ = x.query(y.data)
+    return float(np.mean(d_xy**2) + np.mean(d_yx**2))
+
+
 def chamfer(x, y) -> float:
     """Symmetric mean squared nearest-neighbor distance between two point
     sets (kd-tree accelerated; equals the brute-force double loop)."""
-    from scipy.spatial import cKDTree
-
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) == 0 or len(y) == 0:
-        raise MetricError("chamfer requires nonempty sets")
-    d_xy, _ = cKDTree(y).query(x)
-    d_yx, _ = cKDTree(x).query(y)
-    return float(np.mean(d_xy**2) + np.mean(d_yx**2))
+    return _chamfer(_tree(x), _tree(y))
 
 
 def mmd(gen_clouds, ref_clouds) -> float:
     """Minimum matching distance: mean over reference clouds of the
-    minimum Chamfer distance to any generated cloud."""
+    minimum Chamfer distance to any generated cloud. Each cloud's kd-tree is
+    built once, not once per pair."""
     if not gen_clouds or not ref_clouds:
         raise MetricError("mmd requires nonempty cloud sets")
+    gens = [_tree(gen) for gen in gen_clouds]
     total = 0.0
-    for ref in ref_clouds:
-        total += min(chamfer(gen, ref) for gen in gen_clouds)
+    for ref in map(_tree, ref_clouds):
+        total += min(_chamfer(gen, ref) for gen in gens)
     return total / len(ref_clouds)
 
 

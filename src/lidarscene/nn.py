@@ -2,8 +2,10 @@
 gradients. Only what the score network needs: 3x3/1x1 convolutions, dense
 layers, SiLU, per-sample feature modulation, and 2x pooling/upsampling.
 
-Every layer caches its forward inputs and consumes them in ``backward``,
-which accumulates parameter gradients and returns the input gradient.
+Every layer caches its forward inputs, by reference, and consumes them in
+``backward``, which accumulates parameter gradients and returns the input
+gradient; so a caller must not modify an input in place between a layer's
+forward and backward (nothing in the package does).
 A convolution's backward computes only the gradients its caller needs:
 ``params=False`` skips a frozen layer's weight gradient, and
 ``inputs=False`` the input gradient of a network's input, which nothing
@@ -17,7 +19,11 @@ suite.
 turns the zero-padded input into one column per pixel holding its k x k
 patch, so the forward pass and the weight gradient are matrix products with
 those columns. A 1x1 patch is the pixel itself, so a 1x1 convolution's
-columns are its input, reshaped without a copy. The input gradient needs no
+columns are its input, reshaped without a copy. A 3x3 layer's columns are
+9x its input, so they are a temporary of each product, not a cache: forward
+keeps only its input, and backward rebuilds the columns when it forms a
+weight gradient (rematerialisation, Chen et al., 2016). A forward-only call
+(sampling) or a frozen layer never holds them. The input gradient needs no
 scatter back (col2im):
 dx[c, y, x] = sum_{o,i,j} w[o, c, i, j] dy[o, y+p-i, x+p-j] with p = k // 2
 is itself a same-padded convolution, of dy with the kernel flipped in both
@@ -64,39 +70,41 @@ def _im2col(x, k):
 
 
 class Conv2d:
-    """Same-padded 2D convolution (odd kernel size, stride 1)."""
+    """Same-padded 2D convolution (odd kernel size, stride 1). Forward keeps
+    its input by reference for backward, not the input's columns."""
 
     def __init__(self, cin, cout, ksize, rng, dtype=np.float32):
         self.cin, self.cout, self.ksize = cin, cout, ksize
         scale = 1.0 / np.sqrt(cin * ksize * ksize)
         self.w = Param(_uniform(rng, scale, (cout, cin, ksize, ksize), dtype))
         self.b = Param(_uniform(rng, scale, (cout,), dtype))
-        self._cache = None
+        self._x = None
 
     def named_params(self, prefix):
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
     def forward(self, x):
         b, _, h, w = x.shape
-        cols = _im2col(x, self.ksize)
-        y = self.w.value.reshape(self.cout, -1) @ cols
+        y = self.w.value.reshape(self.cout, -1) @ _im2col(x, self.ksize)
         y += self.b.value[:, None]
-        self._cache = (cols, x.shape)
+        self._x = x
         return y.reshape(b, self.cout, h, w)
 
     def backward(self, dy, params=True, inputs=True):
         """Accumulates dW and db unless ``params`` is False; returns dx, or
-        None when ``inputs`` is False."""
-        cols, xshape = self._cache
-        b, c, h, w = xshape
+        None when ``inputs`` is False. Only the weight gradient rebuilds the
+        input's columns."""
+        x = self._x
+        b, c, h, w = x.shape
         if params:
             dyf = dy.reshape(b, self.cout, h * w)
-            self.w.grad += (dyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.value.shape)
+            dw = (_im2col(x, self.ksize) @ dyf.transpose(0, 2, 1)).sum(axis=0).T
+            self.w.grad += dw.reshape(self.w.value.shape)
             self.b.grad += dyf.sum(axis=(0, 2))
         if not inputs:
             return None
         wt = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        return (wt @ _im2col(dy, self.ksize)).reshape(xshape)
+        return (wt @ _im2col(dy, self.ksize)).reshape(x.shape)
 
 
 class Dense:

@@ -292,7 +292,8 @@ class ScoreModel:
     def forward(self, x, sigma, cond=None, adapter: ControlAdapter | None = None):
         """Score estimate, same shape as x. With `adapter` and `cond`, runs
         the conditional pathway (identical to the unconditional forward
-        while the fusion convolutions are all zero)."""
+        while the fusion convolutions are all zero). An ``x`` of the model's
+        dtype is not copied: the layers keep it until ``backward``."""
         x = np.asarray(x, dtype=self.config.dtype)
         if x.ndim != 4 or x.shape[1] != IN_CHANNELS:
             raise ScoreNetError(f"expected (B, {IN_CHANNELS}, H, W), got {x.shape}")
@@ -306,6 +307,9 @@ class ScoreModel:
             if cond is None:
                 raise ScoreNetError("adapter requires a conditional image")
             cond = np.asarray(cond, dtype=self.config.dtype)
+            want = (x.shape[0], COND_CHANNELS) + x.shape[2:]
+            if cond.shape != want:
+                raise ScoreNetError(f"expected cond of shape {want}, got {cond.shape}")
             hint = adapter.hint.forward(cond)
             a_skips = adapter.encoder.forward(x, emb, hint=hint)
             controls = [z.forward(s) for z, s in zip(adapter.fusions, a_skips)]
@@ -466,6 +470,8 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
     adapter = state.adapter if conditional else None
     if len(images) == 0:
         raise ScoreNetError("empty dataset")
+    if conditional and len(conds) != len(images):
+        raise ScoreNetError(f"dataset has {len(images)} images but {len(conds)} conditions")
 
     optimizer = Adam(state.params(), lr=config.lr)
     rng = np.random.default_rng(np.random.Philox(config.seed))

@@ -131,6 +131,27 @@ def test_mmd_single_generated():
     assert mmd([g], refs) == pytest.approx(expect, rel=1e-12)
 
 
+def test_mmd_builds_each_tree_once_and_equals_its_definition_exactly(monkeypatch):
+    import scipy.spatial
+
+    rng = np.random.default_rng(10)
+    gens = [rng.normal(size=(int(rng.integers(5, 60)), 3)) for _ in range(16)]
+    refs = [rng.normal(size=(int(rng.integers(5, 60)), 3)) for _ in range(16)]
+    expect = sum(min(chamfer(g, r) for g in gens) for r in refs) / len(refs)
+    builds = []
+
+    def counted(points, *args, **kwargs):
+        builds.append(len(points))
+        return tree(points, *args, **kwargs)
+
+    tree = scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    assert mmd(gens, refs) == expect
+    assert len(builds) == len(gens) + len(refs)  # not two per (gen, ref) pair
+    with pytest.raises(MetricError, match="^chamfer requires nonempty sets$"):
+        mmd(gens, refs + [np.empty((0, 3))])
+
+
 def test_frechet_self_and_symmetry():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(300, 8))

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +56,73 @@ def test_conv2d_matches_nested_loop_convolution(dtype, tol, ksize, hw):
         np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=tol)
         np.testing.assert_allclose(conv.w.grad, dw_ref, rtol=0, atol=tol)
         np.testing.assert_allclose(conv.b.grad, db_ref, rtol=0, atol=tol)
+
+
+def _conv_backward_from_cached_columns(conv, x, dy):
+    """dW, db and dx as formed when the layer cached its input's columns in
+    forward: dW = sum over the batch of dy @ cols^T."""
+    b, c, h, w = x.shape
+    cols = _im2col_reference(x, conv.ksize)
+    dyf = dy.reshape(b, conv.cout, h * w)
+    dw = (dyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(conv.w.value.shape)
+    wt = conv.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    return dw, dyf.sum(axis=(0, 2)), (wt @ _im2col_reference(dy, conv.ksize)).reshape(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ksize", [1, 3])
+@pytest.mark.parametrize("batch", [1, 8, 16])
+def test_conv2d_backward_equals_cached_column_formulas(dtype, ksize, batch):
+    """Rebuilding the columns in backward and forming dW as
+    (cols @ dy^T)^T gives the same bits as the cached-column formulas, at the
+    model's image sizes and channel counts; the pinned training digests
+    rest on this."""
+    for (h, w), cin, cout in itertools.product([(16, 128), (8, 64), (4, 32)], [1, 2, 8, 16], [1, 16]):
+        rng = np.random.default_rng(batch * 1000 + h + cin * 10 + cout)
+        conv = nn.Conv2d(cin, cout, ksize, rng, dtype)
+        # magnitudes spread over 7 decades, so a change of summation order would show
+        x = (rng.standard_normal((batch, cin, h, w)) * np.exp(rng.uniform(-8.0, 8.0, (batch, cin, h, w)))).astype(dtype)
+        dy = rng.standard_normal((batch, cout, h, w)).astype(dtype)
+        conv.forward(x)
+        dx = conv.backward(dy)
+        dw_ref, db_ref, dx_ref = _conv_backward_from_cached_columns(conv, x, dy)
+        np.testing.assert_array_equal(conv.w.grad, dw_ref)
+        np.testing.assert_array_equal(conv.b.grad, db_ref)
+        np.testing.assert_array_equal(dx, dx_ref)
+
+
+def test_conv2d_forward_keeps_no_column_copy():
+    """A 3x3 layer holds its input by reference and no k*k-times copy of it,
+    so a forward (the sampler's, or a frozen layer's) leaves only its output
+    allocated; with cached columns it left 10x that."""
+    rng = np.random.default_rng(3)
+    conv = nn.Conv2d(16, 16, 3, rng, np.float32)
+    x = rng.standard_normal((8, 16, 16, 128)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv.forward(x)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * y.nbytes
+
+
+@pytest.mark.parametrize(
+    "flags, calls", [({}, 2), ({"params": False}, 1), ({"inputs": False}, 1)], ids=["both", "dx-only", "dw-only"]
+)
+def test_conv2d_backward_builds_columns_only_for_the_gradients_it_forms(monkeypatch, flags, calls):
+    rng = np.random.default_rng(4)
+    conv = nn.Conv2d(2, 4, 3, rng, np.float64)
+    x = rng.standard_normal((2, 2, 4, 8))
+    conv.forward(x)
+    built = []
+    im2col = nn._im2col
+    monkeypatch.setattr(nn, "_im2col", lambda a, k: built.append(a) or im2col(a, k))
+    conv.backward(rng.standard_normal((2, 4, 4, 8)), **flags)
+    assert len(built) == calls
+    if flags.get("inputs", True) is False:
+        assert built[0] is x  # the weight gradient's columns, rebuilt from the kept input
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

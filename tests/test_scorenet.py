@@ -599,6 +599,28 @@ def test_forward_adapter_requires_a_condition():
 
 
 @pytest.mark.parametrize(
+    "shape", [(2, 8, 16), (1, 1, 8, 16), (1, 3, 8, 16), (2, 2, 8, 16), (1, 2, 4, 16), (1, 2, 8, 32)],
+    ids=["3d", "one-channel", "three-channels", "batch", "height", "width"],
+)
+def test_forward_rejects_a_cond_not_shaped_like_x(shape):
+    model = ScoreModel(TINY64, seed=30)
+    x = np.zeros((1, 1, 8, 16))
+    message = re.escape(f"expected cond of shape (1, 2, 8, 16), got {shape}")
+    with pytest.raises(ScoreNetError, match=f"^{message}$"):
+        model.forward(x, 0.5, cond=np.zeros(shape), adapter=ControlAdapter(model, seed=31))
+
+
+@pytest.mark.parametrize("conds", [1, 3], ids=["fewer-conds", "more-conds"])
+def test_train_rejects_a_conditional_dataset_of_unequal_counts(conds):
+    state = TrainState(model=ScoreModel(TINY64, seed=32), schedule=NoiseSchedule())
+    state.adapter = ControlAdapter(state.model, seed=33)
+    dataset = (make_dataset(n=2), make_dataset(n=conds, shape=(2, 8, 16)))
+    with pytest.raises(ScoreNetError, match=f"^dataset has 2 images but {conds} conditions$"):
+        train(state, dataset, TrainConfig(steps=2, batch_size=2, phase="b"))
+    assert state.step == 0
+
+
+@pytest.mark.parametrize(
     "phase, dataset, message",
     [
         ("a", (make_dataset(n=2), make_dataset(n=2, shape=(2, 8, 16))), "conditional phase requires an adapter"),
