@@ -86,43 +86,67 @@ def dbscan(points, params: ClusterParams) -> np.ndarray:
     """Per-point cluster ids (NOISE = -1) under standard DBSCAN with
     Euclidean closed-ball eps-neighborhoods (each point neighbors itself).
     Seeds are scanned in ascending index order; border points join the
-    first cluster that claims them.
+    first cluster that claims them, which is the lowest cluster id.
 
-    Clusters expand breadth-first in batches: each level gathers the
-    neighborhoods of all unexpanded core points on the frontier in one
-    k-d tree query, which keeps the heavy work vectorized. The resulting
-    partition is identical to the textbook one-point-at-a-time expansion,
-    because within a single cluster the reachable set does not depend on
-    visit order.
+    No neighborhood is enumerated. One k-d tree query for each point's
+    ``min_pts`` nearest neighbors within eps decides the core points: a
+    point is core iff its ``min_pts``-th distance, itself included, is at
+    most eps. The core-to-core pairs that query returns split the core
+    points into fragments, each inside a single cluster (labelled by
+    min-label hooking and pointer jumping). A cluster then grows
+    breadth-first from its seed's fragment: each level builds a k-d tree
+    on the cores it added last, asks which unlabeled points inside its
+    box lie within eps of them, and adds every fragment of a core point it
+    reaches whole. Within a single cluster the reachable set does not
+    depend on visit order, so the ids equal the textbook
+    one-point-at-a-time expansion's.
     """
     from scipy.spatial import cKDTree
 
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = len(points)
+    n, eps = len(points), params.eps
+    reach = eps * (1.0 + 1e-12)  # a tree bound that drops no distance <= eps
+    dist, nbr = cKDTree(points).query(points, k=params.min_pts, distance_upper_bound=reach)
+    dist, nbr = dist.reshape(n, params.min_pts), nbr.reshape(n, params.min_pts)
+    core = dist[:, -1] <= eps
+
+    # Fragments: components of the core-to-core k-NN pairs within eps,
+    # each named by its lowest index.
+    rows, cols = np.nonzero(dist <= eps)
+    u, v = rows, nbr[rows, cols]
+    both = core[u] & core[v]
+    u, v = u[both], v[both]
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        # Hook the larger root under the smaller, then jump to the roots.
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+
     labels = np.full(n, NOISE, dtype=np.int64)  # NOISE until a cluster claims the point
-    tree = cKDTree(points)
-    core = tree.query_ball_point(points, params.eps, return_length=True) >= params.min_pts
-    # Inverted frontier query: instead of enumerating each core point's
-    # (possibly huge) ball, each level asks which unlabeled points lie
-    # within eps of the frontier set, so every point is touched once per
-    # level rather than once per neighbor.
     unlabeled = np.arange(n, dtype=np.int64)
     cluster = 0
     for i in np.flatnonzero(core):
         if labels[i] != NOISE:
             continue
-        labels[i] = cluster
-        unlabeled = unlabeled[labels[unlabeled] == NOISE]
-        frontier = np.array([i], dtype=np.int64)
+        frontier = np.flatnonzero(core & (root == root[i]))
         while len(frontier):
-            ftree = cKDTree(points[frontier])
-            dist, _ = ftree.query(
-                points[unlabeled], k=1, distance_upper_bound=params.eps * (1.0 + 1e-12)
-            )
-            new = unlabeled[dist <= params.eps]
+            labels[frontier] = cluster
+            unlabeled = unlabeled[labels[unlabeled] == NOISE]
+            fp = points[frontier]
+            # One ulp past the rounded box edge keeps every point within reach.
+            lo = np.nextafter(fp.min(axis=0) - reach, -np.inf)
+            hi = np.nextafter(fp.max(axis=0) + reach, np.inf)
+            up = points[unlabeled]
+            cand = unlabeled[((up >= lo) & (up <= hi)).all(axis=1)]
+            d, _ = cKDTree(fp).query(points[cand], distance_upper_bound=reach)
+            new = cand[d <= eps]
             labels[new] = cluster
-            unlabeled = unlabeled[dist > params.eps]
-            frontier = new[core[new]]
+            frontier = np.flatnonzero(core & np.isin(root, root[new[core[new]]]))
         cluster += 1
     return labels
 

@@ -536,10 +536,15 @@ def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerC
 def model_score_fn(model: ScoreModel, adapter: ControlAdapter | None = None, cond=None):
     """Adapt a ScoreModel (optionally conditioned) to the sampler's
     score_fn(x, sigma) interface for a (B, C, H, W) batch x; ``cond`` is one
-    (C, H, W) image for every row, or a batch of them."""
+    (C, H, W) or (1, C, H, W) image for every row, or a batch of them, which
+    ``ScoreModel.forward`` checks against x."""
+    if cond is not None:
+        cond = np.asarray(cond)
+        cond = cond[None] if cond.ndim == 3 else cond
 
     def fn(x, sigma):
-        cb = None if cond is None else np.broadcast_to(cond, x.shape[:1] + cond.shape[-3:])
+        one = cond is not None and cond.shape[:1] == (1,)
+        cb = np.broadcast_to(cond, x.shape[:1] + cond.shape[1:]) if one else cond
         return model.forward(x, sigma, cond=cb, adapter=adapter).astype(np.float64)
 
     return fn

@@ -226,6 +226,8 @@ def read_lri(path) -> RangeImage:
     return RangeImage(SensorSpec(h, w, *geometry), data)
 
 
+#: The first line of every ``.xyz`` file that ``write_point_cloud`` writes.
+_XYZ_HEADER = "# x y z label_id\n"
 #: Below this |coordinate|, |x| * 1e6 is under 2**52, where every k + 1/2 is
 #: a float, so rounding the float product cannot cross a half.
 _FIXED_LIMIT = 2.0**52 / 1e6
@@ -248,7 +250,7 @@ def write_point_cloud(path, cloud: LabeledPointCloud):
         why = "is not finite" if not np.isfinite(points[i]).all() else f"has a |coordinate| of {_FIXED_LIMIT} or more"
         raise SensorError(f"{path}: point {i} {why}: {tuple(points[i].tolist())}")
     with open(path, "wb") as f:
-        f.write(b"# x y z label_id\n" + _xyz_lines(points, labels))
+        f.write(_XYZ_HEADER.encode() + _xyz_lines(points, labels))
 
 
 def _xyz_lines(points, labels) -> bytes:
@@ -298,8 +300,15 @@ def _put_digits(out, values, strip):
 
 
 def read_point_cloud(path) -> LabeledPointCloud:
+    """Points and labels of an ``.xyz`` file. Text in ``write_point_cloud``'s
+    form is parsed by ``_parse_xyz`` over whole arrays; any other text goes
+    line by line, which names the ``path:line`` of the first bad line."""
+    text = read_text(path, SensorError)
+    parsed = _parse_xyz(text)
+    if parsed is not None:
+        return LabeledPointCloud(*parsed)
     pts, labels = [], []
-    for ln, line in text_lines(read_text(path, SensorError)):
+    for ln, line in text_lines(text):
         parts = line.split()
         if len(parts) != 4:
             raise SensorError(f"{path}:{ln}: expected 'x y z label_id'")
@@ -313,3 +322,43 @@ def read_point_cloud(path) -> LabeledPointCloud:
         except ValueError as exc:
             raise SensorError(f"{path}:{ln}: {exc}") from None
     return LabeledPointCloud(np.array(pts).reshape(-1, 3), np.array(labels, dtype=np.int64))
+
+
+def _parse_xyz(text):
+    """(points, labels) of ``.xyz`` text as ``write_point_cloud`` writes it:
+    ``_XYZ_HEADER``, then lines ``-?D.DDDDDD -?D.DDDDDD -?D.DDDDDD -?D``
+    with 1-9 integer digits per coordinate, 1-18 label digits, single spaces
+    and a final "\n"; None for any other text. A coordinate is its digits as
+    one int64 over 1e6, which rounds as ``float`` does because the digits
+    stay under 2**53."""
+    if not text.startswith(_XYZ_HEADER):
+        return None
+    raw = text[len(_XYZ_HEADER) :].encode("utf-8")
+    if raw[-1:] not in (b"", b"\n") or raw.translate(None, b"0123456789-. \n"):
+        return None
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(b <= ord(" "))  # " " and "\n"
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    if len(ends) % 4 or (b[ends].reshape(-1, 4) != list(b"   \n")).any():
+        return None
+    neg = (b[starts] == ord("-")).reshape(-1, 4)
+    dots = ends.reshape(-1, 4)[:, :3] - 7
+    last = np.concatenate((dots, ends[3::4, None]), axis=1) - 1  # each field's last whole digit
+    count = last + 1 - starts.reshape(-1, 4) - neg  # under 1 for an empty field
+    if (
+        np.count_nonzero(b == ord("-")) != np.count_nonzero(neg)
+        or np.count_nonzero(b == ord(".")) != dots.size
+        or (b[dots] != ord(".")).any()
+        or not ((count >= 1) & (count <= [9, 9, 9, 18])).all()
+    ):
+        return None
+    # Every other byte of a field is now a digit.
+    value = np.zeros(count.shape, dtype=np.int64)
+    for j in range(int(count.max(initial=0))):
+        value += np.where(j < count, b[last - j] - ord("0"), 0) * np.int64(10**j)
+    micro = value[:, :3]
+    for j in range(1, 7):
+        micro = micro * 10 + (b[dots + j] - ord("0"))
+    points = micro / 1e6
+    np.negative(points, out=points, where=neg[:, :3])  # "-0.000000" is -0.0
+    return points, np.where(neg[:, 3], -value[:, 3], value[:, 3])

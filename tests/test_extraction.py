@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lidarscene.extraction import (
     NOISE,
@@ -13,9 +15,10 @@ from lidarscene.extraction import (
     fit_box,
     unproject_depth_semantic,
 )
-from lidarscene.layout import Layout, Pose, SemanticPrimitive
-from lidarscene.raycast import render_point_cloud
-from lidarscene.sensor import LabeledPointCloud, SensorSpec
+from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
+from lidarscene.raycast import render_conditional, render_point_cloud, sensor_to_world
+from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud
+from test_raycast import STREET_PARAMS, STREET_POSE_X
 
 
 def dbscan_reference(points, eps, min_pts):
@@ -118,7 +121,79 @@ def test_dbscan_matches_reference_randomized():
         min_pts = int(rng.integers(2, 12))
         ours = dbscan(pts, ClusterParams(eps, min_pts))
         ref = dbscan_reference(pts, eps, min_pts)
-        assert same_partition(ours, ref), f"trial {trial}"
+        np.testing.assert_array_equal(ours, ref, err_msg=f"trial {trial}")
+
+
+def test_dbscan_ids_equal_the_reference_on_criterion_4_sets():
+    # The 200 sets of criterion 4, which compares partitions: here the ids.
+    rng = np.random.default_rng(100)
+    for trial in range(200):
+        n = int(rng.integers(5, 501))
+        pts = rng.uniform(0, rng.uniform(0.5, 5.0), size=(n, 3))
+        params = ClusterParams(eps=float(rng.uniform(0.05, 1.0)), min_pts=int(rng.integers(2, 15)))
+        np.testing.assert_array_equal(
+            dbscan(pts, params), dbscan_reference(pts, params.eps, params.min_pts), err_msg=f"trial {trial}"
+        )
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_fewer_points_than_min_pts_are_noise(n):
+    labels = dbscan(np.zeros((n, 3)), ClusterParams(1.0, 5))
+    assert labels.dtype == np.int64 and labels.tolist() == [NOISE] * n
+
+
+def _stacked_line(x0, step, stacks):
+    """Three points 1 mm apart at each of ``stacks`` x positions."""
+    return np.array([[x0 + step * i, 0.001 * k, 0.0] for i in range(stacks) for k in range(3)])
+
+
+@pytest.mark.parametrize("b_first", [False, True])
+def test_dense_blobs_joined_by_one_pair_outside_each_knn_graph(b_first):
+    # Each blob ends in one point; the two ends are 0.29 apart, within eps,
+    # but each end's 4 nearest points lie in its own blob, so no k-NN pair
+    # joins the blobs and only the frontier step can.
+    a = np.vstack([_stacked_line(0.0, 0.05, 7), [[0.35, 0.0, 0.0]]])
+    b = np.vstack([_stacked_line(0.99, -0.05, 7), [[0.64, 0.0, 0.0]]])
+    pts = np.vstack([b, a] if b_first else [a, b])
+    params = ClusterParams(0.3, 4)
+    _, nbr = cKDTree(pts).query(pts, k=params.min_pts)
+    side = np.arange(len(pts)) < len(a)
+    assert (side[nbr] == side[:, None]).all()
+    labels = dbscan(pts, params)
+    assert labels.tolist() == [0] * len(pts)
+    np.testing.assert_array_equal(labels, dbscan_reference(pts, params.eps, params.min_pts))
+
+
+@pytest.mark.parametrize("order", ["pqb", "qpb", "bqp"])
+def test_border_point_of_two_clusters_takes_the_lower_id(order):
+    # b lies within eps of one core of p and one of q and is not core itself.
+    groups = {
+        "p": np.array([[-0.1 * i, 0.0, 0.0] for i in range(6)]),
+        "q": np.array([[1.0 + 0.1 * i, 0.0, 0.0] for i in range(6)]),
+        "b": np.array([[0.5, 0.0, 0.0]]),
+    }
+    pts = np.vstack([groups[g] for g in order])
+    params = ClusterParams(0.55, 5)
+    labels = dbscan(pts, params)
+    by_group = dict(zip(order, np.split(labels, np.cumsum([len(groups[g]) for g in order])[:-1])))
+    assert sorted({int(by_group["p"][0]), int(by_group["q"][0])}) == [0, 1]
+    assert by_group["b"].tolist() == [0]
+    np.testing.assert_array_equal(labels, dbscan_reference(pts, params.eps, params.min_pts))
+
+
+def test_street_frame_layouts_are_pinned():
+    # extract_layout over the 10 street poses of seed 0's street scene: the
+    # primitive counts and a sha256 of each layout's primitives' repr.
+    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
+    counts, digest = [], hashlib.sha256()
+    for x in STREET_POSE_X:
+        pose = Pose((float(x), 0.0, 0.0), 0.0)
+        img = render_conditional(scene, spec, pose, tessellation=16)
+        out = extract_layout(sensor_to_world(range_image_to_point_cloud(img), spec, pose))
+        counts.append(len(out.primitives))
+        digest.update(repr(out.primitives).encode())
+    assert counts == [8, 7, 12, 13, 14, 12, 16, 17, 13, 10]
+    assert digest.hexdigest() == "a0e32e9cfc567a6414e23c4e1779ad0b46a04b0cdcfff2a8ba8fe52d5aa55137"
 
 
 def test_fit_box_axis_aligned_rectangle():

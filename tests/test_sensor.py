@@ -377,6 +377,64 @@ def test_point_cloud_text_rounds_as_printf(tmp_path_factory, rows):
     assert path.read_bytes() == ref.read_bytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(coordinate, coordinate, coordinate, st.integers(-2**63, 2**63 - 1)), max_size=30))
+@example(rows=[(0.0, -0.0, -1e-9, 0), (999999999.9999994, -999999999.9999994, 1e9, -(10**18) + 1)])
+@example(rows=[(1.5, 2.5, 3.5, 10**18), (-4e9, 4e9, 0.5, -(2**63))])
+def test_whole_array_read_equals_the_line_read(tmp_path_factory, rows):
+    # The writer's text takes the whole-array path unless a coordinate has
+    # 10 integer digits or a label 19 digits; tabs for spaces force the line
+    # by line path. Both must give the same bits, -0.0 included.
+    points = np.array([r[:3] for r in rows], dtype=np.float64).reshape(-1, 3)
+    labels = np.array([r[3] for r in rows], dtype=np.int64)
+    path = tmp_path_factory.mktemp("xyz") / "cloud.xyz"
+    sensor.write_point_cloud(path, LabeledPointCloud(points, labels))
+    text = path.read_text()
+    short = (np.abs(points) < 999999999.9999995).all() and (np.abs(labels) < 10**18).all()
+    assert (sensor._parse_xyz(text) is not None) == short
+    whole = sensor.read_point_cloud(path)
+    path.write_text(text.replace(" ", "\t"))
+    assert sensor._parse_xyz(path.read_text()) is None or not rows
+    by_line = sensor.read_point_cloud(path)
+    assert whole.points.tobytes() == by_line.points.tobytes()
+    assert whole.labels.tobytes() == by_line.labels.tobytes()
+
+
+ROW = [1.0, 2.0, 3.0, 4]
+
+
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        ("1.000000 2.000000 3.000000 4", [ROW]),
+        (" 1.000000 2.000000 3.000000 4\n", [ROW]),
+        ("1.000000  2.000000 3.000000 4\n", [ROW]),
+        ("1.000000 2.000000 3.000000 4 \n", [ROW]),
+        ("\n1.000000 2.000000 3.000000 4 # a comment\n", [ROW]),
+        ("1.0 2.000000 3.000000 4\n", [ROW]),
+        ("1.00000000 22.00000 3.000000 4\n", [[1.0, 22.0, 3.0, 4]]),  # three points, two misplaced
+        ("1.000000 2.000000 3.000000 \u0664\n", [ROW]),  # int() reads an Arabic-Indic 4
+        ("-.500000 1_0.000000 3.000000 4\n", [[-0.5, 10.0, 3.0, 4]]),
+        ("1.000000 2.000000 3.000000 4.0\n", ":2: invalid literal for int()"),
+        ("1.000000 2-.000000 3.000000 4\n", ":2: could not convert string to float"),
+        ("1.000000 2.000000 3.000000 4\n1.000000 2.000000 3.000000\n", ":3: expected 'x y z label_id'"),
+        ("1.000000 2.000000 3.000000 \n", ":2: expected 'x y z label_id'"),
+        ("1.000000 2.000000\n3.000000 4\n", ":2: expected 'x y z label_id'"),
+    ],
+)
+def test_text_outside_the_writer_form_is_read_line_by_line(tmp_path, body, want):
+    text = "# x y z label_id\n" + body
+    assert sensor._parse_xyz(text) is None
+    path = tmp_path / "cloud.xyz"
+    path.write_text(text, encoding="utf-8")
+    if isinstance(want, str):
+        with pytest.raises(sensor.SensorError, match=re.escape(f"{path}{want}")):
+            sensor.read_point_cloud(path)
+    else:
+        cloud = sensor.read_point_cloud(path)
+        assert np.column_stack([cloud.points, cloud.labels]).tolist() == want
+
+
 def test_point_cloud_labels_keep_every_bit(tmp_path):
     labels = [2**53 + 1, 2**63 - 1, -2**63, -1, 0]
     path = tmp_path / "cloud.xyz"
