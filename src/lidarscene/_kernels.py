@@ -10,12 +10,39 @@ internal node (``count == 0``) has children ``first`` and ``first + 1``. The
 all-triangle oracle ``raycast.intersect_brute`` shares the triangle test, so
 both give bit-identical t; it checks the traversal's culling and winner rule.
 
+The slab test culls in float32 and every hit is decided in float64. Once per
+call, ``_float32_frame`` subtracts a reference point (the root box's centre)
+from the boxes and the ray origins in float64, grows every box outward by
+``CULL_MARGIN * S``, S being the frame scale (the largest coordinate of the
+root box and the origins about that point), rounds the reach t_max + TIE_EPS
+up, and casts boxes, origins and reciprocal directions to float32. Rounding
+a box face, an origin, their difference, 1/d and the product to float32 moves
+a slab parameter (b - o) / d by at most about 4 eps S / |d| (eps = 2^-23);
+the float64 test's own rounding is some 2^-50 S / |d|. A face grown by 64 eps S
+moves by 64 eps S / |d|, so each float32 near parameter is at most its float64
+value and each far parameter at least: the float32 test keeps every pair the
+float64 test keeps, and the triangle tests see a superset of the same
+candidates, so the winning triangle and t are as with a float64 cull (cf.
+Ize, "Robust BVH Ray Traversal", JCGT 2013, which grows the slab interval
+by the same kind of error bound). Overflow to +-inf keeps that order (a box
+or reach that overflows grows, a product that overflows moves outward), with
+one exception: a reciprocal beyond float32's range (|d| < 2.9e-39) becomes
+inf, and so can cull a pair that the float64 test keeps at t >= 64 eps S *
+3.4e38, which no ray with a direction component above 1e-33 reaches inside
+a box. The bound also assumes coordinates within float32's range of the
+reference point. A street 1e6 m from the world origin costs the same pairs
+as at the origin, since the frame is relative to the scene.
+
 Every array is component-major (``BVH.bounds`` (6, N), ``BVH.tris`` (9, T),
 rays (3, n)), so gathers are ``np.take(a, idx, axis=1)`` and the tests'
 elementwise passes run over contiguous rows. A 32x256 street frame slab-tests
-118k (ray, node) pairs and runs 59k triangle tests (means over 10 poses): 2.5-2.8
-ms of slab tests and 3.0-3.4 ms of triangle tests in 10-12 ms of traversal (2-core
-VM; median splits alone gave 233k pairs, 79k tests and 24 ms).
+118k (ray, node) pairs and runs 59k triangle tests (means over 10 poses; the
+margin adds 0.02% and 0.03% to a float64 cull's). Medians of 6 runs over the
+10 poses, 2-core VM: 1.6 ms of slab gathers, 0.9 ms of float32 slab tests
+(float64: 2.2 ms), 1.3 ms of triangle gathers and 2.5 ms of triangle tests in
+blocks of TRI_BLOCK (3.2 ms in one call per level) in 8.5 ms of traversal
+(9.9 ms with the float64 cull and unblocked triangle tests; median splits
+alone gave 233k pairs, 79k tests and 24 ms).
 """
 
 import numpy as np
@@ -23,21 +50,57 @@ import numpy as np
 T_MIN = 1e-4  # self-hit epsilon along the ray
 TIE_EPS = 1e-9  # |dt| window inside which the lower triangle index wins
 DET_EPS = 1e-12
+#: Ray-triangle tests per call of the triangle test in ``render_rays``: its
+#: float64 temporaries are then 32 KB each, which glibc's allocator reuses,
+#: where larger ones came back as fresh pages. In a loop of street frames and
+#: their extraction, a frame's traversal took 2,600-2,800 page faults with one
+#: call per level and 300-700 in blocks (12-15 ms against 9-11 ms).
+TRI_BLOCK = 4096
+#: Outward growth of every float32 box, in units of the frame scale: 16 times
+#: the float32 rounding it must cover (module docstring).
+CULL_MARGIN = 64 * float(np.finfo(np.float32).eps)
 
 
-def _slab_hits(o, inv, bmin, bmax, t_max):
-    """Rows whose ray may meet the box in (0, t_max]. A zero direction
-    component gives inv = +-inf, and 0 * inf = NaN where the origin lies on
-    a slab plane: np.minimum/np.maximum carry the NaN and np.fmax/np.fmin
-    then skip that axis, so it never culls a pair."""
-    with np.errstate(invalid="ignore"):
-        lo = (bmin - o) * inv
-        hi = (bmax - o) * inv
-        near = np.minimum(lo, hi)
-        far = np.maximum(lo, hi)
-    t_near = np.fmax(np.fmax(near[0], near[1]), near[2])
-    t_far = np.fmin(np.fmin(far[0], far[1]), far[2])
-    return (t_near <= t_far) & (t_far > 0.0) & (t_near <= t_max + TIE_EPS)
+def _slab_hits(o, inv, bmin, bmax, reach):
+    """Rows whose ray may meet the box in (0, reach], computed in the
+    inputs' dtype and in place where it can (fewer fresh temporaries). A
+    zero direction component gives inv = +-inf, and 0 * inf = NaN where the
+    origin lies on a slab plane: np.minimum/np.maximum carry the NaN and
+    np.fmax/np.fmin then skip that axis, so it never culls a pair."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo = bmin - o
+        lo *= inv
+        hi = bmax - o
+        hi *= inv
+    near = np.minimum(lo, hi)
+    far = np.maximum(lo, hi, out=hi)
+    t_near = np.fmax(near[0], near[1])
+    np.fmax(t_near, near[2], out=t_near)
+    t_far = np.fmin(far[0], far[1])
+    np.fmin(t_far, far[2], out=t_far)
+    keep = t_near <= t_far
+    keep &= t_far > 0.0
+    keep &= t_near <= reach
+    return keep
+
+
+def _float32_frame(origins, inv, t_max, bounds):
+    """The float32 slab test's inputs (see the module docstring): the rays
+    as (6, n) rows of origin and reciprocal direction, the node boxes (6, N)
+    grown by the margin, both about the root box's centre, and the reach
+    t_max + TIE_EPS rounded up. What exceeds float32's range becomes +-inf."""
+    ref = (bounds[:3, :1] + bounds[3:, :1]) / 2.0
+    o = origins - ref
+    box = bounds - np.vstack([ref, ref])
+    margin = CULL_MARGIN * max(np.abs(box[:, 0]).max(), np.abs(o).max(initial=0.0))  # the root box holds every box
+    box[:3] -= margin
+    box[3:] += margin
+    reach = t_max + TIE_EPS
+    with np.errstate(over="ignore"):
+        reach32 = np.float32(reach)
+        rays32 = np.vstack([o, inv]).astype(np.float32)
+        box32 = box.astype(np.float32)
+    return rays32, box32, np.nextafter(reach32, np.float32(np.inf)) if float(reach32) < reach else reach32
 
 
 def _triangle_hits(o, d, v0, e1, e2, t_max):
@@ -59,12 +122,12 @@ def _triangle_hits(o, d, v0, e1, e2, t_max):
         qz = tx * e1[1] - ty * e1[0]
         v = (d[0] * qx + d[1] * qy + d[2] * qz) * inv
         t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv
-    ok = (
-        (np.abs(det) >= DET_EPS)
-        & (u >= 0.0) & (u <= 1.0)
-        & (v >= 0.0) & (u + v <= 1.0)
-        & (t > T_MIN) & (t <= t_max)
-    )
+        ok = (  # det = 0, a ray in the triangle's plane, makes u + v inf - inf
+            (np.abs(det) >= DET_EPS)
+            & (u >= 0.0) & (u <= 1.0)
+            & (v >= 0.0) & (u + v <= 1.0)
+            & (t > T_MIN) & (t <= t_max)
+        )
     return np.where(ok, t, np.inf)
 
 
@@ -82,13 +145,15 @@ def render_rays(origins, dirs, t_max, bvh):
         return out_t, out_i
     with np.errstate(divide="ignore"):
         inv = 1.0 / dirs
+    rays32, bounds32, reach32 = _float32_frame(origins, inv, t_max, bvh.bounds)
 
     ray = np.arange(n)
     node = np.zeros(n, dtype=np.int64)
     hits = [(ray[:0], ray[:0], np.empty(0))]  # (ray, triangle, t); a frame may hit nothing
     while len(ray):
-        box = np.take(bvh.bounds, node, axis=1)
-        keep = _slab_hits(np.take(origins, ray, axis=1), np.take(inv, ray, axis=1), *np.split(box, 2), t_max)
+        box = np.take(bounds32, node, axis=1)
+        slab = np.take(rays32, ray, axis=1)
+        keep = _slab_hits(slab[:3], slab[3:], box[:3], box[3:], reach32)
         ray, node = ray[keep], node[keep]
         count = bvh.count[node]
         leaf = count > 0
@@ -100,10 +165,12 @@ def render_rays(origins, dirs, t_max, bvh):
             slot = np.arange(count.sum()) - np.repeat(row0 - bvh.first[node[leaf]], count)
             r = np.repeat(ray[leaf], count)
             tri = bvh.perm[slot]
-            rows = np.take(bvh.tris, tri, axis=1)
-            t = _triangle_hits(np.take(origins, r, axis=1), np.take(dirs, r, axis=1), *np.split(rows, 3), t_max)
-            found = np.isfinite(t)
-            hits.append((r[found], tri[found], t[found]))
+            for a in range(0, len(r), TRI_BLOCK):
+                rb, tb = r[a:a + TRI_BLOCK], tri[a:a + TRI_BLOCK]
+                rows = np.take(bvh.tris, tb, axis=1)
+                t = _triangle_hits(np.take(origins, rb, axis=1), np.take(dirs, rb, axis=1), rows[:3], rows[3:6], rows[6:], t_max)
+                found = np.isfinite(t)
+                hits.append((rb[found], tb[found], t[found]))
         inner = ~leaf
         child = bvh.first[node[inner]]
         ray = np.concatenate([ray[inner], ray[inner]])

@@ -205,10 +205,11 @@ def render_conditional(
     img = RangeImage(spec, np.stack([depth, labels.reshape(spec.rows, spec.cols).astype(np.float64)]))
     if not return_incidence:
         return img
+    normals = np.cross(bvh.tris[3:6].T, bvh.tris[6:9].T)
+    with np.errstate(invalid="ignore"):  # a degenerate triangle, never hit, gets NaN
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cos = np.zeros(len(ts))
-    normals = np.cross(bvh.tris[3:6, idxs[hit]].T, bvh.tris[6:9, idxs[hit]].T)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cos[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
+    cos[hit] = np.abs(np.sum(dirs[hit] * normals[idxs[hit]], axis=1))
     return img, cos.reshape(spec.rows, spec.cols)
 
 

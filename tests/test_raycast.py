@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,132 @@ def test_street_frame_traversal_work(street_mesh, monkeypatch):
         _kernels.render_rays(*raycast._sensor_rays(spec, Pose((float(x), 0.0, 0.0), 0.0)), spec.max_range, bvh)
     assert work["pairs"] <= 130_000 * len(STREET_POSE_X)
     assert work["tests"] <= 65_000 * len(STREET_POSE_X)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Running counts of the (ray, node) pairs slab-tested and the
+    ray-triangle tests run, by every caller of the two tests."""
+    counts = {"pairs": 0, "tests": 0}
+    for name, key in (("_slab_hits", "pairs"), ("_triangle_hits", "tests")):
+
+        def count(o, *args, inner=getattr(_kernels, name), key=key):
+            counts[key] += o.shape[1]
+            return inner(o, *args)
+
+        monkeypatch.setattr(_kernels, name, count)
+    return counts
+
+
+def cull_frame(name):
+    """(mesh, origins, dirs, t_max) of a street pose of seed 0, a
+    criterion-10 scene or criterion 2's random rays."""
+    kind, arg = name.split(":")
+    if kind == "street":
+        spec = SensorSpec(rows=32, cols=256)
+        mesh = mesh_layout(generate_random_scene(0, STREET_PARAMS), tessellation=16)
+        return mesh, *raycast._sensor_rays(spec, Pose((float(arg), 0.0, 0.0), 0.0)), spec.max_range
+    if kind == "c10":
+        mesh = mesh_layout(generate_random_scene(int(arg), C10_PARAMS), tessellation=12)
+        return mesh, *raycast._sensor_rays(C10_SPEC, C10_POSE), C10_SPEC.max_range
+    from test_acceptance import _random_scene_50  # imported late: test_acceptance imports this module
+
+    rng = np.random.default_rng(7)  # criterion 2's rays
+    origins = rng.uniform(-45, 45, size=(10_000, 3))
+    origins[:, 2] = rng.uniform(0.2, 8.0, size=10_000)
+    dirs = rng.standard_normal((10_000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return mesh_layout(_random_scene_50(), tessellation=12), origins, dirs, 200.0
+
+
+@pytest.mark.parametrize(
+    "name", [f"street:{x}" for x in STREET_POSE_X] + [f"c10:{seed}" for seed in range(5)] + ["criterion-2:rays"]
+)
+def test_float32_cull_keeps_every_pair_the_float64_test_keeps(name):
+    # Walk the frontier that the float64 slab test leaves, level by level.
+    mesh, origins, dirs, t_max = cull_frame(name)
+    bvh = build_bvh(mesh)
+    origins, dirs = origins.T, dirs.T
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+    rays32, bounds32, reach32 = _kernels._float32_frame(origins, inv, t_max, bvh.bounds)
+    ray, node, kept = np.arange(origins.shape[1]), np.zeros(origins.shape[1], dtype=np.int64), 0
+    while len(ray):
+        box = bvh.bounds[:, node]
+        keep = _kernels._slab_hits(origins[:, ray], inv[:, ray], box[:3], box[3:], t_max + _kernels.TIE_EPS)
+        box32, rays = bounds32[:, node], rays32[:, ray]
+        assert not (keep & ~_kernels._slab_hits(rays[:3], rays[3:], box32[:3], box32[3:], reach32)).any()
+        ray, node, kept = ray[keep], node[keep], kept + keep.sum()
+        inner = bvh.count[node] == 0
+        ray, node = np.tile(ray[inner], 2), np.concatenate([bvh.first[node[inner]], bvh.first[node[inner]] + 1])
+    assert kept > origins.shape[1]
+
+
+def test_float32_boxes_contain_the_float64_boxes(street_mesh):
+    # About the root box's centre, which the float32 frame subtracts, the
+    # edges x = -0.7 and 0.7 of this triangle round inward in float32.
+    assert float(np.float32(0.7)) < 0.7
+    triangle = TriangleMesh([[-0.7, -1.0, 0.0], [0.7, -1.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]], [1])
+    for mesh in (triangle, street_mesh):
+        bvh = build_bvh(mesh)
+        centre = (bvh.bounds[:3, :1] + bvh.bounds[3:, :1]) / 2.0
+        _, box, reach = _kernels._float32_frame(centre, np.ones((3, 1)), 80.0, bvh.bounds)
+        assert (box[:3] <= bvh.bounds[:3] - centre).all() and (box[3:] >= bvh.bounds[3:] - centre).all()
+        assert float(reach) >= 80.0 + _kernels.TIE_EPS > float(np.float32(80.0 + _kernels.TIE_EPS))
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_render_rays_is_the_same_in_any_triangle_block(street_mesh, block, monkeypatch):
+    # Blocks of the triangle stage split leaves and rays anywhere.
+    spec, bvh = SensorSpec(rows=8, cols=64), build_bvh(street_mesh)
+    origins, dirs = raycast._sensor_rays(spec, Pose((4.0, 0.0, 0.0), 0.0))
+    whole = _kernels.render_rays(origins, dirs, spec.max_range, bvh)
+    monkeypatch.setattr(_kernels, "TRI_BLOCK", block)
+    for a, b in zip(whole, _kernels.render_rays(origins, dirs, spec.max_range, bvh)):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shift", [1e5, 1e6])
+def test_far_street_poses_render_as_the_oracle_with_the_same_work(street_mesh, shift, work):
+    # The float32 frame is relative to the scene, so a street far from the
+    # world origin costs no more pairs than at the origin and still renders exactly.
+    spec = SensorSpec(rows=32, cols=256)
+    far = TriangleMesh(street_mesh.vertices + [shift, shift, 0.0], street_mesh.triangles, street_mesh.triangle_labels)
+    bvh, far_bvh = build_bvh(street_mesh), build_bvh(far)
+    for x in STREET_POSE_X:
+        work.update(pairs=0, tests=0)
+        _kernels.render_rays(*raycast._sensor_rays(spec, Pose((float(x), 0.0, 0.0), 0.0)), spec.max_range, bvh)
+        near_work = dict(work)
+        work.update(pairs=0, tests=0)
+        origins, dirs = raycast._sensor_rays(spec, Pose((x + shift, shift, 0.0), 0.0))
+        kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, far_bvh)
+        assert work["pairs"] == pytest.approx(near_work["pairs"], rel=0.01)
+        assert work["tests"] == pytest.approx(near_work["tests"], rel=0.01)
+        if x not in STREET_POSE_X[::3]:  # the oracle, for 4 of the poses
+            continue
+        bt, bi = intersect_brute(far, origins, dirs, spec.max_range)
+        assert (bi >= 0).any()
+        np.testing.assert_array_equal(ki, bi)
+        np.testing.assert_array_equal(kt, bt)
+
+
+@pytest.mark.parametrize("t_max", [80.0, 1e39], ids=["80", "1e39"])
+def test_render_rays_past_float32_range_match_brute(scene_mesh, scene_bvh, t_max):
+    # 1 / 1e-40 and 1e39 overflow float32: the cull takes them as +-inf, silently.
+    assert 1e39 > float(np.finfo(np.float32).max)
+    spec = SensorSpec(rows=16, cols=64, max_range=t_max)
+    origins, dirs = raycast._sensor_rays(spec, Pose((1.0, -2.0, 0.0), 0.3))
+    flat = angles_to_direction(np.linspace(-math.pi, math.pi, 64, endpoint=False), 0.0)
+    flat[:, 2] = np.resize([1e-40, -1e-40, 0.0], 64)  # slopes with no float32 reciprocal, and rays in the ground's plane
+    flat[::16, 0] = 1e-40
+    origins, dirs = np.vstack([origins, origins[:64]]), np.vstack([dirs, flat])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, scene_bvh)
+        bt, bi = intersect_brute(scene_mesh, origins, dirs, spec.max_range)
+    assert (bi[-64:] >= 0).sum() > 8
+    np.testing.assert_array_equal(ki, bi)
+    np.testing.assert_array_equal(kt, bt)
 
 
 @pytest.mark.parametrize("seed", range(50))
