@@ -291,6 +291,21 @@ def test_checkpoint_tensor_names_are_pinned():
     assert digest == "55fe861c2c0180321d3e2a520b56d1637780355098d3bf34f4b3568ab4f842a3"
 
 
+def test_default_model_tensor_names_are_pinned():
+    # The default model (16/16/32/32, two blocks per level) with its adapter:
+    # the names in file order, and in the order ``TrainState.params`` lists them.
+    model = ScoreModel(ModelConfig())
+    params = TrainState(model, NoiseSchedule(), ControlAdapter(model)).params()
+    assert len(params) == 184
+    sha = hashlib.sha256
+    assert sha("\n".join(sorted(params)).encode()).hexdigest() == (
+        "dcb3d2b87e2ffe68f549ec70f1bb2a37a9754636b35564625ba9a756a175af90"
+    )
+    assert sha("\n".join(params).encode()).hexdigest() == (
+        "deefb9c8d9fcb3f56ebc668729fd46f759838910e3f8affc26adabc6f0c9c8a1"
+    )
+
+
 def test_checkpoint_no_adapter(tmp_path):
     model = ScoreModel(SMALL32, seed=20)
     state = TrainState(model=model, schedule=NoiseSchedule())
