@@ -50,6 +50,25 @@ class Param:
         self.grad = np.zeros_like(self.value)
 
 
+def named_params(layer, prefix):
+    """Every Param reachable through ``layer``'s attributes, in attribute
+    order, named ``prefix.path`` by its attribute path. A list's items are
+    numbered after the list's name (``dec0``) and a ``None`` item is skipped.
+    Only Params and layers (objects with a ``forward``) are followed, never
+    a private attribute such as a forward cache."""
+    out = {}
+    for attr, value in vars(layer).items():
+        if attr.startswith("_"):
+            continue
+        items = [(f"{attr}{i}", v) for i, v in enumerate(value)] if isinstance(value, list) else [(attr, value)]
+        for path, v in items:
+            if isinstance(v, Param):
+                out[f"{prefix}.{path}"] = v
+            elif hasattr(v, "forward"):
+                out.update(named_params(v, f"{prefix}.{path}"))
+    return out
+
+
 def _uniform(rng, scale, shape, dtype):
     return rng.uniform(-scale, scale, size=shape).astype(dtype)
 
@@ -79,9 +98,6 @@ class Conv2d:
         self.w = Param(_uniform(rng, scale, (cout, cin, ksize, ksize), dtype))
         self.b = Param(_uniform(rng, scale, (cout,), dtype))
         self._x = None
-
-    def named_params(self, prefix):
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
     def forward(self, x):
         b, _, h, w = x.shape
@@ -113,9 +129,6 @@ class Dense:
         self.w = Param(_uniform(rng, scale, (cin, cout), dtype))
         self.b = Param(_uniform(rng, scale, (cout,), dtype))
         self._x = None
-
-    def named_params(self, prefix):
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
     def forward(self, x):
         self._x = x

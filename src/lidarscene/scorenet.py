@@ -35,6 +35,7 @@ from .nn import (
     SiLU,
     avgpool2,
     avgpool2_backward,
+    named_params,
     sinusoidal_embedding,
     upnearest2,
     upnearest2_backward,
@@ -98,15 +99,6 @@ class ResBlock:
         self.proj = Conv2d(cin, cout, 1, rng, dtype) if cin != cout else None
         self.cout = cout
 
-    def named_params(self, prefix):
-        out = {}
-        out.update(self.conv1.named_params(f"{prefix}.conv1"))
-        out.update(self.emb.named_params(f"{prefix}.emb"))
-        out.update(self.conv2.named_params(f"{prefix}.conv2"))
-        if self.proj is not None:
-            out.update(self.proj.named_params(f"{prefix}.proj"))
-        return out
-
     def forward(self, x, emb):
         h = self.conv1.forward(x)
         st = self.emb.forward(emb)
@@ -132,24 +124,16 @@ class _Level:
     """A stack of residual blocks at one resolution."""
 
     def __init__(self, cin, cout, emb_dim, count, rng, dtype):
-        self.blocks = [
-            ResBlock(cin if i == 0 else cout, cout, emb_dim, rng, dtype) for i in range(count)
-        ]
-
-    def named_params(self, prefix):
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            out.update(blk.named_params(f"{prefix}.b{i}"))
-        return out
+        self.b = [ResBlock(cin if i == 0 else cout, cout, emb_dim, rng, dtype) for i in range(count)]
 
     def forward(self, x, emb):
-        for blk in self.blocks:
+        for blk in self.b:
             x = blk.forward(x, emb)
         return x
 
     def backward(self, dy, params):
         demb_total = 0.0
-        for blk in reversed(self.blocks):
+        for blk in reversed(self.b):
             dy, demb = blk.backward(dy, params)
             demb_total = demb_total + demb
         return dy, demb_total
@@ -164,25 +148,18 @@ class _Encoder:
     def __init__(self, cfg: ModelConfig, rng):
         w = cfg.widths
         self.in_conv = Conv2d(IN_CHANNELS, w[0], 3, rng, cfg.dtype)
-        self.levels = []
+        self.enc = []
         for i, width in enumerate(w):
             cin = w[0] if i == 0 else w[i - 1]
-            self.levels.append(_Level(cin, width, cfg.emb_dim, cfg.blocks_per_level, rng, cfg.dtype))
+            self.enc.append(_Level(cin, width, cfg.emb_dim, cfg.blocks_per_level, rng, cfg.dtype))
         self.mid = _Level(w[-1], w[-1], cfg.emb_dim, 1, rng, cfg.dtype)
-
-    def named_params(self, prefix):
-        out = self.in_conv.named_params(f"{prefix}.in_conv")
-        for i, lvl in enumerate(self.levels):
-            out.update(lvl.named_params(f"{prefix}.enc{i}"))
-        out.update(self.mid.named_params(f"{prefix}.mid"))
-        return out
 
     def forward(self, x, emb, hint=None):
         h = self.in_conv.forward(x)
         if hint is not None:
             h = h + hint
         skips = []
-        for i, lvl in enumerate(self.levels):
+        for i, lvl in enumerate(self.enc):
             if i > 0:
                 h = avgpool2(h)
             h = lvl.forward(h, emb)
@@ -193,8 +170,8 @@ class _Encoder:
         demb = 0.0
         dh, de = self.mid.backward(dskips[-1], True)
         demb = demb + de
-        for i in reversed(range(len(self.levels))):
-            dh, de = self.levels[i].backward(dh + dskips[i], True)
+        for i in reversed(range(len(self.enc))):
+            dh, de = self.enc[i].backward(dh + dskips[i], True)
             demb = demb + de
             if i > 0:
                 dh = avgpool2_backward(dh)
@@ -208,28 +185,24 @@ _FUSION = ("adapter.zero", "adapter.zmid")
 
 class ControlAdapter:
     """Trainable encoder copy + conditional-image hint projection +
-    zero-initialized 1x1 fusion convs into the decoder, one per encoder skip
-    (the bottleneck's last)."""
+    zero-initialized 1x1 fusion convs into the decoder, one per encoder skip:
+    ``zero[i]`` for level i's, ``zmid`` for the bottleneck's."""
 
     def __init__(self, base: "ScoreModel", seed: int = 0):
         cfg = base.config
         rng = np.random.default_rng(seed)
-        self.encoder = _Encoder(cfg, rng)
+        self.enc = _Encoder(cfg, rng)
         # Start from the (pre)trained base encoder weights.
-        base_enc = base.encoder.named_params("enc")
-        for name, p in self.encoder.named_params("enc").items():
-            p.value = base_enc[name].value.copy()
+        for p, q in zip(named_params(self.enc, "").values(), named_params(base.enc, "").values(), strict=True):
+            p.value = q.value.copy()
         self.hint = Conv2d(COND_CHANNELS, cfg.widths[0], 3, rng, cfg.dtype)
-        self.fusions = [Conv2d(w, w, 1, rng, cfg.dtype) for w in (*cfg.widths, cfg.widths[-1])]
-        for z in self.fusions:
+        self.zero = [Conv2d(w, w, 1, rng, cfg.dtype) for w in cfg.widths]
+        self.zmid = Conv2d(cfg.widths[-1], cfg.widths[-1], 1, rng, cfg.dtype)
+        for z in (*self.zero, self.zmid):
             z.w.value[...] = z.b.value[...] = 0
 
     def named_params(self):
-        out = self.encoder.named_params("adapter.enc")
-        out.update(self.hint.named_params("adapter.hint"))
-        for i, z in enumerate(self.fusions):
-            out.update(z.named_params(f"adapter.zero{i}" if i < len(self.fusions) - 1 else "adapter.zmid"))
-        return out
+        return named_params(self, "adapter")
 
 
 class ScoreModel:
@@ -246,34 +219,25 @@ class ScoreModel:
         cfg = config
         rng = np.random.default_rng(seed)
         w = cfg.widths
-        self.encoder = _Encoder(cfg, rng)
-        self.emb_dense1 = Dense(cfg.emb_dim, cfg.emb_dim, rng, cfg.dtype)
+        self.enc = _Encoder(cfg, rng)
+        self.embed1 = Dense(cfg.emb_dim, cfg.emb_dim, rng, cfg.dtype)
         self.emb_act = SiLU()
-        self.emb_dense2 = Dense(cfg.emb_dim, cfg.emb_dim, rng, cfg.dtype)
-        self.dec_levels = []
-        self.up_projs = []  # up_projs[k] maps widths after upsampling at stage k+1
+        self.embed2 = Dense(cfg.emb_dim, cfg.emb_dim, rng, cfg.dtype)
+        self.dec = []
+        self.upproj = []  # upproj[k] maps widths after upsampling at stage k+1
         for k, i in enumerate(reversed(range(len(w)))):
-            self.dec_levels.append(_Level(w[i], w[i], cfg.emb_dim, cfg.blocks_per_level, rng, cfg.dtype))
+            self.dec.append(_Level(w[i], w[i], cfg.emb_dim, cfg.blocks_per_level, rng, cfg.dtype))
             if i > 0 and w[i] != w[i - 1]:
-                self.up_projs.append(Conv2d(w[i], w[i - 1], 1, rng, cfg.dtype))
+                self.upproj.append(Conv2d(w[i], w[i - 1], 1, rng, cfg.dtype))
             else:
-                self.up_projs.append(None)
+                self.upproj.append(None)
         self.out_conv = Conv2d(w[0], IN_CHANNELS, 3, rng, cfg.dtype)
         self._adapter = None
 
     # -- parameters ---------------------------------------------------
 
     def named_params(self):
-        out = self.encoder.named_params("base.enc")
-        out.update(self.emb_dense1.named_params("base.embed1"))
-        out.update(self.emb_dense2.named_params("base.embed2"))
-        for i, lvl in enumerate(self.dec_levels):
-            out.update(lvl.named_params(f"base.dec{i}"))
-        for i, proj in enumerate(self.up_projs):
-            if proj is not None:
-                out.update(proj.named_params(f"base.upproj{i}"))
-        out.update(self.out_conv.named_params("base.out_conv"))
-        return out
+        return named_params(self, "base")
 
     def param_checksum(self) -> str:
         params = self.named_params()
@@ -287,7 +251,7 @@ class ScoreModel:
     def _embed(self, sigma, batch):
         sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (batch,))
         emb = sinusoidal_embedding(np.log(sigma), self.config.emb_dim, self.config.dtype)
-        return self.emb_dense2.forward(self.emb_act.forward(self.emb_dense1.forward(emb)))
+        return self.embed2.forward(self.emb_act.forward(self.embed1.forward(emb)))
 
     def forward(self, x, sigma, cond=None, adapter: ControlAdapter | None = None):
         """Score estimate, same shape as x. With `adapter` and `cond`, runs
@@ -301,7 +265,7 @@ class ScoreModel:
         if x.shape[2] % depth_div or x.shape[3] % depth_div:
             raise ScoreNetError(f"H and W must be divisible by {depth_div}")
         emb = self._embed(sigma, x.shape[0])
-        skips = self.encoder.forward(x, emb)
+        skips = self.enc.forward(x, emb)
         controls = None
         if adapter is not None:
             if cond is None:
@@ -311,18 +275,18 @@ class ScoreModel:
             if cond.shape != want:
                 raise ScoreNetError(f"expected cond of shape {want}, got {cond.shape}")
             hint = adapter.hint.forward(cond)
-            a_skips = adapter.encoder.forward(x, emb, hint=hint)
-            controls = [z.forward(s) for z, s in zip(adapter.fusions, a_skips)]
+            a_skips = adapter.enc.forward(x, emb, hint=hint)
+            controls = [z.forward(s) for z, s in zip((*adapter.zero, adapter.zmid), a_skips)]
         n = len(self.config.widths)
         h = skips[n]
         if controls is not None:
             h = h + controls[n]
-        for k, lvl in enumerate(self.dec_levels):
+        for k, lvl in enumerate(self.dec):
             i = n - 1 - k
             if k > 0:
                 h = upnearest2(h)
-                if self.up_projs[k - 1] is not None:
-                    h = self.up_projs[k - 1].forward(h)
+                if self.upproj[k - 1] is not None:
+                    h = self.upproj[k - 1].forward(h)
             h = h + skips[i]
             if controls is not None:
                 h = h + controls[i]
@@ -348,27 +312,27 @@ class ScoreModel:
         dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype), base)
         # Skips and controls add to the same decoder inputs: dskips serves both.
         dskips = [0.0] * (n + 1)
-        for k in reversed(range(len(self.dec_levels))):
+        for k in reversed(range(len(self.dec))):
             i = n - 1 - k
-            dh, de = self.dec_levels[k].backward(dh, base)
+            dh, de = self.dec[k].backward(dh, base)
             demb = demb + de
             dskips[i] = dskips[i] + dh
             if k > 0:
-                if self.up_projs[k - 1] is not None:
-                    dh = self.up_projs[k - 1].backward(dh, base)
+                if self.upproj[k - 1] is not None:
+                    dh = self.upproj[k - 1].backward(dh, base)
                 dh = upnearest2_backward(dh)
         dskips[n] = dh  # gradient w.r.t. the decoder's initial state (bottleneck + control)
         if base:
-            _, de = self.encoder.backward(dskips)
+            _, de = self.enc.backward(dskips)
             demb = demb + de
         if fusion or control:
-            da_skips = [z.backward(ds, fusion, control) for z, ds in zip(adapter.fusions, dskips)]
+            da_skips = [z.backward(ds, fusion, control) for z, ds in zip((*adapter.zero, adapter.zmid), dskips)]
             if control:
-                dhint, de = adapter.encoder.backward(da_skips)
+                dhint, de = adapter.enc.backward(da_skips)
                 demb = demb + de
                 adapter.hint.backward(dhint, inputs=False)  # the condition needs no gradient
         if base:  # the embedding MLP belongs to the base
-            self.emb_dense1.backward(self.emb_act.backward(self.emb_dense2.backward(demb)))
+            self.embed1.backward(self.emb_act.backward(self.embed2.backward(demb)))
 
 
 def _trains(allowed, prefixes):
