@@ -223,7 +223,11 @@ def read_lri(path) -> RangeImage:
         if 4 * c * h * w > os.fstat(f.fileno()).st_size - f.tell():
             raise SensorError(f"{path}: truncated payload for a {h}x{w}x{c} header")
         data = np.frombuffer(f.read(4 * c * h * w), dtype="<f4").astype(np.float64).reshape(c, h, w)
-    return RangeImage(SensorSpec(h, w, *geometry), data)
+    try:
+        spec = SensorSpec(h, w, *geometry)
+    except SensorError as exc:
+        raise SensorError(f"{path}: {exc}") from None
+    return RangeImage(spec, data)
 
 
 #: The first line of every ``.xyz`` file that ``write_point_cloud`` writes.

@@ -252,6 +252,28 @@ def test_lri_bad_header_dims_raise_sensor_error(tmp_path, dims, match):
             sensor.read_lri(path)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, geometry, match",
+    [
+        (0, 3, (0.03, -0.4, 80.0, 1.73), "rows and cols must be >= 1"),
+        (2, 0, (0.03, -0.4, 80.0, 1.73), "rows and cols must be >= 1"),
+        (2, 3, (math.nan, -0.4, 80.0, 1.73), "sensor pitch_max must be finite"),
+        (2, 3, (0.03, -math.inf, 80.0, 1.73), "sensor pitch_min must be finite"),
+        (2, 3, (0.03, -0.4, math.nan, 1.73), "sensor max_range must be finite"),
+        (2, 3, (0.03, -0.4, 80.0, math.inf), "sensor origin_height must be finite"),
+        (2, 3, (-0.4, -0.4, 80.0, 1.73), "pitch_max must exceed pitch_min"),
+        (2, 3, (0.03, -0.4, 0.0, 1.73), "max_range must be positive"),
+    ],
+)
+def test_lri_refused_header_geometry_names_the_file(tmp_path, rows, cols, geometry, match):
+    path = tmp_path / "bad_geometry.lri"
+    header = struct.pack(sensor._LRI_HEADERS[b"LRI2"], rows, cols, 1, *geometry)
+    path.write_bytes(b"LRI2" + header + np.ones(rows * cols, dtype="<f4").tobytes())
+    with pytest.raises(sensor.SensorError, match=match) as info:
+        sensor.read_lri(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_lri_keeps_origin_height(tmp_path):
     img = RangeImage(SensorSpec(rows=2, cols=3, origin_height=2.5), np.ones((1, 2, 3)))
     path = tmp_path / "tall.lri"
