@@ -161,8 +161,9 @@ def layout_consistency(
 
     box_recall: fraction of car primitives whose box, dilated by
     CAR_DILATION in XY and upward, contains at least CAR_MIN_POINTS cloud
-    points. The box floor is lifted 0.1 m so ground returns under an absent
-    car never count toward its recall. bev_iou: IoU of the occupied BEV
+    points; 1.0 without cars, a palette with no ``car`` label included. The
+    box floor is lifted 0.1 m so ground returns under an absent car never
+    count toward its recall. bev_iou: IoU of the occupied BEV
     cells (1 m resolution) of the cloud versus the layout's own raycast
     cloud, its depth rounded through f32 as a frame read back from ``.lri``
     is, so a surface on a cell edge falls on the same side in both. The
@@ -170,8 +171,8 @@ def layout_consistency(
     """
     from .raycast import render_conditional, sensor_to_world
 
-    car_id = layout.label_by_name("car").id
-    cars = [p for p in layout.primitives if p.label == car_id]
+    car_ids = {lab.id for lab in layout.palette if lab.name == "car"}
+    cars = [p for p in layout.primitives if p.label in car_ids]
     if len(cloud) == 0:
         return 0.0, 0.0
     if cars:

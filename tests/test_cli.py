@@ -842,6 +842,19 @@ def test_eval_layout_scores_each_frame_in_its_own_sensor(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["jsd=0", "box_recall=1", "bev_iou=1"]
 
 
+def test_eval_layout_scores_a_palette_without_cars(tmp_path, capsys):
+    # No "car" label at all: scored like any layout without cars.
+    palette = (layout_mod.SemanticLabel(0, "ground", (81, 0, 81)), layout_mod.SemanticLabel(1, "building", (70, 70, 70)))
+    scene = layout_mod.Layout(palette, (SemanticPrimitive(1, "cuboid", (15.0, 2.0, 3.0), (6.0, 4.0, 6.0)),))
+    layout_path, gen = tmp_path / "nocar.layout", tmp_path / "gen"
+    layout_mod.save_layout(layout_path, scene)
+    gen.mkdir()
+    sensor.write_lri(gen / "f.lri", raycast.render_conditional(scene, sensor.SensorSpec(rows=16, cols=128)))
+    rc = main(["eval", "--gen", str(gen), "--ref", str(gen), "--metrics", "jsd", "--layout", str(layout_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == ["jsd=0", "box_recall=1", "bev_iou=1"]
+
+
 @pytest.mark.parametrize("text", ["", "# no poses here\n\n"], ids=["empty", "comments-only"])
 def test_render_trajectory_without_poses_exits_nonzero(tmp_path, scene_file, small_cfg, capsys, text):
     traj, out = tmp_path / "poses.txt", tmp_path / "frames"
