@@ -1,6 +1,8 @@
-"""Print the three size tallies of ROADMAP aim 2 for the source tree.
+"""Print the size tallies of ROADMAP aim 2 for the source tree.
 
 - lines: the lines of every ``src/lidarscene/*.py`` file (``cat | wc -l``);
+- code lines: those lines less docstrings (string statements), comments
+  and blank lines: the lines that hold a token of anything else;
 - defaulted settings: every parameter default (positional and keyword-only)
   of every function and lambda, plus every field default of every
   ``@dataclass`` class, counted from the syntax tree;
@@ -12,7 +14,9 @@ Run from anywhere: ``python3 tools/tally.py``.
 from __future__ import annotations
 
 import ast
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -38,15 +42,33 @@ def defaulted_settings(tree: ast.AST) -> int:
     return count
 
 
+def code_lines(text: str) -> int:
+    """Lines holding a token other than a comment or a string statement's
+    strings (``tokenize`` and ``ast`` agree on line numbers)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str):
+            docstrings.update(range(node.lineno, node.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in skip or (tok.type == tokenize.STRING and tok.start[0] in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def main() -> None:
     files = sorted(PACKAGE.glob("*.py"))
     texts = [f.read_text(encoding="utf-8") for f in files]
     lines = sum(t.count("\n") for t in texts)
+    code = sum(code_lines(t) for t in texts)
     settings = sum(defaulted_settings(ast.parse(t)) for t in texts)
     sys.path.insert(0, str(SRC))
     from lidarscene import config
 
     print(f"source lines: {lines:,}")
+    print(f"code lines: {code:,}")
     print(f"defaulted settings: {settings}")
     print(f"config keys: {len(config.SCHEMA)}")
 
