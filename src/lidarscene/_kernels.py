@@ -40,9 +40,7 @@ elementwise passes run over contiguous rows. A 32x256 street frame slab-tests
 margin adds 0.02% and 0.03% to a float64 cull's). Medians of 6 runs over the
 10 poses, 2-core VM: 1.6 ms of slab gathers, 0.9 ms of float32 slab tests
 (float64: 2.2 ms), 1.3 ms of triangle gathers and 2.5 ms of triangle tests in
-blocks of TRI_BLOCK (3.2 ms in one call per level) in 8.5 ms of traversal
-(9.9 ms with the float64 cull and unblocked triangle tests; median splits
-alone gave 233k pairs, 79k tests and 24 ms).
+blocks of TRI_BLOCK (3.2 ms in one call per level) in 8.5 ms of traversal.
 """
 
 import numpy as np
@@ -52,9 +50,7 @@ TIE_EPS = 1e-9  # |dt| window inside which the lower triangle index wins
 DET_EPS = 1e-12
 #: Ray-triangle tests per call of the triangle test in ``render_rays``: its
 #: float64 temporaries are then 32 KB each, which glibc's allocator reuses,
-#: where larger ones came back as fresh pages. In a loop of street frames and
-#: their extraction, a frame's traversal took 2,600-2,800 page faults with one
-#: call per level and 300-700 in blocks (12-15 ms against 9-11 ms).
+#: where larger ones come back as fresh pages.
 TRI_BLOCK = 4096
 #: Outward growth of every float32 box, in units of the frame scale: 16 times
 #: the float32 rounding it must cover (module docstring).
