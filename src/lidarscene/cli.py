@@ -215,7 +215,7 @@ def cmd_sample(args):
     cond = None
     if args.layout:
         scene = layout_mod.load_layout(args.layout)
-        pose = _parse_pose(args.pose, "--pose") if args.pose else Pose()
+        pose = _parse_pose(args.pose, "--pose") if args.pose is not None else Pose()
         cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
     shape = (1, scorenet.IN_CHANNELS, spec.rows, spec.cols)
@@ -282,7 +282,7 @@ def build_parser():
 
     p = sub.add_parser("render", help="raycast a layout into range images")
     p.add_argument("--layout", required=True)
-    p.add_argument("--sensor", default=None, help="config file for the sensor")
+    p.add_argument("--sensor", default=None, help="config file of the sensor.*, render.tessellation and raydrop.* keys")
     p.add_argument("--pose", default=None, help="x,y,z,yaw_deg (default 0,0,0,0)")
     p.add_argument("--trajectory", default=None, help="file of 'x y z yaw_deg' lines")
     p.add_argument("--out", required=True)

@@ -1,5 +1,5 @@
-"""Scene layouts: labeled semantic primitives, a line-oriented DSL,
-editing/cropping operations and a procedural desk-scale scene generator.
+"""Scene layouts: labeled semantic primitives, a line-oriented DSL and a
+procedural desk-scale scene generator.
 
 A layout is the unified conditional representation: an ordered list of
 simple labeled solids (cuboid, ellipsoid, plane) that carries the coarse
@@ -9,7 +9,7 @@ semantic and geometric structure of a scene.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,12 +111,6 @@ class Layout:
         for prim in self.primitives:
             if prim.label not in known:
                 raise LayoutError(f"primitive label id {prim.label} not in palette")
-
-    def label_by_name(self, name: str) -> SemanticLabel:
-        for lab in self.palette:
-            if lab.name == name:
-                return lab
-        raise LayoutError(f"unknown label name {name!r}")
 
     def label_by_id(self, lid: int) -> SemanticLabel:
         for lab in self.palette:
@@ -236,44 +230,13 @@ def save_layout(path, layout: Layout):
 
 
 # ---------------------------------------------------------------------------
-# Editing and cropping
+# Geometry
 
 
 def rotate_yaw(x, y, yaw):
     """(x, y) turned counterclockwise by ``yaw`` about +z; accepts arrays."""
     c, s = math.cos(yaw), math.sin(yaw)
     return c * x - s * y, s * x + c * y
-
-
-def world_to_ego(point, pose: Pose):
-    """Map a world point into the ego frame of `pose`."""
-    px, py, pz = pose.translation
-    dx, dy, dz = point[0] - px, point[1] - py, point[2] - pz
-    return (*rotate_yaw(dx, dy, -pose.yaw), dz)
-
-
-#: Half sizes of the ego-frame window ``crop_local`` keeps, in meters.
-CROP_HALF_X, CROP_HALF_Y = 80.0, 20.0
-
-
-def crop_local(layout: Layout, pose: Pose) -> Layout:
-    """Transform primitives into the ego frame and keep those whose center
-    lies inside the window |x| <= CROP_HALF_X, |y| <= CROP_HALF_Y."""
-    kept = []
-    for prim in layout.primitives:
-        ex, ey, ez = world_to_ego(prim.center, pose)
-        if abs(ex) <= CROP_HALF_X and abs(ey) <= CROP_HALF_Y:
-            kept.append(replace(prim, center=(ex, ey, ez), yaw=prim.yaw - pose.yaw))
-    return Layout(palette=layout.palette, primitives=tuple(kept))
-
-
-def remove_label(layout: Layout, label_id: int) -> Layout:
-    """Non-destructive filter: ``layout`` without the primitives of ``label_id``."""
-    return Layout(layout.palette, tuple(p for p in layout.primitives if p.label != label_id))
-
-
-def add_primitive(layout: Layout, prim: SemanticPrimitive) -> Layout:
-    return Layout(palette=layout.palette, primitives=layout.primitives + (prim,))
 
 
 # ---------------------------------------------------------------------------

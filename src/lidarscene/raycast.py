@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .layout import Layout, Pose
 from .meshing import DEFAULT_TESSELLATION, TriangleMesh, mesh_layout, transform
-from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles, range_image_to_point_cloud
+from .sensor import LabeledPointCloud, RangeImage, SensorSpec, angles_to_direction, pixel_to_angles
 
 LEAF_SIZE = 4
 #: A node with more triangles than this splits at the surface-area-heuristic minimum.
@@ -267,8 +267,3 @@ def sensor_to_world(cloud: LabeledPointCloud, spec: SensorSpec, pose: Pose = Pos
     origin = np.asarray(pose.translation, dtype=np.float64) + [0.0, 0.0, spec.origin_height]
     return LabeledPointCloud(transform(cloud.points, origin, pose.yaw), cloud.labels)
 
-
-def render_point_cloud(layout, spec, pose=Pose(), tessellation=DEFAULT_TESSELLATION) -> LabeledPointCloud:
-    """Convenience: raycast then unproject, returning world-frame points."""
-    cloud = range_image_to_point_cloud(render_conditional(layout, spec, pose, tessellation))
-    return sensor_to_world(cloud, spec, pose)

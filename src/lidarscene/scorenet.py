@@ -256,8 +256,11 @@ class ScoreModel:
     def forward(self, x, sigma, cond=None, adapter: ControlAdapter | None = None):
         """Score estimate, same shape as x. With `adapter` and `cond`, runs
         the conditional pathway (identical to the unconditional forward
-        while the fusion convolutions are all zero). An ``x`` of the model's
-        dtype is not copied: the layers keep it until ``backward``."""
+        while the fusion convolutions are all zero); `cond` without `adapter`
+        raises. An ``x`` of the model's dtype is not copied: the layers keep
+        it until ``backward``."""
+        if cond is not None and adapter is None:
+            raise ScoreNetError("a conditional image requires an adapter")
         x = np.asarray(x, dtype=self.config.dtype)
         if x.ndim != 4 or x.shape[1] != IN_CHANNELS:
             raise ScoreNetError(f"expected (B, {IN_CHANNELS}, H, W), got {x.shape}")
@@ -494,6 +497,8 @@ def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerC
         if not np.all(np.isfinite(x)):
             raise ScoreNetError("non-finite sampler state")
     x = x + sig_last2 * score_fn(x, sigmas[-1])
+    if not np.all(np.isfinite(x)):
+        raise ScoreNetError("non-finite sampler state")
     return x
 
 

@@ -208,7 +208,7 @@ def write_lri(path, img: RangeImage):
 
 
 def read_lri(path) -> RangeImage:
-    """Read an LRI2 or LRI1 file."""
+    """Read an LRI2 or LRI1 file; its payload must fill the rest of the file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic not in _LRI_HEADERS:
@@ -220,8 +220,11 @@ def read_lri(path) -> RangeImage:
         h, w, c, *geometry = struct.unpack(_LRI_HEADERS[magic], header)
         if c == 0:
             raise SensorError(f"{path}: header has 0 channels")
-        if 4 * c * h * w > os.fstat(f.fileno()).st_size - f.tell():
+        extra = os.fstat(f.fileno()).st_size - f.tell() - 4 * c * h * w
+        if extra < 0:
             raise SensorError(f"{path}: truncated payload for a {h}x{w}x{c} header")
+        if extra > 0:
+            raise SensorError(f"{path}: {extra} bytes after the payload of a {h}x{w}x{c} header")
         data = np.frombuffer(f.read(4 * c * h * w), dtype="<f4").astype(np.float64).reshape(c, h, w)
     try:
         spec = SensorSpec(h, w, *geometry)

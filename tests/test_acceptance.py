@@ -49,6 +49,7 @@ from lidarscene.sensor import (
     normalize_depth,
     pixel_to_angles,
     project_points,
+    range_image_to_point_cloud,
     unproject,
 )
 
@@ -171,9 +172,10 @@ def test_criterion_05_layout_inversion():
     center_errs = []
     for seed in range(50):
         scene = generate_random_scene(seed, params)
-        cloud = raycast.render_point_cloud(scene, spec, pose, tessellation=12)
+        img = render_conditional(scene, spec, pose, tessellation=12)
+        cloud = raycast.sensor_to_world(range_image_to_point_cloud(img), spec, pose)
         found = extract_layout(cloud)
-        car_id = scene.label_by_name("car").id
+        car_id = next(lab.id for lab in scene.palette if lab.name == "car")
         true_cars = [p for p in scene.primitives if p.label == car_id]
         # a car counts as visible when enough labeled returns come back
         # to seed a cluster at all
@@ -317,8 +319,6 @@ def _render_scene(seed):
 def _sample_to_world_cloud(x_row):
     depth = denormalize_depth(np.clip(x_row, 0.0, 1.0), C10_SPEC)
     img = RangeImage(C10_SPEC, depth[None])
-    from lidarscene.sensor import range_image_to_point_cloud
-
     return raycast.sensor_to_world(range_image_to_point_cloud(img), C10_SPEC, C10_POSE)
 
 

@@ -49,10 +49,7 @@ def small_cfg(tmp_path):
 
 @pytest.fixture
 def scene_file(tmp_path):
-    scene = layout_mod.Layout()
-    scene = layout_mod.add_primitive(
-        scene, SemanticPrimitive(3, "cuboid", (6.0, 0.0, 0.75), (4.0, 1.8, 1.5), 0.0)  # car
-    )
+    scene = layout_mod.Layout(primitives=(SemanticPrimitive(3, "cuboid", (6.0, 0.0, 0.75), (4.0, 1.8, 1.5), 0.0),))  # car
     path = tmp_path / "scene.layout"
     layout_mod.save_layout(path, scene)
     return str(path)
@@ -742,6 +739,38 @@ def test_sample_rejects_pose_without_layout(tmp_path, train_cfg, capsys):
     assert not out.exists()
 
 
+def test_sample_rejects_an_empty_pose(tmp_path, train_cfg, scene_file, capsys):
+    cfg = cli.load_config(train_cfg)
+    model = scorenet.ScoreModel(cfg.build("model"), seed=0)
+    ckpt = tmp_path / "ctrl.ldck"
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(model, cfg.build("schedule"), adapter=scorenet.ControlAdapter(model)))
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--layout", scene_file, "--pose", "",
+               "--num", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --pose must be 'x,y,z,yaw_deg', got ''"]
+    assert not list(out.glob("*.lri"))
+
+
+def test_sample_exits_nonzero_on_a_non_finite_final_step(tmp_path, train_cfg, capsys, monkeypatch):
+    # Only the final denoising step, after the last level's check, turns NaN.
+    cfg = cli.load_config(train_cfg)
+    ckpt = tmp_path / "base.ldck"
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(scorenet.ScoreModel(cfg.build("model")), cfg.build("schedule")))
+    calls = []
+
+    def score_fn(x, sigma):
+        calls.append(sigma)
+        return np.full(x.shape, np.nan if len(calls) > 6 else 0.0)  # 3 levels x 2 steps pass
+
+    monkeypatch.setattr(scorenet, "model_score_fn", lambda *args, **kwargs: score_fn)
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--num", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite sampler state"]
+    assert len(calls) == 7 and not list(out.glob("*.lri"))
+
+
 @pytest.mark.parametrize("num", ["0", "-2"])
 def test_gen_scenes_rejects_num_below_one(tmp_path, capsys, num):
     out = tmp_path / "scenes"
@@ -830,7 +859,7 @@ def test_readme_cli_examples_parse():
 def test_eval_layout_scores_each_frame_in_its_own_sensor(tmp_path, capsys):
     # Two renders of one car, from the default sensor height and from 6 m:
     # each frame, unprojected with its own sensor, matches the layout exactly.
-    scene = layout_mod.add_primitive(layout_mod.Layout(), SemanticPrimitive(3, "cuboid", (20.3, 0.4, 0.75), (4.0, 1.8, 1.5)))
+    scene = layout_mod.Layout(primitives=(SemanticPrimitive(3, "cuboid", (20.3, 0.4, 0.75), (4.0, 1.8, 1.5)),))
     layout_path, gen = tmp_path / "scene.layout", tmp_path / "gen"
     layout_mod.save_layout(layout_path, scene)
     gen.mkdir()

@@ -16,7 +16,7 @@ from lidarscene.extraction import (
     unproject_depth_semantic,
 )
 from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
-from lidarscene.raycast import render_conditional, render_point_cloud, sensor_to_world
+from lidarscene.raycast import render_conditional, sensor_to_world
 from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud
 from test_raycast import STREET_PARAMS, STREET_POSE_X
 
@@ -295,7 +295,8 @@ def test_extract_layout_single_car_scene():
     )
     # viewed broadside from a small elevation so the roof and sides connect
     pose = Pose((8.0, -10.0, 3.0), math.pi / 2)
-    cloud = render_point_cloud(lay, SensorSpec(rows=64, cols=1024), pose)
+    spec = SensorSpec(rows=64, cols=1024)
+    cloud = sensor_to_world(range_image_to_point_cloud(render_conditional(lay, spec, pose)), spec, pose)
     out = extract_layout(cloud)
     cars = [p for p in out.primitives if p.label == 3]
     assert len(cars) == 1

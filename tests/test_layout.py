@@ -15,14 +15,10 @@ from lidarscene.layout import (
     SceneParams,
     SemanticLabel,
     SemanticPrimitive,
-    add_primitive,
-    crop_local,
     generate_random_scene,
     parse_layout,
     rects_overlap,
-    remove_label,
     serialize_layout,
-    world_to_ego,
 )
 from lidarscene.sensor import SensorSpec
 
@@ -190,50 +186,6 @@ def test_plane_ignores_sz():
     assert prim.extents[2] == 0.0
 
 
-def test_world_to_ego_pure_translation():
-    pose = Pose((10.0, -5.0, 1.0), 0.0)
-    np.testing.assert_allclose(world_to_ego((12.0, -5.0, 3.0), pose), (2.0, 0.0, 2.0), atol=1e-12)
-
-
-def test_world_to_ego_rotation():
-    pose = Pose((0.0, 0.0, 0.0), math.pi / 2)
-    # A point ahead of a pose facing +y is on its +x axis.
-    np.testing.assert_allclose(world_to_ego((0.0, 5.0, 0.0), pose), (5.0, 0.0, 0.0), atol=1e-12)
-
-
-def test_crop_local_keeps_and_transforms():
-    lay = Layout(
-        primitives=(
-            SemanticPrimitive(3, "cuboid", (10.0, 0.0, 0.75), (4.0, 2.0, 1.5), 0.3),
-            SemanticPrimitive(3, "cuboid", (500.0, 0.0, 0.75), (4.0, 2.0, 1.5)),
-        )
-    )
-    pose = Pose((5.0, 0.0, 0.0), 0.0)
-    cropped = crop_local(lay, pose)
-    assert len(cropped.primitives) == 1
-    np.testing.assert_allclose(cropped.primitives[0].center, (5.0, 0.0, 0.75))
-
-
-def test_crop_local_rotated_pose_adjusts_yaw():
-    prim = SemanticPrimitive(3, "cuboid", (0.0, 10.0, 0.0), (4.0, 2.0, 1.5), math.pi / 2)
-    cropped = crop_local(Layout(primitives=(prim,)), Pose((0.0, 0.0, 0.0), math.pi / 2))
-    out = cropped.primitives[0]
-    np.testing.assert_allclose(out.center, (10.0, 0.0, 0.0), atol=1e-12)
-    assert out.yaw == pytest.approx(0.0)
-
-
-def test_remove_and_add():
-    lay = generate_random_scene(11)
-    no_cars = remove_label(lay, 3)
-    assert all(p.label != 3 for p in no_cars.primitives)
-    assert len(lay.primitives) - len(no_cars.primitives) >= 2
-    prim = SemanticPrimitive(3, "cuboid", (1, 2, 0.75), (4, 2, 1.5))
-    grown = add_primitive(no_cars, prim)
-    assert grown.primitives[-1] == prim
-    # originals untouched (non-destructive editing)
-    assert len(lay.primitives) != len(no_cars.primitives)
-
-
 def test_rects_overlap_cases():
     a = lo._rect_corners(0, 0, 2, 2, 0.0)
     assert rects_overlap(a, lo._rect_corners(1.5, 0, 2, 2, 0.0))
@@ -289,8 +241,6 @@ def test_palette_color_keeps_integer_components():
 def test_layout_rejects_duplicate_ids_and_unknown_lookups():
     with pytest.raises(LayoutError, match="^duplicate label ids in palette$"):
         Layout(palette=(SemanticLabel(0, "a", (0, 0, 0)), SemanticLabel(0, "b", (1, 1, 1))))
-    with pytest.raises(LayoutError, match="^unknown label name 'truck'$"):
-        Layout().label_by_name("truck")
     with pytest.raises(LayoutError, match="^unknown label id 99$"):
         Layout().label_by_id(99)
 

@@ -15,7 +15,7 @@ from lidarscene.metrics import (
     log_depth_features,
     mmd,
 )
-from lidarscene.raycast import render_conditional, render_point_cloud, sensor_to_world
+from lidarscene.raycast import render_conditional, sensor_to_world
 from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud, read_lri, write_lri
 
 
@@ -198,7 +198,7 @@ def test_layout_consistency_self_is_perfect():
     lay = generate_random_scene(0)
     spec = SensorSpec(rows=32, cols=512)
     pose = Pose((0.0, -12.0, 4.0), math.pi / 2)
-    cloud = render_point_cloud(lay, spec, pose)
+    cloud = sensor_to_world(range_image_to_point_cloud(render_conditional(lay, spec, pose)), spec, pose)
     recall, iou = layout_consistency(lay, cloud, spec, pose)
     assert recall == pytest.approx(1.0)
     assert iou == pytest.approx(1.0)
@@ -226,7 +226,7 @@ def test_layout_consistency_missing_car_lowers_recall():
     partial = Layout(primitives=(ground,) + cars[:2])
     spec = SensorSpec(rows=64, cols=1024)
     pose = Pose((14.0, -12.0, 4.0), math.pi / 2)
-    cloud_partial = render_point_cloud(partial, spec, pose)
+    cloud_partial = sensor_to_world(range_image_to_point_cloud(render_conditional(partial, spec, pose)), spec, pose)
     recall, _ = layout_consistency(full, cloud_partial, spec, pose)
     assert recall == pytest.approx(2.0 / 3.0)
 
@@ -240,7 +240,7 @@ def test_layout_consistency_empty_cloud():
 def test_layout_consistency_no_cars_recall_one():
     lay = Layout(primitives=(SemanticPrimitive(0, "plane", (0, 0, 0), (100.0, 100.0, 0.0)),))
     spec = SensorSpec(rows=16, cols=128)
-    cloud = render_point_cloud(lay, spec)
+    cloud = sensor_to_world(range_image_to_point_cloud(render_conditional(lay, spec)), spec)
     recall, iou = layout_consistency(lay, cloud, spec)
     assert recall == 1.0
     assert iou == pytest.approx(1.0)
@@ -250,7 +250,7 @@ def test_bev_iou_sensitive_to_distribution_shift():
     lay = generate_random_scene(2)
     spec = SensorSpec(rows=32, cols=512)
     pose = Pose((0.0, -12.0, 4.0), math.pi / 2)
-    cloud = render_point_cloud(lay, spec, pose)
+    cloud = sensor_to_world(range_image_to_point_cloud(render_conditional(lay, spec, pose)), spec, pose)
     shifted = LabeledPointCloud(cloud.points + [30.0, 0.0, 0.0], cloud.labels)
     _, iou_match = layout_consistency(lay, cloud, spec, pose)
     _, iou_shift = layout_consistency(lay, shifted, spec, pose)

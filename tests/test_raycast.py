@@ -17,7 +17,6 @@ from lidarscene.raycast import (
     build_bvh,
     intersect_brute,
     render_conditional,
-    render_point_cloud,
     surface_sample,
 )
 from lidarscene.sensor import RangeImage, SensorSpec, angles_to_direction
@@ -925,7 +924,7 @@ def test_render_point_cloud_world_frame():
     lay = Layout(primitives=(SemanticPrimitive(0, "plane", (0, 0, 0), (500.0, 500.0, 0.0)),))
     spec = SensorSpec(rows=32, cols=64)
     pose = Pose((5.0, -3.0, 0.0), 0.7)
-    cloud = render_point_cloud(lay, spec, pose)
+    cloud = raycast.sensor_to_world(sensor.range_image_to_point_cloud(render_conditional(lay, spec, pose)), spec, pose)
     assert len(cloud) > 0
     # ground points land on z ~ 0 in world coordinates
     np.testing.assert_allclose(cloud.points[:, 2], 0.0, atol=1e-4)

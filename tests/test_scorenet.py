@@ -632,6 +632,13 @@ def test_forward_adapter_requires_a_condition():
         model.forward(x, 0.5, adapter=ControlAdapter(model, seed=31))
 
 
+def test_forward_rejects_a_condition_without_an_adapter():
+    model = ScoreModel(TINY64, seed=30)
+    x = np.zeros((1, 1, 8, 16))
+    with pytest.raises(ScoreNetError, match="^a conditional image requires an adapter$"):
+        model.forward(x, 0.5, cond=np.ones((1, 2, 8, 16)))
+
+
 @pytest.mark.parametrize(
     "shape", [(2, 8, 16), (1, 1, 8, 16), (1, 3, 8, 16), (2, 2, 8, 16), (1, 2, 4, 16), (1, 2, 8, 32)],
     ids=["3d", "one-channel", "three-channels", "batch", "height", "width"],
@@ -680,6 +687,20 @@ def test_train_logs_every_log_every_th_step():
 def test_sampler_rejects_a_non_finite_state():
     with pytest.raises(ScoreNetError, match="^non-finite sampler state$"):
         sample_annealed_langevin(lambda x, sigma: np.full(x.shape, np.nan), NoiseSchedule(), SamplerConfig(), (1, 1, 2, 2))
+
+
+def test_sampler_checks_the_final_denoising_step():
+    # The score turns NaN only on the last call, the denoising step at sigma_L.
+    schedule, config = NoiseSchedule(), SamplerConfig(steps_per_level=2)
+    calls = []
+
+    def score(x, sigma):
+        calls.append(sigma)
+        return np.full(x.shape, np.nan if len(calls) > schedule.levels * config.steps_per_level else 0.0)
+
+    with pytest.raises(ScoreNetError, match="^non-finite sampler state$"):
+        sample_annealed_langevin(score, schedule, config, (1, 1, 2, 2))
+    assert len(calls) == schedule.levels * config.steps_per_level + 1
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,15 @@ def test_lri_bad_header_dims_raise_sensor_error(tmp_path, dims, match):
             sensor.read_lri(path)
 
 
+@pytest.mark.parametrize("magic", [b"LRI1", b"LRI2"])
+def test_lri_rejects_bytes_after_the_payload(tmp_path, magic):
+    geometry = (0.03, -0.4, 80.0, 1.73)[: 3 if magic == b"LRI1" else 4]
+    path = tmp_path / "long.lri"
+    path.write_bytes(magic + struct.pack(sensor._LRI_HEADERS[magic], 4, 8, 1, *geometry) + b"\x00" * (4 * 32 + 128))
+    with pytest.raises(sensor.SensorError, match=f"^{re.escape(str(path))}: 128 bytes after the payload of a 4x8x1 header$"):
+        sensor.read_lri(path)
+
+
 @pytest.mark.parametrize(
     "rows, cols, geometry, match",
     [

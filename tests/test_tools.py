@@ -11,15 +11,20 @@ TALLY = Path(__file__).parents[1] / "tools" / "tally.py"
 def test_tally_prints_every_tally():
     out = subprocess.run([sys.executable, str(TALLY)], capture_output=True, text=True, check=True).stdout
     tallies = {name: int(value.replace(",", "")) for name, value in (ln.split(": ") for ln in out.splitlines())}
-    assert list(tallies) == ["source lines", "code lines", "defaulted settings", "config keys"]
+    assert list(tallies) == ["source lines", "code lines", "defaulted settings", "config keys", "test-only names"]
     assert 0 < tallies["code lines"] < tallies["source lines"]
     assert tallies["config keys"] == len(config.SCHEMA)
 
 
-def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+def _load_tally():
     spec = importlib.util.spec_from_file_location("tally", TALLY)
     tally = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tally)
+    return tally
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    tally = _load_tally()
     text = (
         '"""Module\ndocstring."""\n'
         "\n"
@@ -31,3 +36,18 @@ def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
         '            "b")\n'
     )
     assert tally.code_lines(text) == 4
+
+
+def test_test_only_names_count_what_no_caller_names():
+    module = (
+        "def called(): pass\n"
+        "def unreferenced(): pass\n"
+        "def wrapped(): pass\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    def unused(self): pass\n"
+        "    def used(self): pass\n"
+        "    def __len__(self): return 0\n"
+    )
+    caller = 'from mod import called\ncalled(); Box().used(); WRAP = "wrapped"\n'
+    assert _load_tally().unreferenced_names({"mod": module}, [module, caller]) == ["mod.unreferenced", "mod.Box.unused"]

@@ -6,7 +6,12 @@
 - defaulted settings: every parameter default (positional and keyword-only)
   of every function and lambda, plus every field default of every
   ``@dataclass`` class, counted from the syntax tree;
-- config keys: ``len(config.SCHEMA)``.
+- config keys: ``len(config.SCHEMA)``;
+- test-only names: the public top-level functions and classes, and the
+  public methods, of ``src/lidarscene/*.py`` that no file of the package or
+  of the ``perfbench/`` harness (its tests left out) names as a name, an
+  attribute, an import or a whole string constant (``perfbench`` wraps some
+  functions by string).
 
 Run from anywhere: ``python3 tools/tally.py``.
 """
@@ -21,6 +26,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "lidarscene"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -58,12 +64,48 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
+def _public_defs(tree: ast.Module):
+    """(name, dotted name) of each public top-level function and class and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
+def _referenced(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def unreferenced_names(modules: dict, callers: list) -> list:
+    """Dotted names (``module.name``) of the public definitions in
+    ``modules`` (module name -> source text) that no text of ``callers``
+    references."""
+    used = set()
+    for text in callers:
+        used.update(_referenced(ast.parse(text)))
+    return [f"{mod}.{dotted}" for mod, text in modules.items()
+            for name, dotted in _public_defs(ast.parse(text)) if name not in used]
+
+
 def main() -> None:
     files = sorted(PACKAGE.glob("*.py"))
     texts = [f.read_text(encoding="utf-8") for f in files]
     lines = sum(t.count("\n") for t in texts)
     code = sum(code_lines(t) for t in texts)
     settings = sum(defaulted_settings(ast.parse(t)) for t in texts)
+    harness = [f.read_text(encoding="utf-8") for f in sorted(PERFBENCH.glob("*.py"))]
+    test_only = unreferenced_names({f.stem: t for f, t in zip(files, texts)}, texts + harness)
     sys.path.insert(0, str(SRC))
     from lidarscene import config
 
@@ -71,6 +113,7 @@ def main() -> None:
     print(f"code lines: {code:,}")
     print(f"defaulted settings: {settings}")
     print(f"config keys: {len(config.SCHEMA)}")
+    print(f"test-only names: {len(test_only)}")
 
 
 if __name__ == "__main__":
