@@ -202,18 +202,17 @@ def cmd_train(args):
 
 def cmd_sample(args):
     _check_num(args.num)
-    if args.pose is not None and not args.layout:
+    if args.pose is not None and args.layout is None:
         raise ValueError("--pose requires --layout: it places the conditioning render")
     cfg = load_config(args.config)
     spec = cfg.build("sensor")
     state = scorenet.load_checkpoint(args.ckpt)
-    if args.layout and state.adapter is None:
+    if args.layout is not None and state.adapter is None:
         raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     sampler_cfg = cfg.build("sampler")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cond = None
-    if args.layout:
+    if args.layout is not None:
         scene = layout_mod.load_layout(args.layout)
         pose = _parse_pose(args.pose, "--pose") if args.pose is not None else Pose()
         cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
@@ -223,6 +222,7 @@ def cmd_sample(args):
         x = scorenet.sample_annealed_langevin(score_fn, state.schedule, sampler_cfg, shape, seed=args.seed + i)
         depth = sensor.denormalize_depth(np.clip(x[0, 0], 0.0, 1.0), spec)
         img = sensor.RangeImage(spec, depth[None])
+        out.mkdir(parents=True, exist_ok=True)
         sensor.write_lri(out / f"sample_{i:05d}.lri", img)
     print(f"wrote {args.num} samples to {out}")
 

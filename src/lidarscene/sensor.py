@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,14 +307,37 @@ def _put_digits(out, values, strip):
         rest = tens
 
 
+#: One ``.xyz`` point line as ``np.loadtxt`` reads it.
+_XYZ_ROW = np.dtype([("xyz", "f8", 3), ("label", "i8")])
+#: Line breaks of ``str.splitlines`` that ``np.loadtxt`` takes for spaces.
+_LOADTXT_SPACES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: Suffixes that ``np.loadtxt`` opens as compressed files, whatever they hold.
+_LOADTXT_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_point_cloud(path) -> LabeledPointCloud:
-    """Points and labels of an ``.xyz`` file. Text in ``write_point_cloud``'s
-    form is parsed by ``_parse_xyz`` over whole arrays; any other text goes
-    line by line, which names the ``path:line`` of the first bad line."""
+    """Points and labels of an ``.xyz`` file: ``x y z label_id`` lines,
+    fields split by whitespace, ``#`` comments and blank lines skipped.
+    Coordinates read as ``float`` and labels as ``int`` read them, and must
+    be finite and fit in int64.
+
+    ``np.loadtxt`` reads the file in one call. Where it refuses the text
+    (a bad line, or a form only Python reads, such as ``1_0.0`` or
+    non-ASCII digits), returns a non-finite coordinate, would split the text
+    into other lines than ``str.splitlines`` does, or would decompress the
+    file (a name ending in ``_LOADTXT_COMPRESSED``), the text is read line
+    by line, which names the ``path:line`` of the first bad line."""
     text = read_text(path, SensorError)
-    parsed = _parse_xyz(text)
-    if parsed is not None:
-        return LabeledPointCloud(*parsed)
+    if not any(c in text for c in _LOADTXT_SPACES) and os.path.splitext(path)[1] not in _LOADTXT_COMPRESSED:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(path, dtype=_XYZ_ROW, comments="#", ndmin=1, encoding="utf-8")
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if np.isfinite(rows["xyz"]).all():
+                return LabeledPointCloud(rows["xyz"].copy(), rows["label"].copy())  # contiguous, not views of rows
     pts, labels = [], []
     for ln, line in text_lines(text):
         parts = line.split()
@@ -329,43 +353,3 @@ def read_point_cloud(path) -> LabeledPointCloud:
         except ValueError as exc:
             raise SensorError(f"{path}:{ln}: {exc}") from None
     return LabeledPointCloud(np.array(pts).reshape(-1, 3), np.array(labels, dtype=np.int64))
-
-
-def _parse_xyz(text):
-    """(points, labels) of ``.xyz`` text as ``write_point_cloud`` writes it:
-    ``_XYZ_HEADER``, then lines ``-?D.DDDDDD -?D.DDDDDD -?D.DDDDDD -?D``
-    with 1-9 integer digits per coordinate, 1-18 label digits, single spaces
-    and a final "\n"; None for any other text. A coordinate is its digits as
-    one int64 over 1e6, which rounds as ``float`` does because the digits
-    stay under 2**53."""
-    if not text.startswith(_XYZ_HEADER):
-        return None
-    raw = text[len(_XYZ_HEADER) :].encode("utf-8")
-    if raw[-1:] not in (b"", b"\n") or raw.translate(None, b"0123456789-. \n"):
-        return None
-    b = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(b <= ord(" "))  # " " and "\n"
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    if len(ends) % 4 or (b[ends].reshape(-1, 4) != list(b"   \n")).any():
-        return None
-    neg = (b[starts] == ord("-")).reshape(-1, 4)
-    dots = ends.reshape(-1, 4)[:, :3] - 7
-    last = np.concatenate((dots, ends[3::4, None]), axis=1) - 1  # each field's last whole digit
-    count = last + 1 - starts.reshape(-1, 4) - neg  # under 1 for an empty field
-    if (
-        np.count_nonzero(b == ord("-")) != np.count_nonzero(neg)
-        or np.count_nonzero(b == ord(".")) != dots.size
-        or (b[dots] != ord(".")).any()
-        or not ((count >= 1) & (count <= [9, 9, 9, 18])).all()
-    ):
-        return None
-    # Every other byte of a field is now a digit.
-    value = np.zeros(count.shape, dtype=np.int64)
-    for j in range(int(count.max(initial=0))):
-        value += np.where(j < count, b[last - j] - ord("0"), 0) * np.int64(10**j)
-    micro = value[:, :3]
-    for j in range(1, 7):
-        micro = micro * 10 + (b[dots + j] - ord("0"))
-    points = micro / 1e6
-    np.negative(points, out=points, where=neg[:, :3])  # "-0.000000" is -0.0
-    return points, np.where(neg[:, 3], -value[:, 3], value[:, 3])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lidarscene import _kernels, raycast
-from lidarscene.extraction import ClusterParams, dbscan, extract_layout, fit_box
+from lidarscene.extraction import ClusterParams, dbscan, extract_layout
 from lidarscene.layout import (
     Layout,
     Pose,
@@ -42,7 +42,6 @@ from lidarscene.scorenet import (
     train,
 )
 from lidarscene.sensor import (
-    LabeledPointCloud,
     RangeImage,
     SensorSpec,
     denormalize_depth,

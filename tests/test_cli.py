@@ -768,7 +768,23 @@ def test_sample_exits_nonzero_on_a_non_finite_final_step(tmp_path, train_cfg, ca
     rc = main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--num", "1", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: non-finite sampler state"]
-    assert len(calls) == 7 and not list(out.glob("*.lri"))
+    assert len(calls) == 7 and not out.exists()
+
+
+@pytest.mark.parametrize("pose", [[], ["--pose", "1,2,3,4"]], ids=["no-pose", "pose"])
+def test_sample_reads_an_empty_layout_path_as_a_path(tmp_path, train_cfg, capsys, pose):
+    # --layout '' is given, so it is read like any path: no unconditional
+    # sample is drawn in its place, and --pose is not refused for want of it.
+    cfg = cli.load_config(train_cfg)
+    model = scorenet.ScoreModel(cfg.build("model"), seed=0)
+    ckpt = tmp_path / "ctrl.ldck"
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(model, cfg.build("schedule"), adapter=scorenet.ControlAdapter(model)))
+    out = tmp_path / "s"
+    rc = main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--layout", "", *pose,
+               "--num", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("num", ["0", "-2"])

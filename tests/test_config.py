@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from lidarscene.config import Config, ConfigError, load_config, parse_config

@@ -11,7 +11,6 @@ from lidarscene import _kernels, raycast, sensor
 from lidarscene.layout import Layout, Pose, SceneParams, SemanticPrimitive, generate_random_scene
 from lidarscene.meshing import TriangleMesh, mesh_layout, mesh_primitive
 from lidarscene.raycast import (
-    BVH,
     RaydropParams,
     apply_raydrop,
     build_bvh,

@@ -1,6 +1,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -408,27 +409,67 @@ def test_point_cloud_text_rounds_as_printf(tmp_path_factory, rows):
     assert path.read_bytes() == ref.read_bytes()
 
 
+def _refuse(*args, **kwargs):
+    raise ValueError("refused")
+
+
+#: Well-formed ``.xyz`` text: point lines with coordinates in %.Nf, repr and
+#: exponent forms, int64 labels of up to 19 digits, runs of spaces and tabs,
+#: comments, blank lines, and "\n", "\r\n" and "\r" line ends.
+_BLANK = st.text(" \t", max_size=2)
+_GAP = st.text(" \t", min_size=1, max_size=3)
+_COMMENT = st.text("#ab \t", max_size=5).map("#{}".format)
+_COORDINATE = st.builds(
+    lambda form, x: form % x,
+    st.integers(0, 17).map("%.{}f".format) | st.just("%r") | st.integers(0, 17).map("%.{}e".format),
+    st.floats(-1e10, 1e10) | st.floats(-1e300, 1e300),  # no form rounds these to inf
+)
+_POINT_LINE = st.builds(
+    lambda *parts: "".join(parts),
+    _BLANK, _COORDINATE, _GAP, _COORDINATE, _GAP, _COORDINATE, _GAP,
+    st.integers(-(2**63), 2**63 - 1).map(str), _BLANK, st.just("") | _COMMENT,
+)
+_XYZ_LINE = st.tuples(_POINT_LINE | _BLANK | _COMMENT, st.sampled_from(["\n", "\r\n", "\r"]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.tuples(coordinate, coordinate, coordinate, st.integers(-2**63, 2**63 - 1)), max_size=30))
-@example(rows=[(0.0, -0.0, -1e-9, 0), (999999999.9999994, -999999999.9999994, 1e9, -(10**18) + 1)])
-@example(rows=[(1.5, 2.5, 3.5, 10**18), (-4e9, 4e9, 0.5, -(2**63))])
-def test_whole_array_read_equals_the_line_read(tmp_path_factory, rows):
-    # The writer's text takes the whole-array path unless a coordinate has
-    # 10 integer digits or a label 19 digits; tabs for spaces force the line
-    # by line path. Both must give the same bits, -0.0 included.
-    points = np.array([r[:3] for r in rows], dtype=np.float64).reshape(-1, 3)
-    labels = np.array([r[3] for r in rows], dtype=np.int64)
+@given(lines=st.lists(_XYZ_LINE, max_size=20), last_end=st.booleans())
+@example(lines=[("# x y z label_id", "\n"), ("-0.000000 9999999999.5 -1e-9 -9223372036854775808", "\n")], last_end=True)
+@example(lines=[("\t1e308  -5e-324\t0.1 9223372036854775807 # c", "\r\n"), ("", "\r")], last_end=False)
+def test_whole_array_read_equals_the_line_read(tmp_path_factory, lines, last_end):
+    # np.loadtxt reads well-formed text in one call; the line loop must give
+    # the same bits, -0.0 and int64 labels included.
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_end:
+        text = text[: -len(lines[-1][1])]
     path = tmp_path_factory.mktemp("xyz") / "cloud.xyz"
-    sensor.write_point_cloud(path, LabeledPointCloud(points, labels))
-    text = path.read_text()
-    short = (np.abs(points) < 999999999.9999995).all() and (np.abs(labels) < 10**18).all()
-    assert (sensor._parse_xyz(text) is not None) == short
-    whole = sensor.read_point_cloud(path)
-    path.write_text(text.replace(" ", "\t"))
-    assert sensor._parse_xyz(path.read_text()) is None or not rows
-    by_line = sensor.read_point_cloud(path)
+    path.write_bytes(text.encode())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensor, "text_lines", None)  # the line loop cannot run
+        whole = sensor.read_point_cloud(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)
+        by_line = sensor.read_point_cloud(path)
     assert whole.points.tobytes() == by_line.points.tobytes()
     assert whole.labels.tobytes() == by_line.labels.tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "# x y z label_id\n"], ids=["empty", "header-only"])
+def test_read_point_cloud_of_no_points_warns_nothing(tmp_path, text):
+    path = tmp_path / "cloud.xyz"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cloud = sensor.read_point_cloud(path)
+    assert cloud.points.shape == (0, 3) and cloud.labels.shape == (0,)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_point_cloud_reads_text_under_a_compressed_suffix(tmp_path, suffix):
+    path = tmp_path / f"cloud.xyz{suffix}"
+    path.write_text("# x y z label_id\n1.5 -2 3 4\n")
+    cloud = sensor.read_point_cloud(path)
+    assert np.column_stack([cloud.points, cloud.labels]).tolist() == [[1.5, -2.0, 3.0, 4]]
 
 
 ROW = [1.0, 2.0, 3.0, 4]
@@ -451,11 +492,11 @@ ROW = [1.0, 2.0, 3.0, 4]
         ("1.000000 2.000000 3.000000 4\n1.000000 2.000000 3.000000\n", ":3: expected 'x y z label_id'"),
         ("1.000000 2.000000 3.000000 \n", ":2: expected 'x y z label_id'"),
         ("1.000000 2.000000\n3.000000 4\n", ":2: expected 'x y z label_id'"),
+        *[(f"1 2{c}3 4", ":2: expected 'x y z label_id'") for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
     ],
 )
 def test_text_outside_the_writer_form_is_read_line_by_line(tmp_path, body, want):
     text = "# x y z label_id\n" + body
-    assert sensor._parse_xyz(text) is None
     path = tmp_path / "cloud.xyz"
     path.write_text(text, encoding="utf-8")
     if isinstance(want, str):

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -51,3 +52,15 @@ def test_test_only_names_count_what_no_caller_names():
     )
     caller = 'from mod import called\ncalled(); Box().used(); WRAP = "wrapped"\n'
     assert _load_tally().unreferenced_names({"mod": module}, [module, caller]) == ["mod.unreferenced", "mod.Box.unused"]
+
+
+def test_tests_read_every_name_they_import():
+    unread = []
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unread += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert unread == []
