@@ -215,7 +215,7 @@ def cmd_sample(args):
     if args.layout is not None:
         scene = layout_mod.load_layout(args.layout)
         pose = _parse_pose(args.pose, "--pose") if args.pose is not None else Pose()
-        cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))
+        cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))[None]
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
     shape = (1, scorenet.IN_CHANNELS, spec.rows, spec.cols)
     for i in range(args.num):

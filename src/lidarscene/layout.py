@@ -139,9 +139,10 @@ def _parse_float(tok, ln):
 
 
 def read_text(path, error=ValueError) -> str:
-    """Contents of a UTF-8 text file; other bytes raise ``error`` naming it."""
+    """Contents of a UTF-8 text file, less a leading byte-order mark; other
+    bytes raise ``error`` naming it."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from None

@@ -397,6 +397,8 @@ class TrainConfig:
             raise ScoreNetError(f"train lr must be finite and > 0, got {self.lr}")
         if self.phase not in ("uncond", "a", "b", "ab"):
             raise ScoreNetError(f"unknown phase {self.phase!r}")
+        if self.log_every < 0:
+            raise ScoreNetError(f"train log_every must be >= 0, got {self.log_every}")
 
 
 @dataclass
@@ -504,17 +506,11 @@ def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerC
 
 def model_score_fn(model: ScoreModel, adapter: ControlAdapter | None = None, cond=None):
     """Adapt a ScoreModel (optionally conditioned) to the sampler's
-    score_fn(x, sigma) interface for a (B, C, H, W) batch x; ``cond`` is one
-    (C, H, W) or (1, C, H, W) image for every row, or a batch of them, which
-    ``ScoreModel.forward`` checks against x."""
-    if cond is not None:
-        cond = np.asarray(cond)
-        cond = cond[None] if cond.ndim == 3 else cond
+    score_fn(x, sigma) interface for a (B, C, H, W) batch x; ``cond`` holds
+    one condition per row of x, as ``ScoreModel.forward`` requires."""
 
     def fn(x, sigma):
-        one = cond is not None and cond.shape[:1] == (1,)
-        cb = np.broadcast_to(cond, x.shape[:1] + cond.shape[1:]) if one else cond
-        return model.forward(x, sigma, cond=cb, adapter=adapter).astype(np.float64)
+        return model.forward(x, sigma, cond=cond, adapter=adapter).astype(np.float64)
 
     return fn
 

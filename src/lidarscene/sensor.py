@@ -332,7 +332,7 @@ def read_point_cloud(path) -> LabeledPointCloud:
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(path, dtype=_XYZ_ROW, comments="#", ndmin=1, encoding="utf-8")
+                rows = np.loadtxt(path, dtype=_XYZ_ROW, comments="#", ndmin=1, encoding="utf-8-sig")
         except (ValueError, OverflowError):
             pass
         else:

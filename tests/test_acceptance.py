@@ -6,6 +6,7 @@ every criterion also asserts, so a plain pytest run enforces them.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lidarscene.metrics import (
     bev_histogram,
     frechet,
     jsd,
+    log_depth_features,
     mmd,
 )
 from lidarscene.raycast import intersect_brute, render_conditional, surface_sample
@@ -42,10 +44,7 @@ from lidarscene.scorenet import (
     train,
 )
 from lidarscene.sensor import (
-    RangeImage,
     SensorSpec,
-    denormalize_depth,
-    normalize_depth,
     pixel_to_angles,
     project_points,
     range_image_to_point_cloud,
@@ -54,6 +53,7 @@ from lidarscene.sensor import (
 
 from gradcheck import finite_diff_check
 from test_extraction import dbscan_reference, same_partition
+from workloads import C10_SPEC, _bev_grid, _c10_example, _evaluate, _range_image, _world_cloud
 
 
 def _report(num, name, ok, detail=""):
@@ -297,38 +297,28 @@ def test_criterion_09_metric_identities():
 
 
 # --- criterion 10: desk-scale two-stage training with conditional control ---
-
-C10_SPEC = SensorSpec(rows=16, cols=128)
-# close side view: at 16x128 every car must subtend enough pixels for the
-# consistency scores to have headroom (clean renders score ~0.97 recall)
-C10_POSE = Pose((0.0, -8.0, 2.0), math.pi / 2.0)
-C10_PARAMS = SceneParams(
-    area_x=(-12.0, 12.0), car_count=(2, 4), vegetation_count=(0, 0), building_count=(0, 0)
-)
-
-
-def _render_scene(seed):
-    scene = generate_random_scene(seed, C10_PARAMS)
-    img = render_conditional(scene, C10_SPEC, C10_POSE, tessellation=12)
-    depth_n = normalize_depth(img.depth, C10_SPEC)
-    sem = img.data[1] / max(len(scene.palette) - 1, 1)
-    return scene, depth_n.astype(np.float32), np.stack([depth_n, sem]).astype(np.float32)
-
-
-def _sample_to_world_cloud(x_row):
-    depth = denormalize_depth(np.clip(x_row, 0.0, 1.0), C10_SPEC)
-    img = RangeImage(C10_SPEC, depth[None])
-    return raycast.sensor_to_world(range_image_to_point_cloud(img), C10_SPEC, C10_POSE)
+# The scenes, renders and scoring are the benchmark's ``score`` workload's:
+# a close side view of 2-4 cars, so that at 16x128 every car subtends enough
+# pixels for the consistency scores to have headroom (clean renders score
+# ~0.97 recall).
 
 
 @pytest.mark.slow
 def test_criterion_10_end_to_end():
     t0 = time.time()
     train_n, held_n = 500, 32
-    rendered = [_render_scene(s) for s in range(train_n + held_n)]
-    images = np.stack([d[None] for _, d, _ in rendered[:train_n]])
-    conds = np.stack([c for _, _, c in rendered[:train_n]])
-    held = rendered[train_n:]
+    examples = [_c10_example(s) for s in range(train_n + held_n)]
+    images = np.stack([d[None] for _, d, _ in examples[:train_n]])
+    conds = np.stack([c for _, _, c in examples[:train_n]])
+    held = examples[train_n:]
+    held_clouds = [_world_cloud(depth_n) for _, depth_n, _ in held]
+    grid = _bev_grid()
+    held_set = SimpleNamespace(
+        held_scenes=[scene for scene, _, _ in held],
+        held_clouds=held_clouds,
+        held_hists=[bev_histogram(c, grid) for c in held_clouds],
+        held_feats=np.array([log_depth_features(_range_image(d)) for _, d, _ in held]),
+    )
 
     schedule = NoiseSchedule(1.0, 0.01, 10)
     model = ScoreModel(ModelConfig(widths=(8, 16, 16), emb_dim=16, blocks_per_level=1), seed=0)
@@ -345,44 +335,23 @@ def test_criterion_10_end_to_end():
     stage2_ok = losses2[-1] < 0.25 * losses2[0]
     assert model.param_checksum() == base_sum
 
-    cond_batch = np.stack([c for _, _, c in held])
-    score_fn = model_score_fn(model, adapter=adapter, cond=cond_batch)
+    score_fn = model_score_fn(model, adapter=adapter, cond=np.stack([c for _, _, c in held]))
     x = sample_annealed_langevin(
         score_fn, schedule, SamplerConfig(eps0=2e-5, steps_per_level=20),
         shape=(held_n, 1, C10_SPEC.rows, C10_SPEC.cols), seed=4,
     )
+    scores = _evaluate(held_set, x)
 
-    from lidarscene.metrics import layout_consistency
-
-    grid = BevGrid((-80.0, 80.0), (-80.0, 80.0), 160)
-    recalls, ious, sample_hists = [], [], []
-    for i, (scene, _, _) in enumerate(held):
-        world = _sample_to_world_cloud(x[i, 0])
-        recall, iou = layout_consistency(scene, world, C10_SPEC, C10_POSE)
-        recalls.append(recall)
-        ious.append(iou)
-        sample_hists.append(bev_histogram(world, grid))
-    held_hists = []
-    for scene, depth_n, _ in held:
-        world = _sample_to_world_cloud(depth_n.astype(np.float64))
-        held_hists.append(bev_histogram(world, grid))
-    jsd_matched = float(np.mean([jsd(sample_hists[i], held_hists[i]) for i in range(held_n)]))
-    jsd_mismatched = float(
-        np.mean([jsd(sample_hists[i], held_hists[(i + 1) % held_n]) for i in range(held_n)])
-    )
-
-    mean_recall = float(np.mean(recalls))
-    mean_iou = float(np.mean(ious))
     elapsed = time.time() - t0
     ok = (
         stage1_ok
         and stage2_ok
-        and mean_recall >= 0.6
-        and mean_iou >= 0.4
-        and jsd_matched < jsd_mismatched
+        and scores["box_recall"] >= 0.6
+        and scores["bev_iou"] >= 0.4
+        and scores["jsd_matched"] < scores["jsd_mismatched"]
         and elapsed <= 3600.0
     )
     _report(10, "desk-scale end-to-end", ok,
             f"stage1 {losses1[0]:.1f}->{losses1[-1]:.1f}, stage2 {losses2[0]:.1f}->{losses2[-1]:.1f}, "
-            f"box_recall {mean_recall:.2f}, bev_iou {mean_iou:.2f}, "
-            f"jsd matched {jsd_matched:.3f} vs mismatched {jsd_mismatched:.3f}, {elapsed:.0f}s")
+            f"box_recall {scores['box_recall']:.2f}, bev_iou {scores['bev_iou']:.2f}, "
+            f"jsd matched {scores['jsd_matched']:.3f} vs mismatched {scores['jsd_mismatched']:.3f}, {elapsed:.0f}s")

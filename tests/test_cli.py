@@ -395,9 +395,9 @@ def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypat
     sensor.write_lri(data / "x.lri", sensor.RangeImage(spec, img.depth))
     sensor.write_lri(data / "x.cond.lri", img)
     _, conds = cli._load_training_images(data, conditional=True)
-    assert (seen[0][1] > 0).any()
-    np.testing.assert_allclose(seen[0][1], conds[0, 1], rtol=1e-6)
-    np.testing.assert_allclose(seen[0][1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
+    assert (seen[0][0, 1] > 0).any()
+    np.testing.assert_allclose(seen[0][0, 1], conds[0, 1], rtol=1e-6)
+    np.testing.assert_allclose(seen[0][0, 1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
 
 
 def test_train_controlnet_requires_base(tmp_path, train_cfg, capsys):
@@ -593,13 +593,17 @@ def test_checkpoint_with_unbuildable_model_block_names_file_and_field(tmp_path, 
 
 
 @pytest.mark.parametrize(
-    "settings, argv",
-    [("train.steps = -3\n", ()), ("", ("--steps", "-3")), ("train.batch_size = 0\n", ("--steps", "2"))],
-    ids=["steps-config", "steps-flag", "batch-size"],
+    "settings, argv, message",
+    [
+        ("train.steps = -3\n", (), "steps >= 0 and batch_size >= 1"),
+        ("", ("--steps", "-3"), "steps >= 0 and batch_size >= 1"),
+        ("train.batch_size = 0\n", ("--steps", "2"), "steps >= 0 and batch_size >= 1"),
+        ("train.log_every = -3\n", ("--steps", "2"), "train log_every must be >= 0, got -3"),
+    ],
+    ids=["steps-config", "steps-flag", "batch-size", "log-every"],
 )
-def test_train_rejects_negative_steps_and_empty_batches(tmp_path, capsys, settings, argv):
-    err = _train_fails_with_one_error_line(tmp_path, capsys, settings, argv)
-    assert "steps >= 0 and batch_size >= 1" in err
+def test_train_rejects_negative_steps_and_empty_batches(tmp_path, capsys, settings, argv, message):
+    assert message in _train_fails_with_one_error_line(tmp_path, capsys, settings, argv)
 
 
 @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
@@ -919,3 +923,27 @@ def test_eval_rejects_metrics_naming_no_metric(tmp_path, capsys, names):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: --metrics names no metric; choose from jsd, mmd, frechet"]
+
+
+def _cloud_bytes(path):
+    cloud = sensor.read_point_cloud(path)
+    return cloud.points.tobytes(), cloud.labels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (layout_mod.load_layout, "palette ground 81 0 81\npalette car 0 0 142\nprim car cuboid 6 0 0.75 4 1.8 1.5 0\n"),
+        (lambda path: config.load_config(path).values, "sensor.rows = 16\n"),
+        (cli._read_trajectory, "0 0 0 0\n4 0 0 90\n"),
+        (_cloud_bytes, "1 2 3 4\n5.5 6 7 8\n"),
+        (_cloud_bytes, "# x y z label_id\n1 2 3 4\n5.5 6 7 8\n"),
+    ],
+    ids=["layout", "config", "trajectory", "xyz", "xyz-header"],
+)
+def test_text_readers_skip_a_byte_order_mark(tmp_path, monkeypatch, read, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    monkeypatch.setattr(sensor, "text_lines", None)  # an .xyz file stays on the np.loadtxt path
+    assert read(marked) == read(plain)

@@ -18,7 +18,8 @@ from lidarscene.extraction import (
 from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
 from lidarscene.raycast import render_conditional, sensor_to_world
 from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud
-from test_raycast import STREET_PARAMS, STREET_POSE_X
+
+from workloads import STREET_PARAMS, STREET_POSES, STREET_SPEC, STREET_TESSELLATION
 
 
 def dbscan_reference(points, eps, min_pts):
@@ -184,11 +185,10 @@ def test_border_point_of_two_clusters_takes_the_lower_id(order):
 def test_street_frame_layouts_are_pinned():
     # extract_layout over the 10 street poses of seed 0's street scene: the
     # primitive counts and a sha256 of each layout's primitives' repr.
-    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
+    scene, spec = generate_random_scene(0, STREET_PARAMS), STREET_SPEC
     counts, digest = [], hashlib.sha256()
-    for x in STREET_POSE_X:
-        pose = Pose((float(x), 0.0, 0.0), 0.0)
-        img = render_conditional(scene, spec, pose, tessellation=16)
+    for pose in STREET_POSES:
+        img = render_conditional(scene, spec, pose, STREET_TESSELLATION)
         out = extract_layout(sensor_to_world(range_image_to_point_cloud(img), spec, pose))
         counts.append(len(out.primitives))
         digest.update(repr(out.primitives).encode())

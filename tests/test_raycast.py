@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lidarscene import _kernels, raycast, sensor
-from lidarscene.layout import Layout, Pose, SceneParams, SemanticPrimitive, generate_random_scene
+from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
 from lidarscene.meshing import TriangleMesh, mesh_layout, mesh_primitive
 from lidarscene.raycast import (
     RaydropParams,
@@ -19,6 +19,18 @@ from lidarscene.raycast import (
     surface_sample,
 )
 from lidarscene.sensor import RangeImage, SensorSpec, angles_to_direction
+
+from test_acceptance import _random_scene_50
+from workloads import (
+    C10_PARAMS,
+    C10_POSE,
+    C10_SPEC,
+    C10_TESSELLATION,
+    STREET_PARAMS,
+    STREET_POSES,
+    STREET_SPEC,
+    STREET_TESSELLATION,
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,19 +127,14 @@ def test_tie_window_is_anchored_at_the_minimum(offsets, winner):
     assert t[0] == t_brute[0] == pytest.approx(2.0 + offsets[winner], abs=1e-12)
 
 
-# Criterion 10's frames: a close side view of 2-4 cars, 28-52 triangles.
-C10_PARAMS = SceneParams(area_x=(-12.0, 12.0), car_count=(2, 4), vegetation_count=(0, 0), building_count=(0, 0))
-C10_SPEC = SensorSpec(rows=16, cols=128)
-C10_POSE = Pose((0.0, -8.0, 2.0), math.pi / 2.0)
-# The benchmark's street scene: 1,680 triangles at tessellation 16, seen
-# from poses along the road centre line.
-STREET_PARAMS = SceneParams(car_count=(6, 6), vegetation_count=(7, 7), building_count=(3, 3))
-STREET_POSE_X = range(-36, 37, 8)
+def pose_id(pose):
+    """A street pose's test id: its x, as in ``street:-36``."""
+    return f"{pose.translation[0]:g}"
 
 
 @pytest.fixture(scope="module")
 def street_mesh():
-    return mesh_layout(generate_random_scene(0, STREET_PARAMS), tessellation=16)
+    return mesh_layout(generate_random_scene(0, STREET_PARAMS), STREET_TESSELLATION)
 
 
 def leaf_depths(bvh):
@@ -215,7 +222,7 @@ def test_bvh_structure(scene_mesh, street_mesh):
     meshes = [
         first_triangles(five, 1),
         five,
-        mesh_layout(generate_random_scene(0, C10_PARAMS), tessellation=12),
+        mesh_layout(generate_random_scene(0, C10_PARAMS), C10_TESSELLATION),
         first_triangles(street_mesh, 37),  # leaves at depths 1, 4 and 5
         scene_mesh,
         street_mesh,
@@ -278,7 +285,7 @@ def test_bvh_of_criterion_10_meshes_splits_every_node_at_the_median():
     # Their at most 52 triangles never reach SAH_MIN_TRIANGLES, so they build
     # the median tree, and the dataset frames do the same work as before.
     for seed in range(50):
-        mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), tessellation=12)
+        mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), C10_TESSELLATION)
         assert mesh.num_triangles <= 52 < raycast.SAH_MIN_TRIANGLES
         assert_same_as_recursive_build(mesh, build_bvh(mesh), sah_min=math.inf)
 
@@ -299,11 +306,11 @@ def test_street_frame_traversal_work(street_mesh, monkeypatch):
 
     counted("_slab_hits", "pairs")
     counted("_triangle_hits", "tests")
-    bvh, spec = build_bvh(street_mesh), SensorSpec(rows=32, cols=256)
-    for x in STREET_POSE_X:
-        _kernels.render_rays(*raycast._sensor_rays(spec, Pose((float(x), 0.0, 0.0), 0.0)), spec.max_range, bvh)
-    assert work["pairs"] <= 130_000 * len(STREET_POSE_X)
-    assert work["tests"] <= 65_000 * len(STREET_POSE_X)
+    bvh = build_bvh(street_mesh)
+    for pose in STREET_POSES:
+        _kernels.render_rays(*raycast._sensor_rays(STREET_SPEC, pose), STREET_SPEC.max_range, bvh)
+    assert work["pairs"] <= 130_000 * len(STREET_POSES)
+    assert work["tests"] <= 65_000 * len(STREET_POSES)
 
 
 @pytest.fixture
@@ -321,19 +328,15 @@ def work(monkeypatch):
     return counts
 
 
-def cull_frame(name):
+def cull_frame(kind, arg):
     """(mesh, origins, dirs, t_max) of a street pose of seed 0, a
     criterion-10 scene or criterion 2's random rays."""
-    kind, arg = name.split(":")
     if kind == "street":
-        spec = SensorSpec(rows=32, cols=256)
-        mesh = mesh_layout(generate_random_scene(0, STREET_PARAMS), tessellation=16)
-        return mesh, *raycast._sensor_rays(spec, Pose((float(arg), 0.0, 0.0), 0.0)), spec.max_range
+        mesh = mesh_layout(generate_random_scene(0, STREET_PARAMS), STREET_TESSELLATION)
+        return mesh, *raycast._sensor_rays(STREET_SPEC, arg), STREET_SPEC.max_range
     if kind == "c10":
-        mesh = mesh_layout(generate_random_scene(int(arg), C10_PARAMS), tessellation=12)
+        mesh = mesh_layout(generate_random_scene(arg, C10_PARAMS), C10_TESSELLATION)
         return mesh, *raycast._sensor_rays(C10_SPEC, C10_POSE), C10_SPEC.max_range
-    from test_acceptance import _random_scene_50  # imported late: test_acceptance imports this module
-
     rng = np.random.default_rng(7)  # criterion 2's rays
     origins = rng.uniform(-45, 45, size=(10_000, 3))
     origins[:, 2] = rng.uniform(0.2, 8.0, size=10_000)
@@ -343,11 +346,14 @@ def cull_frame(name):
 
 
 @pytest.mark.parametrize(
-    "name", [f"street:{x}" for x in STREET_POSE_X] + [f"c10:{seed}" for seed in range(5)] + ["criterion-2:rays"]
+    "kind, arg",
+    [pytest.param("street", pose, id=f"street:{pose_id(pose)}") for pose in STREET_POSES]
+    + [pytest.param("c10", seed, id=f"c10:{seed}") for seed in range(5)]
+    + [pytest.param("criterion-2", None, id="criterion-2:rays")],
 )
-def test_float32_cull_keeps_every_pair_the_float64_test_keeps(name):
+def test_float32_cull_keeps_every_pair_the_float64_test_keeps(kind, arg):
     # Walk the frontier that the float64 slab test leaves, level by level.
-    mesh, origins, dirs, t_max = cull_frame(name)
+    mesh, origins, dirs, t_max = cull_frame(kind, arg)
     bvh = build_bvh(mesh)
     origins, dirs = origins.T, dirs.T
     with np.errstate(divide="ignore"):
@@ -393,19 +399,20 @@ def test_render_rays_is_the_same_in_any_triangle_block(street_mesh, block, monke
 def test_far_street_poses_render_as_the_oracle_with_the_same_work(street_mesh, shift, work):
     # The float32 frame is relative to the scene, so a street far from the
     # world origin costs no more pairs than at the origin and still renders exactly.
-    spec = SensorSpec(rows=32, cols=256)
+    spec = STREET_SPEC
     far = TriangleMesh(street_mesh.vertices + [shift, shift, 0.0], street_mesh.triangles, street_mesh.triangle_labels)
     bvh, far_bvh = build_bvh(street_mesh), build_bvh(far)
-    for x in STREET_POSE_X:
+    for i, pose in enumerate(STREET_POSES):
         work.update(pairs=0, tests=0)
-        _kernels.render_rays(*raycast._sensor_rays(spec, Pose((float(x), 0.0, 0.0), 0.0)), spec.max_range, bvh)
+        _kernels.render_rays(*raycast._sensor_rays(spec, pose), spec.max_range, bvh)
         near_work = dict(work)
         work.update(pairs=0, tests=0)
-        origins, dirs = raycast._sensor_rays(spec, Pose((x + shift, shift, 0.0), 0.0))
+        x, y, z = pose.translation
+        origins, dirs = raycast._sensor_rays(spec, Pose((x + shift, y + shift, z), pose.yaw))
         kt, ki = _kernels.render_rays(origins, dirs, spec.max_range, far_bvh)
         assert work["pairs"] == pytest.approx(near_work["pairs"], rel=0.01)
         assert work["tests"] == pytest.approx(near_work["tests"], rel=0.01)
-        if x not in STREET_POSE_X[::3]:  # the oracle, for 4 of the poses
+        if i % 3:  # the oracle, for 4 of the poses
             continue
         bt, bi = intersect_brute(far, origins, dirs, spec.max_range)
         assert (bi >= 0).any()
@@ -456,7 +463,7 @@ def assert_render_rays_pinned(mesh, spec, pose):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_render_rays_pins_criterion_10_frames(seed):
-    mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), tessellation=12)
+    mesh = mesh_layout(generate_random_scene(seed, C10_PARAMS), C10_TESSELLATION)
     assert 40 <= mesh.num_triangles <= 52
     assert_render_rays_pinned(mesh, C10_SPEC, C10_POSE)
 
@@ -470,31 +477,29 @@ def test_render_rays_pins_leaves_at_mixed_depths(street_mesh, k, depths):
     assert_render_rays_pinned(mesh, SensorSpec(rows=16, cols=128), Pose((0.0, 0.0, 0.0), 0.0))
 
 
-@pytest.mark.parametrize("x", STREET_POSE_X)
-def test_render_rays_pins_street_poses(street_mesh, x):
+@pytest.mark.parametrize("pose", STREET_POSES, ids=pose_id)
+def test_render_rays_pins_street_poses(street_mesh, pose):
     assert street_mesh.num_triangles == 1680
-    assert_render_rays_pinned(street_mesh, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0))
+    assert_render_rays_pinned(street_mesh, STREET_SPEC, pose)
 
 
 def test_street_point_clouds_are_pinned(tmp_path):
     # The xyz files that render --trajectory --cloud writes over the 10 street poses.
-    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
+    scene, spec = generate_random_scene(0, STREET_PARAMS), STREET_SPEC
     path, digest = tmp_path / "frame.xyz", hashlib.sha256()
-    for x in STREET_POSE_X:
-        pose = Pose((float(x), 0.0, 0.0), 0.0)
-        img = render_conditional(scene, spec, pose, tessellation=16)
+    for pose in STREET_POSES:
+        img = render_conditional(scene, spec, pose, STREET_TESSELLATION)
         sensor.write_point_cloud(path, raycast.sensor_to_world(sensor.range_image_to_point_cloud(img), spec, pose))
         digest.update(path.read_bytes())
     assert digest.hexdigest() == "251a4ef02b9be0a433db3656831b66b97ea9c11ab306363df13bdf7712f875f5"
 
 
 def test_street_poses_render_the_same_with_and_without_the_memo():
-    scene, spec = generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256)
-    for x in STREET_POSE_X:
-        pose = Pose((float(x), 0.0, 0.0), 0.0)
-        img, cos = render_conditional(scene, spec, pose, 16, return_incidence=True)
+    scene, spec = generate_random_scene(0, STREET_PARAMS), STREET_SPEC
+    for pose in STREET_POSES:
+        img, cos = render_conditional(scene, spec, pose, STREET_TESSELLATION, return_incidence=True)
         raycast._scene.cache_clear()
-        fresh, fresh_cos = render_conditional(scene, spec, pose, 16, return_incidence=True)
+        fresh, fresh_cos = render_conditional(scene, spec, pose, STREET_TESSELLATION, return_incidence=True)
         np.testing.assert_array_equal(img.data, fresh.data)
         np.testing.assert_array_equal(cos, fresh_cos)
 
@@ -534,8 +539,8 @@ def test_render_digests_are_pinned():
     # sha256 of the depth, label and incidence channels of every frame, in
     # order: the 10 street poses, then criterion-10 scenes 0-49.
     street = generate_random_scene(0, STREET_PARAMS)
-    frames = [(street, SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0), 16) for x in STREET_POSE_X]
-    frames += [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, 12) for seed in range(50)]
+    frames = [(street, STREET_SPEC, pose, STREET_TESSELLATION) for pose in STREET_POSES]
+    frames += [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, C10_TESSELLATION) for seed in range(50)]
     digests = [hashlib.sha256() for _ in range(3)]
     for scene, spec, pose, tessellation in frames:
         img, cos = render_conditional(scene, spec, pose, tessellation, return_incidence=True)
@@ -562,11 +567,10 @@ def test_empty_mesh_has_no_hits_and_no_surface_points():
 
 #: (layout, spec, pose, tessellation) of five criterion-10 frames and of the
 #: street scene from three of its poses.
-FRAMES = [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, 12) for seed in range(5)] + [
-    (generate_random_scene(0, STREET_PARAMS), SensorSpec(rows=32, cols=256), Pose((float(x), 0.0, 0.0), 0.0), 16)
-    for x in (-36, 4, 36)
+FRAMES = [(generate_random_scene(seed, C10_PARAMS), C10_SPEC, C10_POSE, C10_TESSELLATION) for seed in range(5)] + [
+    (generate_random_scene(0, STREET_PARAMS), STREET_SPEC, STREET_POSES[i], STREET_TESSELLATION) for i in (0, 5, 9)
 ]
-FRAME_IDS = [f"c10-{seed}" for seed in range(5)] + [f"street{x}" for x in (-36, 4, 36)]
+FRAME_IDS = [f"c10-{seed}" for seed in range(5)] + [f"street{pose_id(STREET_POSES[i])}" for i in (0, 5, 9)]
 
 
 def assert_same_image(a, b):

@@ -54,6 +54,12 @@ def test_test_only_names_count_what_no_caller_names():
     assert _load_tally().unreferenced_names({"mod": module}, [module, caller]) == ["mod.unreferenced", "mod.Box.unused"]
 
 
+def test_only_criterion_1_calls_a_public_name_that_no_package_or_harness_file_names():
+    # sensor.project_points is the subject of acceptance criterion 1; a new
+    # public name that only tests call fails here.
+    assert _load_tally().names_only_tests_call() == ["sensor.project_points"]
+
+
 def test_tests_read_every_name_they_import():
     unread = []
     for path in sorted(Path(__file__).parent.rglob("*.py")):

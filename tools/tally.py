@@ -98,14 +98,20 @@ def unreferenced_names(modules: dict, callers: list) -> list:
             for name, dotted in _public_defs(ast.parse(text)) if name not in used]
 
 
+def names_only_tests_call() -> list:
+    """``unreferenced_names`` of the package, with the package and the
+    ``perfbench/*.py`` harness as callers."""
+    modules = {f.stem: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))}
+    harness = [f.read_text(encoding="utf-8") for f in sorted(PERFBENCH.glob("*.py"))]
+    return unreferenced_names(modules, [*modules.values(), *harness])
+
+
 def main() -> None:
-    files = sorted(PACKAGE.glob("*.py"))
-    texts = [f.read_text(encoding="utf-8") for f in files]
+    texts = [f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))]
     lines = sum(t.count("\n") for t in texts)
     code = sum(code_lines(t) for t in texts)
     settings = sum(defaulted_settings(ast.parse(t)) for t in texts)
-    harness = [f.read_text(encoding="utf-8") for f in sorted(PERFBENCH.glob("*.py"))]
-    test_only = unreferenced_names({f.stem: t for f, t in zip(files, texts)}, texts + harness)
+    test_only = names_only_tests_call()
     sys.path.insert(0, str(SRC))
     from lidarscene import config
 
