@@ -2,10 +2,13 @@
 gradients. Only what the score network needs: 3x3/1x1 convolutions, dense
 layers, SiLU, per-sample feature modulation, and 2x pooling/upsampling.
 
-Every layer caches its forward inputs, by reference, and consumes them in
-``backward``, which accumulates parameter gradients and returns the input
-gradient; so a caller must not modify an input in place between a layer's
-forward and backward (nothing in the package does).
+A layer's forward keeps its input, by reference, for ``backward``, which
+accumulates parameter gradients and returns the input gradient; so a caller
+must not modify an input in place between a layer's forward and backward
+(nothing in the package does). Inside ``forward_only()`` (sampling, which
+never differentiates) a layer keeps ``None`` instead, which also drops what
+its previous forward kept: only the activations the running forward still
+uses stay alive (as in Chen et al., 2016, with nothing to recompute).
 A convolution's backward computes only the gradients its caller needs:
 ``params=False`` skips a frozen layer's weight gradient, and
 ``inputs=False`` the input gradient of a network's input, which nothing
@@ -36,8 +39,31 @@ digests pinned in the tests depend on that order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+_KEEP_INPUTS = ContextVar("keep_inputs", default=True)
+
+
+@contextmanager
+def forward_only():
+    """Forwards run in this block keep no input for a backward pass; the
+    previous mode comes back on exit, also when the block raises."""
+    token = _KEEP_INPUTS.set(False)
+    try:
+        yield
+    finally:
+        _KEEP_INPUTS.reset(token)
+
+
+def _kept(value):
+    """What a layer keeps of its forward for ``backward``: ``value``, or None
+    inside ``forward_only()``."""
+    return value if _KEEP_INPUTS.get() else None
 
 
 class Param:
@@ -103,7 +129,7 @@ class Conv2d:
         b, _, h, w = x.shape
         y = self.w.value.reshape(self.cout, -1) @ _im2col(x, self.ksize)
         y += self.b.value[:, None]
-        self._x = x
+        self._x = _kept(x)
         return y.reshape(b, self.cout, h, w)
 
     def backward(self, dy, params=True, inputs=True):
@@ -131,7 +157,7 @@ class Dense:
         self._x = None
 
     def forward(self, x):
-        self._x = x
+        self._x = _kept(x)
         return x @ self.w.value + self.b.value
 
     def backward(self, dy):
@@ -148,7 +174,7 @@ class SiLU:
         # exp overflow for very negative x still yields the correct 0 limit
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-x))
-        self._cache = (x, sig)
+        self._cache = _kept((x, sig))
         return x * sig
 
     def backward(self, dy):
@@ -163,7 +189,7 @@ class FiLM:
         self._cache = None
 
     def forward(self, x, scale, shift):
-        self._cache = (x, scale)
+        self._cache = _kept((x, scale))
         return x * (1.0 + scale[:, :, None, None]) + shift[:, :, None, None]
 
     def backward(self, dy, modulation):

@@ -35,6 +35,7 @@ from .nn import (
     SiLU,
     avgpool2,
     avgpool2_backward,
+    forward_only,
     named_params,
     sinusoidal_embedding,
     upnearest2,
@@ -258,7 +259,7 @@ class ScoreModel:
         the conditional pathway (identical to the unconditional forward
         while the fusion convolutions are all zero); `cond` without `adapter`
         raises. An ``x`` of the model's dtype is not copied: the layers keep
-        it until ``backward``."""
+        it until ``backward``, unless run inside ``nn.forward_only()``."""
         if cond is not None and adapter is None:
             raise ScoreNetError("a conditional image requires an adapter")
         x = np.asarray(x, dtype=self.config.dtype)
@@ -298,7 +299,8 @@ class ScoreModel:
         return self.out_conv.forward(h)
 
     def backward(self, dout, allowed=None):
-        """Backprop from d(loss)/d(output); call right after forward.
+        """Backprop from d(loss)/d(output); call right after a forward that
+        kept its inputs (not one inside ``nn.forward_only()``).
 
         Accumulates the gradients of every parameter group that holds a name
         in ``allowed`` (all of them when None): the base model, the adapter's
@@ -306,6 +308,8 @@ class ScoreModel:
         groups' gradients are left as they are. A frozen base computes no
         weight gradient and runs no encoder backward: its decoder only
         carries the gradient to the fusion convs."""
+        if self.out_conv._x is None:  # the last layer of every forward
+            raise ScoreNetError("backward needs a forward that kept its inputs")
         adapter = self._adapter
         base = _trains(allowed, "base.")
         fusion = adapter is not None and _trains(allowed, _FUSION)
@@ -507,10 +511,15 @@ def sample_annealed_langevin(score_fn, schedule: NoiseSchedule, config: SamplerC
 def model_score_fn(model: ScoreModel, adapter: ControlAdapter | None = None, cond=None):
     """Adapt a ScoreModel (optionally conditioned) to the sampler's
     score_fn(x, sigma) interface for a (B, C, H, W) batch x; ``cond`` holds
-    one condition per row of x, as ``ScoreModel.forward`` requires."""
+    one condition per row of x, as ``ScoreModel.forward`` requires. Each call
+    runs inside ``nn.forward_only()``, since no sampler differentiates the
+    score: it keeps no activation and drops those a training forward left
+    in the layers it runs, so ``model.backward`` raises until the next
+    ``ScoreModel.forward``."""
 
     def fn(x, sigma):
-        return model.forward(x, sigma, cond=cond, adapter=adapter).astype(np.float64)
+        with forward_only():
+            return model.forward(x, sigma, cond=cond, adapter=adapter).astype(np.float64)
 
     return fn
 

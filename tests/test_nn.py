@@ -93,8 +93,10 @@ def test_conv2d_backward_equals_cached_column_formulas(dtype, ksize, batch):
 
 def test_conv2d_forward_keeps_no_column_copy():
     """A 3x3 layer holds its input by reference and no k*k-times copy of it,
-    so a forward (the sampler's, or a frozen layer's) leaves only its output
-    allocated; with cached columns it left 10x that."""
+    so a forward that keeps its input for ``backward`` (any training forward,
+    a frozen layer's too) leaves only its output allocated; with cached
+    columns it left 10x that. A sampler's forward runs inside
+    ``nn.forward_only()`` and keeps not even the reference."""
     rng = np.random.default_rng(3)
     conv = nn.Conv2d(16, 16, 3, rng, np.float32)
     x = rng.standard_normal((8, 16, 16, 128)).astype(np.float32)
@@ -106,6 +108,31 @@ def test_conv2d_forward_keeps_no_column_copy():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * y.nbytes
+
+
+def test_forward_only_keeps_no_inputs_and_restores_the_mode_on_exit_and_on_error():
+    rng = np.random.default_rng(6)
+    conv, dense, silu, film = nn.Conv2d(2, 3, 3, rng, np.float64), nn.Dense(4, 3, rng, np.float64), nn.SiLU(), nn.FiLM()
+    x, v, scale = rng.standard_normal((2, 2, 4, 8)), rng.standard_normal((2, 4)), rng.standard_normal((2, 2))
+
+    def kept():
+        conv.forward(x)
+        dense.forward(v)
+        silu.forward(x)
+        film.forward(x, scale, scale)
+        return [conv._x, dense._x, silu._cache, film._cache]
+
+    assert all(k is not None for k in kept())
+    with nn.forward_only():
+        assert all(k is None for k in kept())  # and the inputs kept above are dropped
+        with nn.forward_only():
+            pass
+        assert all(k is None for k in kept())  # a nested block's exit keeps the outer mode
+    assert all(k is not None for k in kept())
+    with pytest.raises(RuntimeError, match="^inside$"):
+        with nn.forward_only():
+            raise RuntimeError("inside")
+    assert all(k is not None for k in kept())
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from lidarscene.scorenet import (
 )
 
 from gradcheck import finite_diff_check
+from workloads import C10_SPEC, Score
 
 TINY64 = ModelConfig(widths=(4, 4), emb_dim=8, blocks_per_level=1, dtype=np.float64)
 SMALL32 = ModelConfig(widths=(8, 8, 16), emb_dim=16, blocks_per_level=1)
@@ -515,6 +517,106 @@ def _moved_adapter(model, seed):
     for p in (p for name, p in adapter.named_params().items() if name.startswith(scorenet._FUSION)):
         p.value = (rng.standard_normal(p.value.shape) * 0.1).astype(p.value.dtype)
     return adapter
+
+
+def _kept_inputs(obj, path):
+    """(path, value) of every forward cache (``_x``, ``_cache``) in ``obj`` and
+    the layers reachable through its public attributes."""
+    out = []
+    for attr, value in vars(obj).items():
+        if attr in ("_x", "_cache"):
+            out.append((path, value))
+        elif not attr.startswith("_"):
+            for i, v in enumerate(value if isinstance(value, list) else [value]):
+                if hasattr(v, "forward"):
+                    out += _kept_inputs(v, f"{path}.{attr}{i}")
+    return out
+
+
+@pytest.mark.parametrize("when", ["fresh", "after a forward-only call"])
+def test_backward_without_a_kept_forward_raises(when):
+    model = ScoreModel(TINY64, seed=50)
+    x = np.zeros((1, 1, 8, 16))
+    if when != "fresh":
+        model.forward(x, 0.5)
+        model_score_fn(model)(x, 0.5)
+    with pytest.raises(ScoreNetError, match="^backward needs a forward that kept its inputs$"):
+        model.backward(np.ones_like(x))
+
+
+@pytest.mark.parametrize("path", ["uncond", "adapter"])
+def test_model_score_fn_keeps_no_activation_at_the_score_workload_size(path):
+    """After a training step, one sampler call at the ``score`` workload's
+    size leaves only its output allocated, drops every input the step kept,
+    and returns ``ScoreModel.forward``'s output bit for bit."""
+    rng = np.random.default_rng(51)
+    model = ScoreModel(Score.model, seed=52)
+    adapter = ControlAdapter(model, seed=53) if path == "adapter" else None
+    state = TrainState(model=model, schedule=Score.schedule, adapter=adapter)
+    shape = (Score.held_frames, 1, C10_SPEC.rows, C10_SPEC.cols)
+    images = rng.random(shape).astype(np.float32)
+    conds = None if adapter is None else rng.random((shape[0], 2) + shape[2:]).astype(np.float32)
+    phase = "uncond" if adapter is None else "ab"
+    train(state, images if conds is None else (images, conds), TrainConfig(steps=1, batch_size=Score.batch_size, phase=phase))
+
+    def kept():
+        return _kept_inputs(model, "base") + ([] if adapter is None else _kept_inputs(adapter, "adapter"))
+
+    assert len(kept()) > 30 and all(value is not None for _, value in kept())  # the step kept every input
+
+    x = rng.random(shape)
+    tracemalloc.start()  # the training step's caches are untraced, so dropping them counts nothing
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = model_score_fn(model, adapter, conds)(x, 0.5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * out.nbytes
+    assert [name for name, value in kept() if value is not None] == []
+    np.testing.assert_array_equal(out, model.forward(x, 0.5, cond=conds, adapter=adapter).astype(np.float64))
+
+
+@pytest.mark.parametrize("phase", ["uncond", "ab"])
+def test_training_after_sampling_equals_training_without_it(phase):
+    def run(sample_first):
+        model = ScoreModel(SMALL32, seed=54)
+        state = TrainState(model=model, schedule=NoiseSchedule(levels=4), adapter=_moved_adapter(model, 55))
+        images, conds = make_dataset(seed=56), make_dataset(shape=(2, 8, 16), seed=57)
+        adapter = None if phase == "uncond" else state.adapter
+        data = images if adapter is None else (images, conds)
+        train(state, data, TrainConfig(steps=2, batch_size=4, seed=58, phase=phase))
+        if sample_first:
+            model_score_fn(model, adapter, None if adapter is None else conds[:2])(images[:2], 0.3)
+        losses = train(state, data, TrainConfig(steps=2, batch_size=4, seed=59, phase=phase))
+        return losses, model.param_checksum(), {k: p.value.copy() for k, p in state.params().items()}
+
+    losses, checksum, values = run(True)
+    ref_losses, ref_checksum, ref_values = run(False)
+    assert losses == ref_losses
+    assert checksum == ref_checksum
+    for name, value in values.items():
+        np.testing.assert_array_equal(value, ref_values[name], err_msg=name)
+
+
+def test_forward_only_peak_is_at_most_half_a_kept_forward_at_default_size():
+    """The memory a default-size ``lidarscene sample`` saves per forward: the
+    default model on one 64x1024 image peaks at about 35% of a forward that
+    keeps its inputs."""
+    model = ScoreModel(seed=60)
+    x = np.random.default_rng(61).random((1, 1, 64, 1024)).astype(np.float32)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sampled = peak(lambda: model_score_fn(model)(x, 0.5))
+    kept = peak(lambda: model.forward(x, 0.5))
+    assert sampled <= 0.5 * kept
 
 
 def _grads_of(loss_fn, params):
