@@ -38,7 +38,7 @@ rays (3, n)), so gathers are ``np.take(a, idx, axis=1)`` and the tests'
 elementwise passes run over contiguous rows. A 32x256 street frame slab-tests
 118k (ray, node) pairs and runs 59k triangle tests (means over 10 poses; the
 margin adds 0.02% and 0.03% to a float64 cull's). Medians of 6 runs over the
-10 poses, 2-core VM: 1.6 ms of slab gathers, 0.9 ms of float32 slab tests
+10 poses, 2-core VM: 1.6 ms of slab gathers, 1.1 ms of float32 slab tests
 (float64: 2.2 ms), 1.3 ms of triangle gathers and 2.5 ms of triangle tests in
 blocks of TRI_BLOCK (3.2 ms in one call per level) in 8.5 ms of traversal.
 """
@@ -59,25 +59,15 @@ CULL_MARGIN = 64 * float(np.finfo(np.float32).eps)
 
 def _slab_hits(o, inv, bmin, bmax, reach):
     """Rows whose ray may meet the box in (0, reach], computed in the
-    inputs' dtype and in place where it can (fewer fresh temporaries). A
-    zero direction component gives inv = +-inf, and 0 * inf = NaN where the
-    origin lies on a slab plane: np.minimum/np.maximum carry the NaN and
-    np.fmax/np.fmin then skip that axis, so it never culls a pair."""
+    inputs' dtype. A zero direction component gives inv = +-inf, and
+    0 * inf = NaN where the origin lies on a slab plane: np.minimum/np.maximum
+    carry the NaN and np.fmax/np.fmin then skip that axis, so it never culls
+    a pair."""
     with np.errstate(invalid="ignore", over="ignore"):
-        lo = bmin - o
-        lo *= inv
-        hi = bmax - o
-        hi *= inv
-    near = np.minimum(lo, hi)
-    far = np.maximum(lo, hi, out=hi)
-    t_near = np.fmax(near[0], near[1])
-    np.fmax(t_near, near[2], out=t_near)
-    t_far = np.fmin(far[0], far[1])
-    np.fmin(t_far, far[2], out=t_far)
-    keep = t_near <= t_far
-    keep &= t_far > 0.0
-    keep &= t_near <= reach
-    return keep
+        lo, hi = (bmin - o) * inv, (bmax - o) * inv
+    t_near = np.fmax.reduce(np.minimum(lo, hi), axis=0)
+    t_far = np.fmin.reduce(np.maximum(lo, hi), axis=0)
+    return (t_near <= t_far) & (t_far > 0.0) & (t_near <= reach)
 
 
 def _float32_frame(origins, inv, t_max, bounds):

@@ -119,7 +119,7 @@ def parse_config(text: str) -> Config:
     return Config(values)
 
 
-def load_config(path=None) -> Config:
+def load_config(path) -> Config:
     if path is None:
         return Config()
     text = read_text(path, ConfigError)

@@ -166,7 +166,7 @@ def _sensor_rays(spec: SensorSpec, pose: Pose):
     # R(theta) @ direction(yaw) == direction(yaw - theta).
     dirs = angles_to_direction(yaw - pose.yaw, pitch)
     origin = np.asarray(pose.translation, dtype=np.float64) + [0.0, 0.0, spec.origin_height]
-    return np.broadcast_to(origin, dirs.shape).copy(), dirs
+    return np.broadcast_to(origin, dirs.shape), dirs
 
 
 @functools.lru_cache(maxsize=1)
@@ -245,7 +245,7 @@ def apply_raydrop(
     img: RangeImage,
     params: RaydropParams,
     incidence_cos: np.ndarray,
-    seed: int = 0,
+    seed: int,
 ) -> RangeImage:
     """Stochastic per-pixel dropout of returned pixels, given the incidence
     |cos| that ``render_conditional`` returns. Drops only the depth channel;

@@ -268,9 +268,6 @@ class ScoreModel:
         depth_div = 2 ** (len(self.config.widths) - 1)
         if x.shape[2] % depth_div or x.shape[3] % depth_div:
             raise ScoreNetError(f"H and W must be divisible by {depth_div}")
-        emb = self._embed(sigma, x.shape[0])
-        skips = self.enc.forward(x, emb)
-        controls = None
         if adapter is not None:
             if cond is None:
                 raise ScoreNetError("adapter requires a conditional image")
@@ -278,6 +275,10 @@ class ScoreModel:
             want = (x.shape[0], COND_CHANNELS) + x.shape[2:]
             if cond.shape != want:
                 raise ScoreNetError(f"expected cond of shape {want}, got {cond.shape}")
+        emb = self._embed(sigma, x.shape[0])
+        skips = self.enc.forward(x, emb)
+        controls = None
+        if adapter is not None:
             hint = adapter.hint.forward(cond)
             a_skips = adapter.enc.forward(x, emb, hint=hint)
             controls = [z.forward(s) for z, s in zip((*adapter.zero, adapter.zmid), a_skips)]
@@ -308,15 +309,20 @@ class ScoreModel:
         groups' gradients are left as they are. A frozen base computes no
         weight gradient and runs no encoder backward: its decoder only
         carries the gradient to the fusion convs."""
-        if self.out_conv._x is None:  # the last layer of every forward
+        x = self.out_conv._x  # the last layer of every forward
+        if x is None:
             raise ScoreNetError("backward needs a forward that kept its inputs")
+        dout = np.asarray(dout, dtype=self.config.dtype)
+        want = (x.shape[0], IN_CHANNELS) + x.shape[2:]
+        if dout.shape != want:
+            raise ScoreNetError(f"expected dout of shape {want}, got {dout.shape}")
         adapter = self._adapter
         base = _trains(allowed, "base.")
         fusion = adapter is not None and _trains(allowed, _FUSION)
         control = adapter is not None and _trains(allowed, ("adapter.enc", "adapter.hint"))
         n = len(self.config.widths)
         demb = 0.0
-        dh = self.out_conv.backward(np.asarray(dout, dtype=self.config.dtype), base)
+        dh = self.out_conv.backward(dout, base)
         # Skips and controls add to the same decoder inputs: dskips serves both.
         dskips = [0.0] * (n + 1)
         for k in reversed(range(len(self.dec))):

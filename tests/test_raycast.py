@@ -371,6 +371,34 @@ def test_float32_cull_keeps_every_pair_the_float64_test_keeps(kind, arg):
     assert kept > origins.shape[1]
 
 
+#: (origin, direction, reach, kept) of rays against the box [0, 1]^3. A zero
+#: direction component with the origin on that axis's slab plane makes
+#: 0 * inf = NaN, which must not cull.
+SLAB_CASES = [
+    ((0.0, 0.5, -1.0), (0.0, 0.0, 1.0), 5.0, True),  # on the lower x plane
+    ((1.0, 0.5, -1.0), (0.0, 0.0, 1.0), 5.0, True),  # on the upper x plane
+    ((0.0, 0.5, -1.0), (-0.0, 0.0, 1.0), 5.0, True),  # on it, with inv = -inf
+    ((0.0, 1.0, -1.0), (0.0, 0.0, 1.0), 5.0, True),  # on an x and a y plane
+    ((-0.5, 0.5, -1.0), (0.0, 0.0, 1.0), 5.0, False),  # outside the x slab
+    ((1.5, 0.5, -1.0), (-0.0, 0.0, 1.0), 5.0, False),  # outside it, with inv = -inf
+    ((0.0, 0.5, 3.0), (0.0, 0.0, 1.0), 5.0, False),  # on the plane, box behind
+    ((0.0, 0.5, -10.0), (0.0, 0.0, 1.0), 5.0, False),  # on the plane, box beyond reach
+    ((0.0, 0.5, -10.0), (0.0, 0.0, 1.0), 10.0, True),  # the box's near face at reach
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slab_test_keeps_a_ray_on_a_slab_plane_and_culls_the_rest(dtype):
+    origins, dirs, reach, kept = (np.array(column) for column in zip(*SLAB_CASES))
+    o, d = origins.T.astype(dtype), dirs.T.astype(dtype)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / d
+    box = np.zeros((6, len(SLAB_CASES)), dtype=dtype)
+    box[3:] = 1.0
+    keep = _kernels._slab_hits(o, inv, box[:3], box[3:], reach.astype(dtype))
+    np.testing.assert_array_equal(keep, kept)
+
+
 def test_float32_boxes_contain_the_float64_boxes(street_mesh):
     # About the root box's centre, which the float32 frame subtracts, the
     # edges x = -0.7 and 0.7 of this triangle round inward in float32.

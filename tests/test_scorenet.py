@@ -544,6 +544,34 @@ def test_backward_without_a_kept_forward_raises(when):
         model.backward(np.ones_like(x))
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 8, 16), (1, 2, 8, 16), (1, 1, 4, 16), (1, 8, 16)], ids=["batch", "channels", "height", "3d"])
+def test_backward_rejects_a_dout_not_shaped_like_the_forward_output(shape):
+    model = ScoreModel(TINY64, seed=50)
+    model.forward(np.zeros((1, 1, 8, 16)), 0.5)
+    message = re.escape(f"expected dout of shape (1, 1, 8, 16), got {shape}")
+    with pytest.raises(ScoreNetError, match=f"^{message}$"):
+        model.backward(np.ones(shape))
+    assert not any(p.grad.any() for p in model.named_params().values())
+
+
+def test_a_refused_forward_leaves_the_last_forward_to_backward():
+    # The refused call's cond has 2 frames for its 1: no layer may run
+    # (and overwrite what the first forward kept) before it is refused.
+    x = np.random.default_rng(54).standard_normal((2, 1, 8, 16))
+    grads = []
+    for refuse in (False, True):
+        model = ScoreModel(TINY64, seed=55)
+        model.forward(x, 0.5)
+        if refuse:
+            with pytest.raises(ScoreNetError, match="^expected cond of shape"):
+                model.forward(x[:1], 0.5, cond=np.zeros((2, 2, 8, 16)), adapter=ControlAdapter(model, seed=56))
+        model.backward(np.ones((2, 1, 8, 16)))
+        grads.append({name: p.grad for name, p in model.named_params().items()})
+    assert grads[0].keys() == grads[1].keys()
+    for name in grads[0]:
+        np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
+
+
 @pytest.mark.parametrize("path", ["uncond", "adapter"])
 def test_model_score_fn_keeps_no_activation_at_the_score_workload_size(path):
     """After a training step, one sampler call at the ``score`` workload's

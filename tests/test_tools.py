@@ -60,6 +60,29 @@ def test_only_criterion_1_calls_a_public_name_that_no_package_or_harness_file_na
     assert _load_tally().names_only_tests_call() == ["sensor.project_points"]
 
 
+def test_defaults_every_call_passes_lists_defaults_that_no_call_omits():
+    module = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "def g(a=0): pass\n"
+        "def h(a=0): pass\n"
+        "def uncalled(a=0): pass\n"
+        "class Box:\n"
+        "    def __init__(self, size=1): pass\n"
+        "    def grow(self, by=1): pass\n"
+        "    @staticmethod\n"
+        "    def make(n=1): pass\n"
+    )
+    caller = "f(0, 1, c=3); f(0, b=2, c=4); g(); g(1); h(1); h(*[2]); Box(2); Box(size=3).grow(**{}); Box.make(5)\n"
+    found = _load_tally().defaults_every_call_passes({"mod": module}, [module, caller])
+    assert found == ["mod.f(b)", "mod.f(c)", "mod.Box.__init__(size)", "mod.Box.make(n)"]
+
+
+def test_every_package_default_is_omitted_by_some_call():
+    # A default that every call in the package, perfbench/ and tests/ passes
+    # is a setting that nothing uses: delete it.
+    assert _load_tally().unused_defaults() == []
+
+
 def test_tests_read_every_name_they_import():
     unread = []
     for path in sorted(Path(__file__).parent.rglob("*.py")):

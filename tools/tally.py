@@ -13,6 +13,10 @@
   attribute, an import or a whole string constant (``perfbench`` wraps some
   functions by string).
 
+``unused_defaults()`` lists, apart from these tallies, the parameter defaults
+of the package's functions, methods and constructors that every call site
+passes anyway: a default that nothing omits is a setting that nothing uses.
+
 Run from anywhere: ``python3 tools/tally.py``.
 """
 
@@ -27,6 +31,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 PACKAGE = SRC / "lidarscene"
 PERFBENCH = SRC.parent / "perfbench"
+TESTS = SRC.parent / "tests"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -104,6 +109,63 @@ def names_only_tests_call() -> list:
     modules = {f.stem: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))}
     harness = [f.read_text(encoding="utf-8") for f in sorted(PERFBENCH.glob("*.py"))]
     return unreferenced_names(modules, [*modules.values(), *harness])
+
+
+def _defaults(tree: ast.Module):
+    """(dotted name, callee name, parameter, position in a call or None) of
+    each parameter default of each top-level function and each method. A
+    constructor's callee is its class; other dunder methods are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _parameter_defaults(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                callee = node.name if item.name == "__init__" else item.name
+                if not callee.startswith("__"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    yield from _parameter_defaults(f"{node.name}.{item.name}", callee, item, 0 if static else 1)
+
+
+def _parameter_defaults(dotted, callee, fn, bound):
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i in range(first, len(positional)):
+        yield dotted, callee, positional[i].arg, i - bound
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield dotted, callee, arg.arg, None
+
+
+def _passes(call: ast.Call, position, param) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return False  # *args or **kwargs may leave the parameter out
+    return (position is not None and len(call.args) > position) or any(k.arg == param for k in call.keywords)
+
+
+def defaults_every_call_passes(modules: dict, callers: list) -> list:
+    """``module.name(parameter)`` of each parameter default in ``modules``
+    (module name -> source text) that every call in ``callers`` of a callee
+    of that name passes, by position or keyword; a default whose callee no
+    caller calls is left out."""
+    calls = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls.setdefault(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None), []).append(node)
+    return [f"{mod}.{dotted}({param})" for mod, text in modules.items()
+            for dotted, callee, param, position in _defaults(ast.parse(text))
+            if calls.get(callee) and all(_passes(c, position, param) for c in calls[callee])]
+
+
+def unused_defaults() -> list:
+    """``defaults_every_call_passes`` of the package, with the package,
+    ``perfbench/`` (its tests too) and ``tests/`` as callers."""
+    modules = {f.stem: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))}
+    others = [*sorted(PERFBENCH.rglob("*.py")), *sorted(TESTS.rglob("*.py"))]
+    return defaults_every_call_passes(modules, [*modules.values(), *(f.read_text(encoding="utf-8") for f in others)])
 
 
 def main() -> None:
