@@ -18,10 +18,6 @@ from . import extraction, layout as layout_mod, meshing, metrics, raycast, score
 from .config import load_config
 from .layout import Pose, SceneParams
 
-#: Semantic ids are divided by this to form the conditioning channel, in
-#: training and in sampling alike, whatever palette a layout file declares.
-SEMANTIC_DENOM = max(len(layout_mod.DEFAULT_PALETTE) - 1, 1)
-
 
 def _numbers(text, flag, form):
     """The finite numbers in ``text`` (commas or spaces between fields), one
@@ -124,14 +120,6 @@ def cmd_unproject(args):
     print(f"wrote {len(cloud)} pseudo points to {args.out}")
 
 
-def _control_image(img):
-    """The 2-channel condition of a rendered frame, as f32: normalized
-    depth, then semantic id / SEMANTIC_DENOM (0 without a semantic channel)."""
-    depth_n = sensor.normalize_depth(img.depth, img.spec)
-    sem = img.semantic if img.semantic is not None else np.zeros_like(depth_n)
-    return np.stack([depth_n, sem / SEMANTIC_DENOM]).astype(np.float32)
-
-
 def _encode_lri(path, encode):
     """``encode`` of the range image in ``path``; a rejection names the file."""
     img = sensor.read_lri(path)
@@ -166,7 +154,7 @@ def _load_training_images(data_dir, conditional):
         _check_size(path, images[-1], targets[0], images[0])
         cond_path = path.with_name(path.stem + ".cond.lri")
         if cond_path.exists():
-            conds.append(_encode_lri(cond_path, _control_image))
+            conds.append(_encode_lri(cond_path, sensor.control_image))
             _check_size(cond_path, conds[-1], path, images[-1])
         elif conditional:
             raise ValueError(f"{path} has no {cond_path.name}: --controlnet needs a partner for every frame")
@@ -215,7 +203,7 @@ def cmd_sample(args):
     if args.layout is not None:
         scene = layout_mod.load_layout(args.layout)
         pose = _parse_pose(args.pose, "--pose") if args.pose is not None else Pose()
-        cond = _control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))[None]
+        cond = sensor.control_image(raycast.render_conditional(scene, spec, pose, tessellation=cfg["render.tessellation"]))[None]
     score_fn = scorenet.model_score_fn(state.model, adapter=state.adapter if cond is not None else None, cond=cond)
     shape = (1, scorenet.IN_CHANNELS, spec.rows, spec.cols)
     for i in range(args.num):

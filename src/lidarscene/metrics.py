@@ -173,8 +173,6 @@ def layout_consistency(
 
     car_ids = {lab.id for lab in layout.palette if lab.name == "car"}
     cars = [p for p in layout.primitives if p.label in car_ids]
-    if len(cloud) == 0:
-        return 0.0, 0.0
     if cars:
         hits = 0
         for prim in cars:

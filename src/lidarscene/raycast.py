@@ -250,15 +250,14 @@ def apply_raydrop(
     """Stochastic per-pixel dropout of returned pixels, given the incidence
     |cos| that ``render_conditional`` returns. Drops only the depth channel;
     the semantic channel is left untouched. Deterministic per seed (Philox)."""
-    depth = img.depth.copy()
+    data = img.data.copy()
+    depth = data[0]
     returned = depth > 0
     frac = depth / img.spec.max_range
     grazing = 1.0 - np.abs(incidence_cos)
     prob = np.clip(params.p0 + params.p1 * frac + params.p2 * grazing, 0.0, 1.0)
     uni = np.random.Generator(np.random.Philox(seed)).random(depth.shape)
     depth[returned & (uni < prob)] = 0.0
-    data = img.data.copy()
-    data[0] = depth
     return RangeImage(img.spec, data)
 
 

@@ -21,11 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import read_text, text_lines
+from .layout import DEFAULT_PALETTE, read_text, text_lines
 
 # HDL-64E-style vertical field of view (datasheet values).
 DEFAULT_PITCH_MAX = math.radians(2.0)
 DEFAULT_PITCH_MIN = math.radians(-24.8)
+#: Semantic ids are divided by this to form the conditioning channel, in
+#: training and in sampling alike, whatever palette a layout file declares.
+SEMANTIC_DENOM = max(len(DEFAULT_PALETTE) - 1, 1)
 
 
 class SensorError(ValueError):
@@ -184,6 +187,15 @@ def normalize_depth(d, spec: SensorSpec):
 def denormalize_depth(n, spec: SensorSpec):
     n = np.asarray(n, dtype=np.float64)
     return np.expm1(n * math.log(spec.max_range + 1.0))
+
+
+def control_image(img: RangeImage) -> np.ndarray:
+    """The 2-channel condition of a rendered frame, as f32: normalized
+    depth, then semantic id / SEMANTIC_DENOM. A frame without a semantic
+    channel raises SensorError."""
+    if img.semantic is None:
+        raise SensorError("condition frame has no semantic channel (channel 1)")
+    return np.stack([normalize_depth(img.depth, img.spec), img.semantic / SEMANTIC_DENOM]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

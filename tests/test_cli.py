@@ -12,6 +12,8 @@ from lidarscene import cli, config, layout as layout_mod, raycast, scorenet, sen
 from lidarscene.cli import main
 from lidarscene.layout import Pose, SceneParams, SemanticPrimitive
 
+import workloads
+
 SMALL_SENSOR = """
 sensor.rows = 16
 sensor.cols = 64
@@ -398,6 +400,58 @@ def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypat
     assert (seen[0][0, 1] > 0).any()
     np.testing.assert_allclose(seen[0][0, 1], conds[0, 1], rtol=1e-6)
     np.testing.assert_allclose(seen[0][0, 1].max(), 2 / (len(layout_mod.DEFAULT_PALETTE) - 1), rtol=1e-6)
+
+
+def _assert_same(actual, expected):
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+
+
+def test_benchmark_encodes_frames_as_train_and_sample_do(tmp_path, monkeypatch):
+    # perfbench/workloads.py restates the condition encoding, the training
+    # depth and the sample decoding; each copy must stay the library's, bit for bit.
+    assert workloads.SEM_DENOM == sensor.SEMANTIC_DENOM
+    for seed in range(30):
+        scene, depth_n, cond = workloads._c10_example(seed)
+        render = raycast.render_conditional(
+            scene, workloads.C10_SPEC, workloads.C10_POSE, tessellation=workloads.C10_TESSELLATION
+        )
+        _assert_same(cond, sensor.control_image(render))
+        _assert_same(depth_n, sensor.normalize_depth(render.depth, render.spec).astype(np.float32))
+    for seed in range(10):
+        *_, x_back, c_back, image, cond = workloads.Dataset()._frame(seed, tmp_path / "f.lri")
+        _assert_same(cond, sensor.control_image(c_back))
+        _assert_same(image, sensor.normalize_depth(x_back.depth, x_back.spec)[None].astype(np.float32))
+
+    spec = workloads.C10_SPEC
+    cfg_path = tmp_path / "c10.cfg"
+    cfg_path.write_text(TRAIN_CFG.replace("sensor.cols = 64", f"sensor.cols = {spec.cols}"))
+    cfg = cli.load_config(cfg_path)
+    assert cfg.build("sensor") == spec
+    ckpt = tmp_path / "base.ldck"
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(scorenet.ScoreModel(cfg.build("model")), cfg.build("schedule")))
+    x = np.random.default_rng(0).uniform(-0.25, 1.25, (1, scorenet.IN_CHANNELS, spec.rows, spec.cols))
+    x = x.astype(np.float32)
+    assert (x < 0).any() and (x > 1).any()
+    monkeypatch.setattr(scorenet, "sample_annealed_langevin", lambda score_fn, schedule, config, shape, seed: x)
+    assert main(["sample", "--ckpt", str(ckpt), "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+    written = sensor.read_lri(tmp_path / "s" / "sample_00000.lri")
+    assert written.spec == spec
+    np.testing.assert_array_equal(written.data, workloads._range_image(x[0, 0]).data.astype(np.float32))
+
+
+def test_train_rejects_a_cond_frame_without_semantic_channel(tmp_path, train_cfg, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    spec = sensor.SensorSpec(rows=16, cols=64)
+    sensor.write_lri(data / "x.lri", sensor.RangeImage(spec, np.full((16, 64), 5.0)))
+    sensor.write_lri(data / "x.cond.lri", sensor.RangeImage(spec, np.full((16, 64), 5.0)))
+    out = tmp_path / "base.ldck"
+    rc = main(["train", "--data", str(data), "--config", train_cfg, "--steps", "2", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {data / 'x.cond.lri'}: condition frame has no semantic channel (channel 1)"]
+    assert not out.exists()
 
 
 def test_train_controlnet_requires_base(tmp_path, train_cfg, capsys):

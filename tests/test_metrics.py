@@ -237,6 +237,13 @@ def test_layout_consistency_empty_cloud():
     assert (recall, iou) == (0.0, 0.0)
 
 
+def test_layout_consistency_empty_cloud_without_cars():
+    # no car to miss: recall is 1.0, and no cell of the ground render is covered
+    lay = Layout(primitives=(SemanticPrimitive(0, "plane", (0, 0, 0), (100.0, 100.0, 0.0)),))
+    recall, iou = layout_consistency(lay, cloud_of(np.empty((0, 3))), SensorSpec(rows=16, cols=128))
+    assert (recall, iou) == (1.0, 0.0)
+
+
 def test_layout_consistency_no_cars_recall_one():
     lay = Layout(primitives=(SemanticPrimitive(0, "plane", (0, 0, 0), (100.0, 100.0, 0.0)),))
     spec = SensorSpec(rows=16, cols=128)

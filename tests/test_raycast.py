@@ -709,8 +709,11 @@ def test_bvh_matches_brute_force(scene_mesh, scene_bvh):
 
 
 def test_axis_parallel_ray_on_slab_plane_is_not_culled():
-    # The ray runs in the plane y = 0, which is the box's min-y face: the
-    # y slab is 0 * inf = NaN and must not cull the hit on the triangle edge.
+    # The ray runs along the x axis in the plane y = 0 of the triangle's edge
+    # (0, 0, -1)-(0, 0, 1): it is kept and hits that edge at t = 3. The cull
+    # grows every box by CULL_MARGIN, so the origin lies strictly inside the
+    # y slab and no 0 * inf = NaN arises here; the NaN rule has its direct test
+    # in test_slab_test_keeps_a_ray_on_a_slab_plane_and_culls_the_rest.
     mesh = TriangleMesh([[0, 0, -1], [0, 1, -1], [0, 0, 1]], [[0, 1, 2]], [4])
     bvh = build_bvh(mesh)
     origins, dirs = [[-3.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
