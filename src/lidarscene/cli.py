@@ -79,7 +79,7 @@ def cmd_render(args):
         print(f"wrote {len(cloud)} surface-sampled points to {args.out}")
         return
     # (pose, range-image path, point-cloud path) per frame; a single pose is one frame.
-    if args.trajectory:
+    if args.trajectory is not None:
         out = Path(args.out)
         frames = [(pose, out / f"frame_{i:05d}.lri", out / f"frame_{i:05d}.xyz")
                   for i, pose in enumerate(_read_trajectory(args.trajectory))]
@@ -243,7 +243,7 @@ def cmd_eval(args):
         feats_gen = np.array([metrics.log_depth_features(img) for img, _ in gen])
         feats_ref = np.array([metrics.log_depth_features(img) for img, _ in ref])
         report["frechet"] = metrics.frechet(feats_gen, feats_ref)
-    if args.layout:
+    if args.layout is not None:
         scene = layout_mod.load_layout(args.layout)
         # Each frame in its own sensor; every frame is scored at the default pose.
         scores = [metrics.layout_consistency(scene, raycast.sensor_to_world(cloud, img.spec, Pose()), img.spec)
@@ -251,7 +251,7 @@ def cmd_eval(args):
         report["box_recall"], report["bev_iou"] = (float(np.mean(s)) for s in zip(*scores))
     for key, val in report.items():
         print(f"{key}={val:.6g}")
-    if args.csv:
+    if args.csv is not None:
         with open(args.csv, "w") as f:
             f.write("metric,value\n")
             for key, val in report.items():

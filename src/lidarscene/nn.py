@@ -26,7 +26,13 @@ columns are its input, reshaped without a copy. A 3x3 layer's columns are
 9x its input, so they are a temporary of each product, not a cache: forward
 keeps only its input, and backward rebuilds the columns when it forms a
 weight gradient (rematerialisation, Chen et al., 2016). A forward-only call
-(sampling) or a frozen layer never holds them. The input gradient needs no
+(sampling) or a frozen layer never holds them. Nor is the whole batch's
+column matrix ever built: each product runs over slabs of whole samples
+whose columns fit in ``COLUMN_BYTES``, and writes its slab of the output.
+That keeps the bits: numpy's stacked matmul already runs one GEMM per
+sample, a slab runs the same GEMMs on the same column bytes, and the weight
+gradient sums the same per-sample products in one reduction. A batch of one
+is never split, however large its columns. The input gradient needs no
 scatter back (col2im):
 dx[c, y, x] = sum_{o,i,j} w[o, c, i, j] dy[o, y+p-i, x+p-j] with p = k // 2
 is itself a same-padded convolution, of dy with the kernel flipped in both
@@ -114,6 +120,32 @@ def _im2col(x, k):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, h * w)
 
 
+#: Bytes of k x k columns one slab of samples may hold: half of a 2 MB L2.
+COLUMN_BYTES = 1 << 20
+
+
+def _slabs(x, k):
+    """(batch slice, samples) for each slab of whole samples of ``x`` whose
+    k x k columns fit in COLUMN_BYTES, at least one sample a slab. A batch
+    that fits in one slab, or a 1x1 layer's (whose columns are a view), is
+    one slab of ``x`` itself."""
+    b, col = len(x), x[:1].nbytes * k * k  # one sample's columns
+    n = b if k == 1 or b * col <= COLUMN_BYTES else max(1, COLUMN_BYTES // col)
+    if n >= b:
+        return [(slice(None), x)]
+    return [(slice(s, s + n), x[s:s + n]) for s in range(0, b, n)]
+
+
+def _conv_gemm(wf, x, k):
+    """(B, rows, H*W) = wf @ _im2col(x, k) for a (rows, C*k*k) kernel matrix,
+    one slab of samples at a time: the convolution without its bias."""
+    b, _, h, w = x.shape
+    y = np.empty((b, len(wf), h * w), dtype=np.result_type(wf, x))
+    for sl, xs in _slabs(x, k):
+        np.matmul(wf, _im2col(xs, k), out=y[sl])
+    return y
+
+
 class Conv2d:
     """Same-padded 2D convolution (odd kernel size, stride 1). Forward keeps
     its input by reference for backward, not the input's columns."""
@@ -127,7 +159,7 @@ class Conv2d:
 
     def forward(self, x):
         b, _, h, w = x.shape
-        y = self.w.value.reshape(self.cout, -1) @ _im2col(x, self.ksize)
+        y = _conv_gemm(self.w.value.reshape(self.cout, -1), x, self.ksize)
         y += self.b.value[:, None]
         self._x = _kept(x)
         return y.reshape(b, self.cout, h, w)
@@ -140,13 +172,15 @@ class Conv2d:
         b, c, h, w = x.shape
         if params:
             dyf = dy.reshape(b, self.cout, h * w)
-            dw = (_im2col(x, self.ksize) @ dyf.transpose(0, 2, 1)).sum(axis=0).T
-            self.w.grad += dw.reshape(self.w.value.shape)
+            per_sample = np.empty((b, c * self.ksize ** 2, self.cout), dtype=np.result_type(x, dyf))
+            for sl, xs in _slabs(x, self.ksize):
+                np.matmul(_im2col(xs, self.ksize), dyf[sl].transpose(0, 2, 1), out=per_sample[sl])
+            self.w.grad += per_sample.sum(axis=0).T.reshape(self.w.value.shape)
             self.b.grad += dyf.sum(axis=(0, 2))
         if not inputs:
             return None
         wt = self.w.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        return (wt @ _im2col(dy, self.ksize)).reshape(x.shape)
+        return _conv_gemm(wt, dy, self.ksize).reshape(x.shape)
 
 
 class Dense:

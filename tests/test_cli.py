@@ -845,6 +845,22 @@ def test_sample_reads_an_empty_layout_path_as_a_path(tmp_path, train_cfg, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "given", [["render", "--trajectory", ""], ["eval", "--layout", ""], ["eval", "--csv", ""]],
+    ids=["render-trajectory", "eval-layout", "eval-csv"],
+)
+def test_empty_path_arguments_are_read_as_paths(tmp_path, scene_file, small_cfg, capsys, given):
+    # An empty path is given, so it is read like any path: no single frame at
+    # the default pose, no report without its layout scores or its CSV.
+    data, out = _write_training_data(tmp_path), tmp_path / "frames"
+    rest = {"render": ["--layout", scene_file, "--sensor", small_cfg, "--out", str(out)],
+            "eval": ["--gen", data, "--ref", data, "--metrics", "jsd"]}
+    rc = main([*given, *rest[given[0]]])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("num", ["0", "-2"])
 def test_gen_scenes_rejects_num_below_one(tmp_path, capsys, num):
     out = tmp_path / "scenes"

@@ -71,19 +71,28 @@ def _conv_backward_from_cached_columns(conv, x, dy):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("ksize", [1, 3])
-@pytest.mark.parametrize("batch", [1, 8, 16])
-def test_conv2d_backward_equals_cached_column_formulas(dtype, ksize, batch):
+@pytest.mark.parametrize(
+    "batch, column_bytes",
+    [(1, nn.COLUMN_BYTES), (8, nn.COLUMN_BYTES), (16, nn.COLUMN_BYTES), (8, 1), (16, 1)],
+    ids=["1", "8", "16", "8-one-sample-slabs", "16-one-sample-slabs"],
+)
+def test_conv2d_backward_equals_cached_column_formulas(monkeypatch, dtype, ksize, batch, column_bytes):
     """Rebuilding the columns in backward and forming dW as
     (cols @ dy^T)^T gives the same bits as the cached-column formulas, at the
     model's image sizes and channel counts; the pinned training digests
-    rest on this."""
+    rest on this. A 3x3 layer builds its columns per slab of samples: with a
+    1-byte budget every slab is one sample, and at the default a batch of 8
+    with f32 width-16 8x64 columns runs slabs of 3, 3 and 2."""
+    monkeypatch.setattr(nn, "COLUMN_BYTES", column_bytes)
     for (h, w), cin, cout in itertools.product([(16, 128), (8, 64), (4, 32)], [1, 2, 8, 16], [1, 16]):
         rng = np.random.default_rng(batch * 1000 + h + cin * 10 + cout)
         conv = nn.Conv2d(cin, cout, ksize, rng, dtype)
         # magnitudes spread over 7 decades, so a change of summation order would show
         x = (rng.standard_normal((batch, cin, h, w)) * np.exp(rng.uniform(-8.0, 8.0, (batch, cin, h, w)))).astype(dtype)
         dy = rng.standard_normal((batch, cout, h, w)).astype(dtype)
-        conv.forward(x)
+        y = conv.forward(x)
+        y_ref = conv.w.value.reshape(cout, -1) @ _im2col_reference(x, ksize) + conv.b.value[:, None]
+        np.testing.assert_array_equal(y, y_ref.reshape(y.shape))
         dx = conv.backward(dy)
         dw_ref, db_ref, dx_ref = _conv_backward_from_cached_columns(conv, x, dy)
         np.testing.assert_array_equal(conv.w.grad, dw_ref)
@@ -108,6 +117,29 @@ def test_conv2d_forward_keeps_no_column_copy():
     finally:
         tracemalloc.stop()
     assert retained <= 1.1 * y.nbytes
+
+
+def test_conv2d_column_transients_stay_within_two_slab_budgets():
+    """A 3x3 forward, and a backward forming both gradients, at the sampler's
+    batch of 16 peak at their output plus two slabs' worth of columns, not
+    the whole batch's 9x copy (10.6 MB for this forward)."""
+    rng = np.random.default_rng(8)
+    conv = nn.Conv2d(8, 8, 3, rng, np.float32)
+    x = rng.standard_normal((16, 8, 16, 128)).astype(np.float32)
+    dy = rng.standard_normal(x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        peaks = []
+        for step in (lambda: conv.forward(x), lambda: conv.backward(dy)):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = step()
+            peaks.append((tracemalloc.get_traced_memory()[1] - before, out.nbytes))
+            del out
+    finally:
+        tracemalloc.stop()
+    for peak, out_bytes in peaks:
+        assert peak <= out_bytes + 2 * nn.COLUMN_BYTES
 
 
 def test_forward_only_keeps_no_inputs_and_restores_the_mode_on_exit_and_on_error():
