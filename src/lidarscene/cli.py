@@ -8,6 +8,7 @@ a single ``error: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -123,10 +124,8 @@ def cmd_unproject(args):
 def _encode_lri(path, encode):
     """``encode`` of the range image in ``path``; a rejection names the file."""
     img = sensor.read_lri(path)
-    try:
+    with layout_mod.naming(path, sensor.SensorError):
         return encode(img)
-    except sensor.SensorError as exc:
-        raise sensor.SensorError(f"{path}: {exc}") from None
 
 
 def _check_size(path, frame, ref_path, ref):
@@ -168,6 +167,9 @@ def cmd_train(args):
             raise ValueError(f"--{flag} requires --controlnet")
     if args.controlnet and not args.base:
         raise ValueError("--controlnet requires --base CKPT")
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out {args.out} must name a file in an existing directory")
     cfg = load_config(args.config)
     overrides = {k: v for k, v in (("steps", args.steps), ("seed", args.seed)) if v is not None}
     train_cfg = cfg.build("train", phase=(args.phase or "ab") if args.controlnet else "uncond", **overrides)
@@ -199,6 +201,9 @@ def cmd_sample(args):
         raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     sampler_cfg = cfg.build("sampler")
     out = Path(args.out)
+    nearest = next(p for p in (out, *out.parents) if p.exists())  # made a directory only once a sample is drawn
+    if not nearest.is_dir():
+        raise ValueError(f"--out {args.out}: {nearest} is not a directory")
     cond = None
     if args.layout is not None:
         scene = layout_mod.load_layout(args.layout)
@@ -229,6 +234,18 @@ def cmd_eval(args):
         raise ValueError(f"--metrics names no metric; choose from {', '.join(_EVAL_METRICS)}")
     if unknown:
         raise ValueError(f"unknown metric {unknown[0]!r}; choose from {', '.join(_EVAL_METRICS)}")
+    # Opened before any frame is read; appending keeps an existing file until the report is ready.
+    with open(args.csv, "a") if args.csv is not None else contextlib.nullcontext() as csv:
+        report = _eval_report(args, wanted)
+        for key, val in report.items():
+            print(f"{key}={val:.6g}")
+        if csv is not None:
+            csv.truncate(0)
+            csv.write("metric,value\n" + "".join(f"{key},{val:.9g}\n" for key, val in report.items()))
+
+
+def _eval_report(args, wanted):
+    """Metric name -> score of the ``wanted`` metrics, plus the layout scores when ``--layout`` is given."""
     gen = _load_cloud_dir(args.gen)
     ref = _load_cloud_dir(args.ref)
     report = {}
@@ -249,13 +266,7 @@ def cmd_eval(args):
         scores = [metrics.layout_consistency(scene, raycast.sensor_to_world(cloud, img.spec, Pose()), img.spec)
                   for img, cloud in gen]
         report["box_recall"], report["bev_iou"] = (float(np.mean(s)) for s in zip(*scores))
-    for key, val in report.items():
-        print(f"{key}={val:.6g}")
-    if args.csv is not None:
-        with open(args.csv, "w") as f:
-            f.write("metric,value\n")
-            for key, val in report.items():
-                f.write(f"{key},{val:.9g}\n")
+    return report
 
 
 def build_parser():

@@ -13,7 +13,7 @@ import dataclasses
 import math
 
 from .extraction import DEFAULT_CLUSTER_PARAMS, ClusterParams
-from .layout import read_text, text_lines
+from .layout import naming, read_text, text_lines
 from .meshing import DEFAULT_TESSELLATION
 from .raycast import RaydropParams
 from .scorenet import ModelConfig, NoiseSchedule, SamplerConfig, TrainConfig
@@ -104,18 +104,19 @@ class Config:
 def parse_config(text: str) -> Config:
     values = {}
     for ln, line in text_lines(text):
-        if "=" not in line:
-            raise ConfigError(f"line {ln}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"line {ln}: unknown config key {key!r}")
-        parser, _ = SCHEMA[key]
-        try:
-            values[key] = parser(val)
-        except ValueError:
-            raise ConfigError(f"line {ln}: bad value {val!r} for {key}") from None
+        with naming(f"line {ln}", ConfigError):
+            if "=" not in line:
+                raise ConfigError(f"expected key=value, got {line!r}")
+            key, _, val = line.partition("=")
+            key = key.strip()
+            val = val.strip()
+            if key not in SCHEMA:
+                raise ConfigError(f"unknown config key {key!r}")
+            parser, _ = SCHEMA[key]
+            try:
+                values[key] = parser(val)
+            except ValueError:
+                raise ConfigError(f"bad value {val!r} for {key}") from None
     return Config(values)
 
 
@@ -123,8 +124,5 @@ def load_config(path) -> Config:
     if path is None:
         return Config()
     text = read_text(path, ConfigError)
-    try:
+    with naming(path, ConfigError):
         return parse_config(text)
-    except ConfigError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise

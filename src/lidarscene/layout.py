@@ -9,6 +9,7 @@ semantic and geometric structure of a scene.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +18,8 @@ SHAPES = ("cuboid", "ellipsoid", "plane")
 
 
 class LayoutError(ValueError):
-    """Parse or consistency error; carries a line number when parsing."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """Parse or consistency error. ``parse_layout`` puts ``line N: `` in front
+    of a line's message and ``load_layout`` puts the file's path in front of that."""
 
 
 def _require_finite(obj, *fields):
@@ -128,13 +124,13 @@ class Layout:
 #   prim <label-name> <cuboid|ellipsoid|plane> <cx> <cy> <cz> <sx> <sy> <sz> <yaw_deg>
 
 
-def _parse_float(tok, ln):
+def _parse_float(tok):
     try:
         val = float(tok)
     except ValueError:
-        raise LayoutError(f"not a number: {tok!r}", ln) from None
+        raise LayoutError(f"not a number: {tok!r}") from None
     if not math.isfinite(val):
-        raise LayoutError(f"non-finite number: {tok!r}", ln)
+        raise LayoutError(f"non-finite number: {tok!r}")
     return val
 
 
@@ -146,6 +142,17 @@ def read_text(path, error=ValueError) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc})") from None
+
+
+@contextmanager
+def naming(where, error):
+    """Put ``where: `` (a path, or ``line N``) in front of the message of an
+    ``error`` raised in the block, and raise that same exception on."""
+    try:
+        yield
+    except error as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def text_lines(text):
@@ -161,39 +168,36 @@ def parse_layout(text: str) -> Layout:
     prims = []
     names = {}
     for ln, line in text_lines(text):
-        parts = line.split()
-        kind = parts[0]
-        if kind == "palette":
-            if len(parts) != 5:
-                raise LayoutError(f"palette needs 4 fields, got {len(parts) - 1}", ln)
-            name = parts[1]
-            if name in names:
-                raise LayoutError(f"duplicate label name {name!r}", ln)
-            for tok in parts[2:5]:
-                if not (tok.isdecimal() and int(tok) <= 255):
-                    raise LayoutError(f"color component {tok!r} out of range: need an integer 0-255", ln)
-            lab = SemanticLabel(len(palette), name, tuple(map(int, parts[2:5])))
-            names[name] = lab
-            palette.append(lab)
-        elif kind == "prim":
-            if len(parts) != 10:
-                raise LayoutError(f"prim needs 9 fields, got {len(parts) - 1}", ln)
-            if parts[1] not in names:
-                raise LayoutError(f"unknown label {parts[1]!r}", ln)
-            nums = [_parse_float(tok, ln) for tok in parts[3:10]]
-            try:
-                prim = SemanticPrimitive(
+        with naming(f"line {ln}", LayoutError):
+            parts = line.split()
+            kind = parts[0]
+            if kind == "palette":
+                if len(parts) != 5:
+                    raise LayoutError(f"palette needs 4 fields, got {len(parts) - 1}")
+                name = parts[1]
+                if name in names:
+                    raise LayoutError(f"duplicate label name {name!r}")
+                for tok in parts[2:5]:
+                    if not (tok.isdecimal() and int(tok) <= 255):
+                        raise LayoutError(f"color component {tok!r} out of range: need an integer 0-255")
+                lab = SemanticLabel(len(palette), name, tuple(map(int, parts[2:5])))
+                names[name] = lab
+                palette.append(lab)
+            elif kind == "prim":
+                if len(parts) != 10:
+                    raise LayoutError(f"prim needs 9 fields, got {len(parts) - 1}")
+                if parts[1] not in names:
+                    raise LayoutError(f"unknown label {parts[1]!r}")
+                nums = [_parse_float(tok) for tok in parts[3:10]]
+                prims.append(SemanticPrimitive(
                     label=names[parts[1]].id,
                     shape=parts[2],
                     center=tuple(nums[0:3]),
                     extents=tuple(nums[3:6]),
                     yaw=math.radians(nums[6]),
-                )
-            except LayoutError as e:
-                raise LayoutError(str(e), ln) from None
-            prims.append(prim)
-        else:
-            raise LayoutError(f"unknown directive {kind!r}", ln)
+                ))
+            else:
+                raise LayoutError(f"unknown directive {kind!r}")
     return Layout(palette=tuple(palette), primitives=tuple(prims))
 
 
@@ -218,11 +222,8 @@ def serialize_layout(layout: Layout) -> str:
 
 def load_layout(path) -> Layout:
     text = read_text(path, LayoutError)
-    try:
+    with naming(path, LayoutError):
         return parse_layout(text)
-    except LayoutError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
 
 
 def save_layout(path, layout: Layout):

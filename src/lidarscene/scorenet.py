@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .layout import naming
 from .nn import (
     Adam,
     Conv2d,
@@ -595,7 +596,8 @@ def save_checkpoint(path, state: TrainState):
 def load_checkpoint(path) -> TrainState:
     """Read an LDCK file; a truncated or corrupt file raises ScoreNetError."""
     try:
-        return _read_checkpoint(path)
+        with naming(path, ScoreNetError):
+            return _read_checkpoint(path)
     except ScoreNetError:
         raise
     except (struct.error, KeyError, ValueError) as exc:
@@ -606,13 +608,13 @@ def _read_checkpoint(path) -> TrainState:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _CKPT_MAGIC:
-            raise ScoreNetError(f"{path}: bad magic {magic!r}, expected LDCK")
+            raise ScoreNetError(f"bad magic {magic!r}, expected LDCK")
         header = f.read(8)
         if len(header) < 8:
-            raise ScoreNetError(f"{path}: truncated header")
+            raise ScoreNetError("truncated header")
         version, count = struct.unpack("<II", header)
         if version != _CKPT_VERSION:
-            raise ScoreNetError(f"{path}: unsupported version {version}")
+            raise ScoreNetError(f"unsupported version {version}")
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<H", f.read(2))
@@ -621,28 +623,25 @@ def _read_checkpoint(path) -> TrainState:
             dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
             nbytes = 4 * math.prod(dims)
             if nbytes > os.fstat(f.fileno()).st_size - f.tell():
-                raise ScoreNetError(f"{path}: truncated tensor {name} for its {dims} header")
+                raise ScoreNetError(f"truncated tensor {name} for its {dims} header")
             tensors[name] = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(dims)
         block = f.read().decode()
     # The block is newline-terminated, so a cut inside it shows.
     if not block.endswith("\n"):
-        raise ScoreNetError(f"{path}: truncated config block")
+        raise ScoreNetError("truncated config block")
     meta = dict(line.split("=", 1) for line in block.splitlines() if "=" in line)
 
-    try:
-        schedule = _from_block(NoiseSchedule, meta)
-        model = ScoreModel(_from_block(ModelConfig, meta))
-    except ScoreNetError as exc:
-        raise ScoreNetError(f"{path}: {exc}") from None
+    schedule = _from_block(NoiseSchedule, meta)
+    model = ScoreModel(_from_block(ModelConfig, meta))
     adapter = ControlAdapter(model) if meta["has_adapter"] == "1" else None
     state = TrainState(model, schedule, adapter, step=int(meta["step"]))
     params = state.params()
     if set(params) != set(tensors):
         unknown = set(tensors) - set(params)
         missing = set(params) - set(tensors)
-        raise ScoreNetError(f"{path}: tensor name mismatch (unknown={sorted(unknown)[:3]}, missing={sorted(missing)[:3]})")
+        raise ScoreNetError(f"tensor name mismatch (unknown={sorted(unknown)[:3]}, missing={sorted(missing)[:3]})")
     for name, p in params.items():
         if tensors[name].shape != p.value.shape:
-            raise ScoreNetError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {p.value.shape}")
+            raise ScoreNetError(f"tensor {name} has shape {tensors[name].shape}, expected {p.value.shape}")
         p.value = tensors[name].astype(np.float32).copy()
     return state

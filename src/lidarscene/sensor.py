@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layout import DEFAULT_PALETTE, read_text, text_lines
+from .layout import DEFAULT_PALETTE, naming, read_text, text_lines
 
 # HDL-64E-style vertical field of view (datasheet values).
 DEFAULT_PITCH_MAX = math.radians(2.0)
@@ -222,28 +222,24 @@ def write_lri(path, img: RangeImage):
 
 def read_lri(path) -> RangeImage:
     """Read an LRI2 or LRI1 file; its payload must fill the rest of the file."""
-    with open(path, "rb") as f:
+    with naming(path, SensorError), open(path, "rb") as f:
         magic = f.read(4)
         if magic not in _LRI_HEADERS:
-            raise SensorError(f"{path}: bad magic {magic!r}, expected LRI1 or LRI2")
+            raise SensorError(f"bad magic {magic!r}, expected LRI1 or LRI2")
         size = struct.calcsize(_LRI_HEADERS[magic])
         header = f.read(size)
         if len(header) != size:
-            raise SensorError(f"{path}: truncated header")
+            raise SensorError("truncated header")
         h, w, c, *geometry = struct.unpack(_LRI_HEADERS[magic], header)
         if c == 0:
-            raise SensorError(f"{path}: header has 0 channels")
+            raise SensorError("header has 0 channels")
         extra = os.fstat(f.fileno()).st_size - f.tell() - 4 * c * h * w
         if extra < 0:
-            raise SensorError(f"{path}: truncated payload for a {h}x{w}x{c} header")
+            raise SensorError(f"truncated payload for a {h}x{w}x{c} header")
         if extra > 0:
-            raise SensorError(f"{path}: {extra} bytes after the payload of a {h}x{w}x{c} header")
+            raise SensorError(f"{extra} bytes after the payload of a {h}x{w}x{c} header")
         data = np.frombuffer(f.read(4 * c * h * w), dtype="<f4").astype(np.float64).reshape(c, h, w)
-    try:
-        spec = SensorSpec(h, w, *geometry)
-    except SensorError as exc:
-        raise SensorError(f"{path}: {exc}") from None
-    return RangeImage(spec, data)
+        return RangeImage(SensorSpec(h, w, *geometry), data)
 
 
 #: The first line of every ``.xyz`` file that ``write_point_cloud`` writes.

@@ -1,6 +1,7 @@
 import math
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -583,9 +584,6 @@ def test_render_bad_layout_directive_names_file(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {bad}: line 2: unknown directive 'foo'"]
-    with pytest.raises(layout_mod.LayoutError) as excinfo:
-        layout_mod.load_layout(bad)
-    assert excinfo.value.line == 2
 
 
 def test_render_bad_config_value_names_file(tmp_path, scene_file, capsys):
@@ -1017,3 +1015,118 @@ def test_text_readers_skip_a_byte_order_mark(tmp_path, monkeypatch, read, text):
     marked.write_text(text, encoding="utf-8-sig")
     monkeypatch.setattr(sensor, "text_lines", None)  # an .xyz file stays on the np.loadtxt path
     assert read(marked) == read(plain)
+
+
+def test_eval_opens_csv_before_reading_any_frame(tmp_path, capsys, monkeypatch):
+    data, csv = _write_training_data(tmp_path), tmp_path / "nodir" / "out.csv"
+    read = []
+    monkeypatch.setattr(sensor, "read_lri", lambda path: read.append(path))
+    assert main(["eval", "--gen", data, "--ref", data, "--metrics", "jsd", "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: [Errno 2] No such file or directory: '{csv}'"]
+    assert captured.out == "" and read == []
+
+
+def test_eval_csv_is_replaced_only_by_a_finished_report(tmp_path, capsys):
+    data, csv = _write_training_data(tmp_path), tmp_path / "out.csv"
+    (tmp_path / "empty").mkdir()
+    csv.write_text("metric,value\nold,1\nolder,2\n")
+    assert main(["eval", "--gen", str(tmp_path / "empty"), "--ref", data, "--csv", str(csv)]) == 1
+    assert csv.read_text() == "metric,value\nold,1\nolder,2\n"
+    assert main(["eval", "--gen", data, "--ref", data, "--metrics", "jsd", "--csv", str(csv)]) == 0
+    assert csv.read_text() == "metric,value\njsd,0\n"
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"], ids=["out-is-a-file", "parent-is-a-file"])
+def test_sample_out_blocked_by_a_file_fails_before_the_first_sample(tmp_path, train_cfg, capsys, monkeypatch, where):
+    cfg = cli.load_config(train_cfg)
+    ckpt = tmp_path / "base.ldck"
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(scorenet.ScoreModel(cfg.build("model")), cfg.build("schedule")))
+    (tmp_path / "file").write_text("")
+    calls = []
+    monkeypatch.setattr(scorenet, "sample_annealed_langevin", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / where
+    assert main(["sample", "--ckpt", str(ckpt), "--config", train_cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: {tmp_path / 'file'} is not a directory"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["nodir/b.ldck", "file/b.ldck", "dir"], ids=["no-directory", "parent-is-a-file", "out-is-a-directory"])
+def test_train_out_is_checked_before_data_is_read(tmp_path, train_cfg, capsys, monkeypatch, where):
+    data = _write_training_data(tmp_path)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    read, trained = [], []
+    monkeypatch.setattr(sensor, "read_lri", lambda path: read.append(path))
+    monkeypatch.setattr(scorenet, "train", lambda *args, **kwargs: trained.append(args))
+    out = tmp_path / where
+    assert main(["train", "--data", data, "--config", train_cfg, "--steps", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out} must name a file in an existing directory"]
+    assert read == [] and trained == []
+
+
+def _refusal(call, *args):
+    with pytest.raises(ValueError) as excinfo:
+        call(*args)
+    return str(excinfo.value)
+
+
+def _bad_layout(tmp_path, capsys):
+    path = tmp_path / "bad.layout"
+    path.write_text("palette ground 81 0 81\nprim ground cuboid 0 0 0 1 1 1\n")
+    return path, _refusal(layout_mod.load_layout, path)
+
+
+def _bad_config(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("sensor.rows = 16\nsensor.rows = x\n")
+    return path, _refusal(config.load_config, path)
+
+
+def _lri_bad_magic(tmp_path, capsys):
+    path = tmp_path / "bad.lri"
+    path.write_bytes(b"NOPE" + bytes(64))
+    return path, _refusal(sensor.read_lri, path)
+
+
+def _lri_refused_geometry(tmp_path, capsys):
+    path = tmp_path / "flipped.lri"
+    header = struct.pack("<IIIdddd", 2, 2, 1, 0.0, 0.1, 80.0, 1.7)  # pitch_max below pitch_min
+    path.write_bytes(b"LRI2" + header + bytes(16))
+    return path, _refusal(sensor.read_lri, path)
+
+
+def _ldck_bad_magic(tmp_path, capsys):
+    path = tmp_path / "bad.ldck"
+    path.write_bytes(b"NOPE" + bytes(64))
+    return path, _refusal(scorenet.load_checkpoint, path)
+
+
+def _ldck_refused_settings(tmp_path, capsys):
+    cfg = config.parse_config(TRAIN_CFG)
+    path = tmp_path / "odd.ldck"
+    scorenet.save_checkpoint(path, scorenet.TrainState(scorenet.ScoreModel(cfg.build("model")), cfg.build("schedule")))
+    path.write_bytes(path.read_bytes().replace(b"\nemb_dim=8\n", b"\nemb_dim=3\n"))
+    return path, _refusal(scorenet.load_checkpoint, path)
+
+
+def _cond_without_semantic(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    spec = sensor.SensorSpec(rows=16, cols=64)
+    for name in ("x.lri", "x.cond.lri"):
+        sensor.write_lri(data / name, sensor.RangeImage(spec, np.full((16, 64), 5.0)))
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN_CFG)
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "b.ldck")]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    return data / "x.cond.lri", err.removeprefix("error: ")
+
+
+@pytest.mark.parametrize("refuse", [_bad_layout, _bad_config, _lri_bad_magic, _lri_refused_geometry,
+                                    _ldck_bad_magic, _ldck_refused_settings, _cond_without_semantic],
+                         ids=["layout", "config", "lri-magic", "lri-geometry", "ldck-magic", "ldck-settings",
+                              "cond-lri-semantic"])
+def test_each_refusal_names_its_file_exactly_once(tmp_path, capsys, refuse):
+    path, message = refuse(tmp_path, capsys)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1, message

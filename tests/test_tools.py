@@ -93,3 +93,21 @@ def test_tests_read_every_name_they_import():
                 bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
                 unread += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_imports_never_named_lists_module_level_imports_their_module_never_names():
+    module = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import pi, tau\n"
+        "def f():\n"
+        "    import sys\n"
+        "    return np.zeros(1), tau\n"
+    )
+    assert _load_tally().imports_never_named({"mod": module}) == ["mod:2: os", "mod:3: os", "mod:5: pi"]
+
+
+def test_package_modules_name_every_import_they_make():
+    assert _load_tally().unused_imports() == []

@@ -16,6 +16,8 @@
 ``unused_defaults()`` lists, apart from these tallies, the parameter defaults
 of the package's functions, methods and constructors that every call site
 passes anyway: a default that nothing omits is a setting that nothing uses.
+``unused_imports()`` lists the module-level imports of the package's modules
+that their own module never names.
 
 Run from anywhere: ``python3 tools/tally.py``.
 """
@@ -166,6 +168,26 @@ def unused_defaults() -> list:
     modules = {f.stem: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))}
     others = [*sorted(PERFBENCH.rglob("*.py")), *sorted(TESTS.rglob("*.py"))]
     return defaults_every_call_passes(modules, [*modules.values(), *(f.read_text(encoding="utf-8") for f in others)])
+
+
+def imports_never_named(modules: dict) -> list:
+    """``module:line: name`` of each name bound by a module-level import of
+    ``modules`` (module name -> source text) that its module never names;
+    ``from __future__`` imports bind no name and are left out."""
+    found = []
+    for mod, text in modules.items():
+        tree = ast.parse(text)
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                found += [f"{mod}:{node.lineno}: {name}" for name in bound if name not in named]
+    return found
+
+
+def unused_imports() -> list:
+    """``imports_never_named`` of the package's modules."""
+    return imports_never_named({f.stem: f.read_text(encoding="utf-8") for f in sorted(PACKAGE.glob("*.py"))})
 
 
 def main() -> None:
