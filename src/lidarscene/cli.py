@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -21,10 +22,11 @@ from .layout import Pose, SceneParams
 
 
 def _numbers(text, flag, form):
-    """The finite numbers in ``text`` (commas or spaces between fields), one
-    per field of ``form``; anything else raises a ValueError naming ``flag``."""
+    """The finite numbers in ``text`` (spaces, or one comma with any spaces
+    around it, between fields), one per field of ``form``; anything else, an
+    empty field included, raises a ValueError naming ``flag``."""
     try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
+        values = [float(tok) for tok in re.split(r"\s*,\s*|\s+", text.strip())]
     except ValueError:  # a field that is not a number
         values = []
     if len(values) != len(form.split(",")) or not all(map(math.isfinite, values)):
@@ -110,13 +112,10 @@ def cmd_extract(args):
 
 
 def cmd_unproject(args):
-    fx, fy, cx, cy = _numbers(args.intrinsics, "--intrinsics", "fx,fy,cx,cy")
-    depth_img = sensor.read_lri(args.depth)
-    sem_img = sensor.read_lri(args.semantic)
-    intr = extraction.CameraIntrinsics(
-        fx, fy, cx, cy, width=depth_img.spec.cols, height=depth_img.spec.rows
-    )
-    cloud = extraction.unproject_depth_semantic(depth_img.data[0], sem_img.data[0], intr)
+    intr = extraction.CameraIntrinsics(*_numbers(args.intrinsics, "--intrinsics", "fx,fy,cx,cy"))
+    depth = sensor.read_lri(args.depth).depth
+    # Channel 0 of the semantic file holds the ids; a refused id names that file.
+    cloud = _encode_lri(args.semantic, lambda img: extraction.unproject_depth_semantic(depth, img.depth, intr))
     sensor.write_point_cloud(args.out, cloud)
     print(f"wrote {len(cloud)} pseudo points to {args.out}")
 
@@ -221,7 +220,7 @@ def cmd_sample(args):
 
 
 def _load_cloud_dir(path):
-    return [(img, sensor.range_image_to_point_cloud(img)) for img in map(sensor.read_lri, _frame_paths(path))]
+    return [_encode_lri(p, lambda img: (img, sensor.range_image_to_point_cloud(img))) for p in _frame_paths(path)]
 
 
 _EVAL_METRICS = ("jsd", "mmd", "frechet")

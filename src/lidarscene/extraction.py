@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layout import DEFAULT_PALETTE, Layout, SemanticPrimitive, rotate_yaw
-from .sensor import LabeledPointCloud
+from .sensor import LabeledPointCloud, label_ids
 
 NOISE = -1
 
@@ -53,33 +53,29 @@ class CameraIntrinsics:
     fy: float
     cx: float
     cy: float
-    width: int
-    height: int
 
     def __post_init__(self):
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):  # NaN fails too
             raise ExtractionError(f"focal lengths must be finite and positive, got fx={self.fx}, fy={self.fy}")
-        if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):  # NaN and inf fail too
-            raise ExtractionError(f"principal point ({self.cx}, {self.cy}) outside the {self.width}x{self.height} image")
 
 
 def unproject_depth_semantic(depth_map, sem_map, intr: CameraIntrinsics) -> LabeledPointCloud:
     """Pinhole unprojection of a depth+semantic image pair into a sensor
     frame pseudo point cloud (camera +z -> sensor +x, camera +x -> -y,
-    camera +y -> -z)."""
+    camera +y -> -z). The principal point must lie inside the maps' shape."""
     depth_map = np.asarray(depth_map, dtype=np.float64)
     sem_map = np.asarray(sem_map)
-    if depth_map.shape != sem_map.shape or depth_map.shape != (intr.height, intr.width):
-        raise ExtractionError(
-            f"map shape {depth_map.shape} does not match intrinsics "
-            f"({intr.height}x{intr.width})"
-        )
+    if depth_map.ndim != 2 or depth_map.shape != sem_map.shape:
+        raise ExtractionError(f"depth and semantic maps must share one 2-D shape, got {depth_map.shape} and {sem_map.shape}")
+    height, width = depth_map.shape
+    if not (0 <= intr.cx < width and 0 <= intr.cy < height):  # NaN and inf fail too
+        raise ExtractionError(f"principal point ({intr.cx}, {intr.cy}) outside the {width}x{height} image")
     v, u = np.nonzero(depth_map > 0)
     d = depth_map[v, u]
     x_cam = (u - intr.cx) * d / intr.fx
     y_cam = (v - intr.cy) * d / intr.fy
     pts = np.stack([d, -x_cam, -y_cam], axis=1)
-    return LabeledPointCloud(pts, np.rint(sem_map[v, u]).astype(np.int64))
+    return LabeledPointCloud(pts, label_ids(sem_map)[v, u])
 
 
 def dbscan(points, params: ClusterParams) -> np.ndarray:

@@ -108,12 +108,6 @@ class Layout:
             if prim.label not in known:
                 raise LayoutError(f"primitive label id {prim.label} not in palette")
 
-    def label_by_id(self, lid: int) -> SemanticLabel:
-        for lab in self.palette:
-            if lab.id == lid:
-                return lab
-        raise LayoutError(f"unknown label id {lid}")
-
 
 # ---------------------------------------------------------------------------
 # DSL
@@ -208,8 +202,9 @@ def serialize_layout(layout: Layout) -> str:
     for lab in sorted(layout.palette, key=lambda l: l.id):
         r, g, b = lab.color
         lines.append(f"palette {lab.name} {r} {g} {b}")
+    names = {lab.id: lab.name for lab in layout.palette}
     for prim in layout.primitives:
-        name = layout.label_by_id(prim.label).name
+        name = names[prim.label]
         cx, cy, cz = prim.center
         sx, sy, sz = prim.extents
         # repr() is the shortest decimal that parses back to the same double;

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import raycast
 from .layout import Layout, Pose, rotate_yaw
 from .sensor import LabeledPointCloud, RangeImage, SensorSpec, normalize_depth, range_image_to_point_cloud
 
@@ -169,8 +170,6 @@ def layout_consistency(
     is, so a surface on a cell edge falls on the same side in both. The
     cloud is taken in world frame.
     """
-    from .raycast import render_conditional, sensor_to_world
-
     car_ids = {lab.id for lab in layout.palette if lab.name == "car"}
     cars = [p for p in layout.primitives if p.label in car_ids]
     if cars:
@@ -190,8 +189,8 @@ def layout_consistency(
     else:
         box_recall = 1.0
 
-    ref = RangeImage(spec, render_conditional(layout, spec, pose).data.astype(np.float32))
-    ref_cloud = sensor_to_world(range_image_to_point_cloud(ref), spec, pose)
+    ref = RangeImage(spec, raycast.render_conditional(layout, spec, pose).data.astype(np.float32))
+    ref_cloud = raycast.sensor_to_world(range_image_to_point_cloud(ref), spec, pose)
     grid = BevGrid((-80.0, 80.0), (-80.0, 80.0), 160)
     occ_a = bev_histogram(cloud, grid).probs > 0
     occ_b = bev_histogram(ref_cloud, grid).probs > 0

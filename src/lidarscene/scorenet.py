@@ -464,11 +464,9 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
         for _ in range(steps):
             idx = rng.integers(0, len(images), size=config.batch_size)
             optimizer.zero_grad()
-            try:
+            with naming(f"training failed at step {state.step + 1} (phase {phase})", ScoreNetError):
                 cond = conds[idx] if conditional else None
                 loss = loss_cond(state.model, adapter, images[idx], cond, state.schedule, rng, allowed)
-            except ScoreNetError as exc:
-                raise ScoreNetError(f"training failed at step {state.step + 1} (phase {phase}): {exc}") from exc
             optimizer.step(allowed)
             state.step += 1
             losses.append(loss)

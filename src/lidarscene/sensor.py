@@ -166,13 +166,26 @@ def project_points(points, spec: SensorSpec):
     return u, v, depth, valid
 
 
+def label_ids(sem) -> np.ndarray:
+    """The H x W semantic map ``sem`` as int64 label ids. An id that is not
+    an integer in int64's range (NaN and inf included) raises SensorError
+    naming its pixel."""
+    sem = np.asarray(sem)
+    bad = ~((sem == np.rint(sem)) & (sem >= -(2.0**63)) & (sem < 2.0**63))  # NaN compares False
+    if bad.any():
+        row, col = np.unravel_index(np.argmax(bad), bad.shape)
+        raise SensorError(f"semantic id {sem[row, col]} at row {row}, column {col} is not an integer in int64's range")
+    return sem.astype(np.int64)
+
+
 def range_image_to_point_cloud(img: RangeImage) -> LabeledPointCloud:
-    """One point per returned pixel (depth > 0), labels copied when present."""
+    """One point per returned pixel (depth > 0), with the ``label_ids`` of
+    the semantic channel when present."""
     spec = img.spec
     v, u = np.nonzero(img.depth > 0)
     yaw, pitch = pixel_to_angles(u, v, spec)
     pts = unproject(yaw, pitch, img.depth[v, u])
-    labels = None if img.semantic is None else np.rint(img.semantic[v, u]).astype(np.int64)
+    labels = None if img.semantic is None else label_ids(img.semantic)[v, u]
     return LabeledPointCloud(pts, labels)
 
 
@@ -192,9 +205,10 @@ def denormalize_depth(n, spec: SensorSpec):
 def control_image(img: RangeImage) -> np.ndarray:
     """The 2-channel condition of a rendered frame, as f32: normalized
     depth, then semantic id / SEMANTIC_DENOM. A frame without a semantic
-    channel raises SensorError."""
+    channel, or with an id that ``label_ids`` refuses, raises SensorError."""
     if img.semantic is None:
         raise SensorError("condition frame has no semantic channel (channel 1)")
+    label_ids(img.semantic)
     return np.stack([normalize_depth(img.depth, img.spec), img.semantic / SEMANTIC_DENOM]).astype(np.float32)
 
 

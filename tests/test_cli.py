@@ -277,6 +277,36 @@ def test_unproject(tmp_path, capsys):
     assert (cloud.labels == 1).all()
 
 
+def test_unproject_refuses_a_non_finite_semantic_id_naming_the_file(tmp_path, capsys):
+    spec = sensor.SensorSpec(rows=8, cols=8)
+    sem = np.full((8, 8), 1.0)
+    sem[2, 5] = np.nan
+    dpath, spath, out = tmp_path / "d.lri", tmp_path / "s.lri", tmp_path / "cloud.xyz"
+    sensor.write_lri(dpath, sensor.RangeImage(spec, np.full((8, 8), 5.0)))
+    sensor.write_lri(spath, sensor.RangeImage(spec, sem))
+    rc = main(["unproject", "--depth", str(dpath), "--semantic", str(spath),
+               "--intrinsics", "10,10,4,4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {spath}: semantic id nan at row 2, column 5 is not an integer in int64's range"]
+    assert not out.exists()
+
+
+def test_eval_refuses_a_fractional_semantic_id_naming_the_frame(tmp_path, capsys):
+    spec = sensor.SensorSpec(rows=8, cols=8)
+    data = np.stack([np.full((8, 8), 5.0), np.ones((8, 8))])
+    (tmp_path / "gen").mkdir()
+    sensor.write_lri(tmp_path / "gen" / "a.lri", sensor.RangeImage(spec, data))
+    data[1, 0, 3] = 2.5
+    sensor.write_lri(tmp_path / "gen" / "b.lri", sensor.RangeImage(spec, data))
+    rc = main(["eval", "--gen", str(tmp_path / "gen"), "--ref", str(tmp_path / "gen"), "--metrics", "jsd"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {tmp_path / 'gen' / 'b.lri'}: semantic id 2.5 at row 0, column 3 is not an integer in int64's range"]
+
+
 def _write_training_data(tmp_path, n=4, with_cond=False):
     spec = sensor.SensorSpec(rows=16, cols=64)
     rng = np.random.default_rng(0)
@@ -495,6 +525,38 @@ def test_bad_pose_exits_nonzero(tmp_path, scene_file, small_cfg, capsys):
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: --pose must be 'x,y,z,yaw_deg', got {pose!r}"]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("pose", ["0,,0,0,90", "0,0,0,90,", ",0,0,0,90", "0, ,0,0,90", "0 , ,0,0,90"],
+                         ids=["inner", "trailing", "leading", "comma-space-comma", "spaced-commas"])
+def test_empty_pose_field_exits_nonzero(tmp_path, scene_file, small_cfg, capsys, pose):
+    # An empty field is not a zero: four numbers around it still read as a pose.
+    out = tmp_path / "o.lri"
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg, "--pose", pose, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --pose must be 'x,y,z,yaw_deg', got {pose!r}"]
+    assert not out.exists()
+
+
+def test_empty_fields_are_refused_in_intrinsics_and_trajectory_lines(tmp_path, scene_file, small_cfg, capsys):
+    dpath, traj = tmp_path / "d.lri", tmp_path / "poses.txt"
+    sensor.write_lri(dpath, sensor.RangeImage(sensor.SensorSpec(rows=8, cols=8), np.full((8, 8), 5.0)))
+    rc = main(["unproject", "--depth", str(dpath), "--semantic", str(dpath),
+               "--intrinsics", "10,10,4,4,", "--out", str(tmp_path / "cloud.xyz")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --intrinsics must be 'fx,fy,cx,cy', got '10,10,4,4,'"]
+    traj.write_text("0 0 0 0\n1,,0,0,0\n")
+    rc = main(["render", "--layout", scene_file, "--sensor", small_cfg,
+               "--trajectory", str(traj), "--out", str(tmp_path / "frames")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {traj}:2: --trajectory line must be 'x,y,z,yaw_deg', got '1,,0,0,0'"]
+    assert not (tmp_path / "cloud.xyz").exists() and not (tmp_path / "frames").exists()
+
+
+@pytest.mark.parametrize("text", ["1,2,3,4", "1 2 3 4", "1, 2, 3, 4", "1 ,2 , 3\t4", " 1  2 3 4 "])
+def test_number_fields_split_at_commas_and_spaces(text):
+    assert cli._numbers(text, "--pose", "x,y,z,yaw_deg") == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_eval_empty_dir_exits_nonzero(tmp_path, capsys):

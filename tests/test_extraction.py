@@ -17,7 +17,7 @@ from lidarscene.extraction import (
 )
 from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
 from lidarscene.raycast import render_conditional, sensor_to_world
-from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud
+from lidarscene.sensor import LabeledPointCloud, SensorError, SensorSpec, range_image_to_point_cloud
 
 from workloads import STREET_PARAMS, STREET_POSES, STREET_SPEC, STREET_TESSELLATION
 
@@ -256,7 +256,7 @@ def test_fit_box_empty():
 
 
 def test_unproject_depth_semantic_center_pixel():
-    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0, width=32, height=16)
+    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0)
     depth = np.zeros((16, 32))
     sem = np.zeros((16, 32))
     depth[8, 16] = 5.0
@@ -268,7 +268,7 @@ def test_unproject_depth_semantic_center_pixel():
 
 
 def test_unproject_depth_semantic_axes():
-    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0, width=32, height=16)
+    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0)
     depth = np.zeros((16, 32))
     depth[8, 26] = 10.0  # right of center -> -y in sensor frame
     depth[3, 16] = 10.0  # above center -> +z in sensor frame
@@ -278,12 +278,24 @@ def test_unproject_depth_semantic_axes():
     assert (10.0, 0.0, 0.5) in by_x
 
 
+def test_unproject_refuses_a_semantic_id_that_is_not_an_integer():
+    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0)
+    depth, sem = np.full((16, 32), 5.0), np.zeros((16, 32))
+    sem[8, 16] = 2.5
+    with pytest.raises(SensorError, match="^semantic id 2.5 at row 8, column 16 is not an integer in int64's range$"):
+        unproject_depth_semantic(depth, sem, intr)
+
+
+def test_unproject_takes_the_image_size_from_two_dimensional_maps():
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
+    with pytest.raises(ExtractionError, match=r"^depth and semantic maps must share one 2-D shape, got \(4,\) and \(4,\)$"):
+        unproject_depth_semantic(np.ones(4), np.zeros(4), intr)
+
+
 def test_unproject_shape_mismatch():
-    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4)
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=1.0, cy=1.0)
     with pytest.raises(ExtractionError):
         unproject_depth_semantic(np.zeros((4, 4)), np.zeros((5, 4)), intr)
-    with pytest.raises(ExtractionError):
-        unproject_depth_semantic(np.zeros((3, 3)), np.zeros((3, 3)), intr)
 
 
 def test_extract_layout_single_car_scene():
@@ -359,7 +371,8 @@ def test_extract_layout_two_cars():
     ids=["fx-zero", "fy-negative", "fx-nan", "fy-inf", "cx-at-width", "cy-negative", "cx-nan", "cy-inf"],
 )
 def test_camera_intrinsics_reject_bad_values(field, value, message):
-    intrinsics = dict(fx=10.0, fy=10.0, cx=4.0, cy=3.0, width=8, height=6)
+    # The image size is the maps' shape: 8 wide, 6 high.
+    intrinsics = dict(fx=10.0, fy=10.0, cx=4.0, cy=3.0)
     with pytest.raises(ExtractionError) as exc:
-        CameraIntrinsics(**{**intrinsics, field: value})
+        unproject_depth_semantic(np.zeros((6, 8)), np.zeros((6, 8)), CameraIntrinsics(**{**intrinsics, field: value}))
     assert str(exc.value) == message

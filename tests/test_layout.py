@@ -242,8 +242,8 @@ def test_palette_color_keeps_integer_components():
 def test_layout_rejects_duplicate_ids_and_unknown_lookups():
     with pytest.raises(LayoutError, match="^duplicate label ids in palette$"):
         Layout(palette=(SemanticLabel(0, "a", (0, 0, 0)), SemanticLabel(0, "b", (1, 1, 1))))
-    with pytest.raises(LayoutError, match="^unknown label id 99$"):
-        Layout().label_by_id(99)
+    with pytest.raises(LayoutError, match="^primitive label id 99 not in palette$"):
+        Layout(primitives=(SemanticPrimitive(99, "cuboid", (0, 0, 0), (1, 1, 1)),))
 
 
 def test_generate_random_scene_runs_out_of_placement_budget():

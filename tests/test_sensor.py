@@ -558,3 +558,22 @@ def test_read_point_cloud_needs_four_fields(tmp_path, line):
     path.write_text(f"# x y z label_id\n1 2 3 0\n{line}\n")
     with pytest.raises(sensor.SensorError, match=re.escape(f"{path}:3: expected 'x y z label_id'")):
         sensor.read_point_cloud(path)
+
+
+@pytest.mark.parametrize("value", [2.5, -0.5, math.nan, math.inf, -math.inf, 1e30], ids=["half", "negative-half", "nan", "inf", "-inf", "1e30"])
+def test_semantic_ids_must_be_integers_in_int64(value):
+    # Each reader of a semantic channel refuses the id and names its pixel;
+    # rounding it, or casting NaN to int64's minimum, would invent a label.
+    sem = np.ones((2, 4))
+    sem[1, 2] = value
+    img = RangeImage(SensorSpec(rows=2, cols=4), np.stack([np.full((2, 4), 5.0), sem]))
+    message = f"semantic id {value} at row 1, column 2 is not an integer in int64's range"
+    for convert in (sensor.label_ids, lambda s: range_image_to_point_cloud(img), lambda s: sensor.control_image(img)):
+        with pytest.raises(sensor.SensorError, match=f"^{re.escape(message)}$"):
+            convert(sem)
+
+
+def test_semantic_ids_keep_every_integer_in_int64():
+    sem = np.array([[0.0, -1.0, 2.0**62, -(2.0**63)]])
+    assert sensor.label_ids(sem).tolist() == [[0, -1, 2**62, -(2**63)]]
+    assert sensor.label_ids(sem.astype(np.float32)).dtype == np.int64
