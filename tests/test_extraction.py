@@ -17,7 +17,7 @@ from lidarscene.extraction import (
 )
 from lidarscene.layout import Layout, Pose, SemanticPrimitive, generate_random_scene
 from lidarscene.raycast import render_conditional, sensor_to_world
-from lidarscene.sensor import LabeledPointCloud, SensorError, SensorSpec, range_image_to_point_cloud
+from lidarscene.sensor import LabeledPointCloud, SensorSpec, range_image_to_point_cloud
 
 from workloads import STREET_PARAMS, STREET_POSES, STREET_SPEC, STREET_TESSELLATION
 
@@ -276,14 +276,6 @@ def test_unproject_depth_semantic_axes():
     by_x = {tuple(np.round(p, 6)) for p in cloud.points}
     assert (10.0, -1.0, 0.0) in by_x
     assert (10.0, 0.0, 0.5) in by_x
-
-
-def test_unproject_refuses_a_semantic_id_that_is_not_an_integer():
-    intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=16.0, cy=8.0)
-    depth, sem = np.full((16, 32), 5.0), np.zeros((16, 32))
-    sem[8, 16] = 2.5
-    with pytest.raises(SensorError, match="^semantic id 2.5 at row 8, column 16 is not an integer in int64's range$"):
-        unproject_depth_semantic(depth, sem, intr)
 
 
 def test_unproject_takes_the_image_size_from_two_dimensional_maps():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lidarscene import sensor
+from lidarscene.extraction import CameraIntrinsics, unproject_depth_semantic
 from lidarscene.sensor import (
     LabeledPointCloud,
     RangeImage,
@@ -567,10 +568,12 @@ def test_semantic_ids_must_be_integers_in_int64(value):
     sem = np.ones((2, 4))
     sem[1, 2] = value
     img = RangeImage(SensorSpec(rows=2, cols=4), np.stack([np.full((2, 4), 5.0), sem]))
+    intr = CameraIntrinsics(fx=10.0, fy=10.0, cx=2.0, cy=1.0)
     message = f"semantic id {value} at row 1, column 2 is not an integer in int64's range"
-    for convert in (sensor.label_ids, lambda s: range_image_to_point_cloud(img), lambda s: sensor.control_image(img)):
+    for convert in (lambda: sensor.label_ids(sem), lambda: range_image_to_point_cloud(img),
+                    lambda: sensor.control_image(img), lambda: unproject_depth_semantic(img.depth, sem, intr)):
         with pytest.raises(sensor.SensorError, match=f"^{re.escape(message)}$"):
-            convert(sem)
+            convert()
 
 
 def test_semantic_ids_keep_every_integer_in_int64():
