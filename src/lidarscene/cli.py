@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -233,9 +234,16 @@ def cmd_eval(args):
         raise ValueError(f"--metrics names no metric; choose from {', '.join(_EVAL_METRICS)}")
     if unknown:
         raise ValueError(f"unknown metric {unknown[0]!r}; choose from {', '.join(_EVAL_METRICS)}")
-    # Opened before any frame is read; appending keeps an existing file until the report is ready.
+    # Opened before any frame is read; appending keeps an existing file until
+    # the report is ready, and a file this run created goes if the report fails.
+    created = args.csv is not None and not os.path.lexists(args.csv)
     with open(args.csv, "a") if args.csv is not None else contextlib.nullcontext() as csv:
-        report = _eval_report(args, wanted)
+        try:
+            report = _eval_report(args, wanted)
+        except Exception:
+            if created:
+                os.remove(args.csv)
+            raise
         for key, val in report.items():
             print(f"{key}={val:.6g}")
         if csv is not None:

@@ -187,8 +187,8 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
     params.update(params_by_label or {})
 
     prims = []
-    for lab in palette:
-        mask = cloud.labels == lab.id
+    for label, lab in enumerate(palette):
+        mask = cloud.labels == label
         if not mask.any():
             continue
         pts = cloud.points[mask]
@@ -199,11 +199,11 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
             z = float(np.median(pts[:, 2]))
             extents = (max(hi[0] - lo[0], MIN_EXTENT), max(hi[1] - lo[1], MIN_EXTENT), 0.0)
             center = ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0, z)
-            prims.append(SemanticPrimitive(lab.id, "plane", center, extents))
+            prims.append(SemanticPrimitive(label, "plane", center, extents))
             continue
         ids = dbscan(pts, params[lab.name])
         for cid in range(ids.max() + 1):
             cluster_pts = pts[ids == cid]
             center, extents, yaw = fit_box(cluster_pts)
-            prims.append(SemanticPrimitive(lab.id, shape, center, extents, yaw))
+            prims.append(SemanticPrimitive(label, shape, center, extents, yaw))
     return Layout(palette=palette, primitives=tuple(prims))

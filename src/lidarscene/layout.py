@@ -9,6 +9,7 @@ semantic and geometric structure of a scene.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -36,12 +37,21 @@ def _require_finite(obj, *fields):
 
 @dataclass(frozen=True)
 class SemanticLabel:
-    id: int
+    """A palette entry. Its id is its position in ``Layout.palette``; its
+    name is one printable token without ``#`` and its color three integers
+    0-255, as a layout file can hold them."""
+
     name: str
     color: tuple  # (r, g, b) bytes
 
     def __post_init__(self):
-        object.__setattr__(self, "color", tuple(self.color))
+        name = self.name
+        if not (isinstance(name, str) and name.split() == [name] and name.isprintable() and "#" not in name):
+            raise LayoutError(f"label name must be one printable token without '#', got {name!r}")
+        color = tuple(self.color)
+        if len(color) != 3 or not all(isinstance(c, numbers.Integral) and 0 <= c <= 255 for c in color):
+            raise LayoutError(f"label color must be three integers 0-255, got {self.color!r}")
+        object.__setattr__(self, "color", tuple(map(int, color)))
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ class SemanticPrimitive:
         object.__setattr__(self, "center", tuple(map(float, self.center)))
         object.__setattr__(self, "extents", tuple(map(float, self.extents)))
         object.__setattr__(self, "yaw", float(self.yaw))
+        if not math.isfinite(math.degrees(self.yaw)):  # as a layout file holds it
+            raise LayoutError(f"SemanticPrimitive yaw must be finite in degrees, got {self.yaw}")
         sx, sy, sz = self.extents
         used = (sx, sy) if self.shape == "plane" else (sx, sy, sz)
         if any(e <= 0 for e in used):
@@ -84,11 +96,11 @@ class Pose:
 
 # Label-RGB mapping of the default palette.
 DEFAULT_PALETTE = [
-    SemanticLabel(0, "ground", (81, 0, 81)),
-    SemanticLabel(1, "road", (128, 64, 128)),
-    SemanticLabel(2, "building", (70, 70, 70)),
-    SemanticLabel(3, "car", (0, 0, 142)),
-    SemanticLabel(4, "vegetation", (107, 142, 35)),
+    SemanticLabel("ground", (81, 0, 81)),
+    SemanticLabel("road", (128, 64, 128)),
+    SemanticLabel("building", (70, 70, 70)),
+    SemanticLabel("car", (0, 0, 142)),
+    SemanticLabel("vegetation", (107, 142, 35)),
 ]
 
 
@@ -100,12 +112,11 @@ class Layout:
     def __post_init__(self):
         object.__setattr__(self, "palette", tuple(self.palette))
         object.__setattr__(self, "primitives", tuple(self.primitives))
-        ids = [lab.id for lab in self.palette]
-        if len(set(ids)) != len(ids):
-            raise LayoutError("duplicate label ids in palette")
-        known = set(ids)
+        for i, lab in enumerate(self.palette):
+            if lab.name in (other.name for other in self.palette[:i]):
+                raise LayoutError(f"duplicate label name {lab.name!r}")
         for prim in self.primitives:
-            if prim.label not in known:
+            if not (isinstance(prim.label, numbers.Integral) and 0 <= prim.label < len(self.palette)):
                 raise LayoutError(f"primitive label id {prim.label} not in palette")
 
 
@@ -174,9 +185,8 @@ def parse_layout(text: str) -> Layout:
                 for tok in parts[2:5]:
                     if not (tok.isdecimal() and int(tok) <= 255):
                         raise LayoutError(f"color component {tok!r} out of range: need an integer 0-255")
-                lab = SemanticLabel(len(palette), name, tuple(map(int, parts[2:5])))
-                names[name] = lab
-                palette.append(lab)
+                names[name] = len(palette)
+                palette.append(SemanticLabel(name, tuple(map(int, parts[2:5]))))
             elif kind == "prim":
                 if len(parts) != 10:
                     raise LayoutError(f"prim needs 9 fields, got {len(parts) - 1}")
@@ -184,7 +194,7 @@ def parse_layout(text: str) -> Layout:
                     raise LayoutError(f"unknown label {parts[1]!r}")
                 nums = [_parse_float(tok) for tok in parts[3:10]]
                 prims.append(SemanticPrimitive(
-                    label=names[parts[1]].id,
+                    label=names[parts[1]],
                     shape=parts[2],
                     center=tuple(nums[0:3]),
                     extents=tuple(nums[3:6]),
@@ -199,12 +209,11 @@ def serialize_layout(layout: Layout) -> str:
     """Canonical DSL text; parse(serialize(L)) recovers L (yaw to ~1 ulp,
     everything else exactly)."""
     lines = ["# layout: palette then primitives"]
-    for lab in sorted(layout.palette, key=lambda l: l.id):
+    for lab in layout.palette:
         r, g, b = lab.color
         lines.append(f"palette {lab.name} {r} {g} {b}")
-    names = {lab.id: lab.name for lab in layout.palette}
     for prim in layout.primitives:
-        name = names[prim.label]
+        name = layout.palette[prim.label].name
         cx, cy, cz = prim.center
         sx, sy, sz = prim.extents
         # repr() is the shortest decimal that parses back to the same double;

@@ -99,14 +99,14 @@ def _ellipsoid_mesh(extents, segments, rings):
 def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLATION) -> TriangleMesh:
     """Tessellate one primitive: cuboid -> 12 triangles, plane -> 2,
     ellipsoid -> UV sphere with `tessellation` segments (rings fixed at
-    tessellation/2, minimum 2)."""
+    tessellation/2, minimum 2). A tessellation below 3 is refused for every shape."""
+    if tessellation < 3:
+        raise MeshError("tessellation must be >= 3")
     if prim.shape == "cuboid":
         verts, faces = _cuboid_mesh(prim.extents)
     elif prim.shape == "plane":
         verts, faces = _plane_mesh(prim.extents)
     else:
-        if tessellation < 3:
-            raise MeshError("ellipsoid tessellation must be >= 3")
         verts, faces = _ellipsoid_mesh(prim.extents, tessellation, max(2, tessellation // 2))
     verts = transform(verts, prim.center, prim.yaw)
     labels = np.full(len(faces), prim.label, dtype=np.int64)

@@ -49,8 +49,7 @@ def bev_histogram(cloud: LabeledPointCloud, grid: BevGrid = BevGrid()) -> Histog
         bins=grid.resolution,
         range=[grid.x_bounds, grid.y_bounds],
     )
-    total = counts.sum()
-    return Histogram(grid, counts / total if total else counts)
+    return Histogram(grid, counts / max(counts.sum(), 1))
 
 
 def jsd(p: Histogram, q: Histogram) -> float:
@@ -137,12 +136,10 @@ def log_depth_features(img: RangeImage) -> np.ndarray:
     feature)."""
     depth = img.depth[img.depth > 0]
     edges = np.linspace(0.0, 1.0, DEPTH_FEATURE_BINS + 1)
-    if len(depth) == 0:
-        return np.zeros(DEPTH_FEATURE_BINS)
     # log1p(M) / log(M + 1) can round above 1.0, where np.histogram would drop it.
     norm = normalize_depth(np.minimum(depth, img.spec.max_range), img.spec)
     counts, _ = np.histogram(np.clip(norm, 0.0, 1.0), bins=edges)
-    return counts / counts.sum()
+    return counts / max(counts.sum(), 1)
 
 
 def _points_in_box(points, center, extents, yaw):
@@ -170,7 +167,7 @@ def layout_consistency(
     is, so a surface on a cell edge falls on the same side in both. The
     cloud is taken in world frame.
     """
-    car_ids = {lab.id for lab in layout.palette if lab.name == "car"}
+    car_ids = {label for label, lab in enumerate(layout.palette) if lab.name == "car"}
     cars = [p for p in layout.primitives if p.label in car_ids]
     if cars:
         hits = 0
@@ -195,7 +192,5 @@ def layout_consistency(
     occ_a = bev_histogram(cloud, grid).probs > 0
     occ_b = bev_histogram(ref_cloud, grid).probs > 0
     union = np.logical_or(occ_a, occ_b).sum()
-    if union == 0:
-        return box_recall, 0.0
     inter = np.logical_and(occ_a, occ_b).sum()
-    return box_recall, float(inter / union)
+    return box_recall, float(inter / max(union, 1))

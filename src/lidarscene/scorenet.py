@@ -99,12 +99,12 @@ class ResBlock:
         self.act = SiLU()
         self.conv2 = Conv2d(cout, cout, 3, rng, dtype)
         self.proj = Conv2d(cin, cout, 1, rng, dtype) if cin != cout else None
-        self.cout = cout
 
     def forward(self, x, emb):
         h = self.conv1.forward(x)
         st = self.emb.forward(emb)
-        scale, shift = st[:, : self.cout], st[:, self.cout :]
+        c = self.conv1.cout
+        scale, shift = st[:, :c], st[:, c:]
         h = self.act.forward(self.film.forward(h, scale, shift))
         h = self.conv2.forward(h)
         skip = self.proj.forward(x) if self.proj is not None else x
@@ -251,7 +251,7 @@ class ScoreModel:
     # -- forward / backward -------------------------------------------
 
     def _embed(self, sigma, batch):
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (batch,))
+        sigma = np.broadcast_to(sigma, (batch,))
         emb = sinusoidal_embedding(np.log(sigma), self.config.emb_dim, self.config.dtype)
         return self.embed2.forward(self.emb_act.forward(self.embed1.forward(emb)))
 
@@ -260,7 +260,8 @@ class ScoreModel:
         the conditional pathway (identical to the unconditional forward
         while the fusion convolutions are all zero); `cond` without `adapter`
         raises. An ``x`` of the model's dtype is not copied: the layers keep
-        it until ``backward``, unless run inside ``nn.forward_only()``."""
+        it until ``backward``, unless run inside ``nn.forward_only()``.
+        ``sigma`` is one noise level or one per sample, each finite and > 0."""
         if cond is not None and adapter is None:
             raise ScoreNetError("a conditional image requires an adapter")
         x = np.asarray(x, dtype=self.config.dtype)
@@ -269,6 +270,11 @@ class ScoreModel:
         depth_div = 2 ** (len(self.config.widths) - 1)
         if x.shape[2] % depth_div or x.shape[3] % depth_div:
             raise ScoreNetError(f"H and W must be divisible by {depth_div}")
+        sigma = np.asarray(sigma, dtype=np.float64).ravel()
+        if sigma.size not in (1, x.shape[0]):
+            raise ScoreNetError(f"expected 1 or {x.shape[0]} sigmas, got {sigma.size}")
+        if not np.all((sigma > 0) & (sigma < np.inf)):  # False for NaN too
+            raise ScoreNetError(f"sigma must be finite and > 0, got {sigma}")
         if adapter is not None:
             if cond is None:
                 raise ScoreNetError("adapter requires a conditional image")
@@ -455,11 +461,11 @@ def train(state: TrainState, dataset, config: TrainConfig, log=None):
 
     optimizer = Adam(state.params(), lr=config.lr)
     rng = np.random.default_rng(np.random.Philox(config.seed))
-    phases = ["a", "b"] if config.phase == "ab" else [config.phase]
-    steps_per_phase = [config.steps // 2, config.steps - config.steps // 2] if config.phase == "ab" else [config.steps]
+    half = config.steps // 2
+    phases = [("a", half), ("b", config.steps - half)] if config.phase == "ab" else [(config.phase, config.steps)]
 
     losses = []
-    for phase, steps in zip(phases, steps_per_phase):
+    for phase, steps in phases:
         allowed = _allowed_params(state, phase)
         for _ in range(steps):
             idx = rng.integers(0, len(images), size=config.batch_size)

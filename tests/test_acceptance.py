@@ -174,7 +174,7 @@ def test_criterion_05_layout_inversion():
         img = render_conditional(scene, spec, pose, tessellation=12)
         cloud = raycast.sensor_to_world(range_image_to_point_cloud(img), spec, pose)
         found = extract_layout(cloud)
-        car_id = next(lab.id for lab in scene.palette if lab.name == "car")
+        car_id = next(i for i, lab in enumerate(scene.palette) if lab.name == "car")
         true_cars = [p for p in scene.primitives if p.label == car_id]
         # a car counts as visible when enough labeled returns come back
         # to seed a cluster at all

@@ -395,9 +395,9 @@ def test_train_rejects_nan_depths_at_load(tmp_path, train_cfg, capsys):
 def test_sample_cond_uses_training_semantic_scale(tmp_path, train_cfg, monkeypatch):
     # a layout with its own, shorter palette: "car" is id 2 here, not 3
     palette = (
-        layout_mod.SemanticLabel(0, "ground", (81, 0, 81)),
-        layout_mod.SemanticLabel(1, "road", (128, 64, 128)),
-        layout_mod.SemanticLabel(2, "car", (0, 0, 142)),
+        layout_mod.SemanticLabel("ground", (81, 0, 81)),
+        layout_mod.SemanticLabel("road", (128, 64, 128)),
+        layout_mod.SemanticLabel("car", (0, 0, 142)),
     )
     scene = layout_mod.Layout(palette, (SemanticPrimitive(2, "cuboid", (6.0, 0.0, 0.75), (4.0, 1.8, 1.5)),))
     scene_path = tmp_path / "short.layout"
@@ -1023,7 +1023,7 @@ def test_eval_layout_scores_each_frame_in_its_own_sensor(tmp_path, capsys):
 
 def test_eval_layout_scores_a_palette_without_cars(tmp_path, capsys):
     # No "car" label at all: scored like any layout without cars.
-    palette = (layout_mod.SemanticLabel(0, "ground", (81, 0, 81)), layout_mod.SemanticLabel(1, "building", (70, 70, 70)))
+    palette = (layout_mod.SemanticLabel("ground", (81, 0, 81)), layout_mod.SemanticLabel("building", (70, 70, 70)))
     scene = layout_mod.Layout(palette, (SemanticPrimitive(1, "cuboid", (15.0, 2.0, 3.0), (6.0, 4.0, 6.0)),))
     layout_path, gen = tmp_path / "nocar.layout", tmp_path / "gen"
     layout_mod.save_layout(layout_path, scene)
@@ -1097,6 +1097,24 @@ def test_eval_csv_is_replaced_only_by_a_finished_report(tmp_path, capsys):
     assert csv.read_text() == "metric,value\nold,1\nolder,2\n"
     assert main(["eval", "--gen", data, "--ref", data, "--metrics", "jsd", "--csv", str(csv)]) == 0
     assert csv.read_text() == "metric,value\njsd,0\n"
+
+
+def test_a_failed_eval_removes_the_csv_it_created(tmp_path, capsys):
+    data, csv = _write_training_data(tmp_path), tmp_path / "new.csv"
+    (tmp_path / "empty").mkdir()
+    assert main(["eval", "--gen", str(tmp_path / "empty"), "--ref", data, "--csv", str(csv)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: no .lri files in {tmp_path / 'empty'}"]
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("tessellation", [0, -5])
+def test_render_refuses_a_tessellation_below_3_without_an_ellipsoid(tmp_path, scene_file, capsys, tessellation):
+    # scene_file holds one car, a cuboid: no ellipsoid is meshed.
+    cfg, out = tmp_path / "bad.cfg", tmp_path / "d.lri"
+    cfg.write_text(f"render.tessellation = {tessellation}\n")
+    assert main(["render", "--layout", scene_file, "--sensor", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: tessellation must be >= 3"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["file", "file/sub"], ids=["out-is-a-file", "parent-is-a-file"])

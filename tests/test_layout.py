@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lidarscene import layout as lo, raycast
@@ -36,7 +36,6 @@ prim car cuboid 5 1.75 0.75 4.5 1.8 1.5 90
 def test_parse_example_counts_and_ids():
     lay = parse_layout(EXAMPLE)
     assert [lab.name for lab in lay.palette] == ["ground", "road", "car"]
-    assert [lab.id for lab in lay.palette] == [0, 1, 2]
     assert len(lay.primitives) == 3
     car = lay.primitives[2]
     assert car.label == 2
@@ -123,7 +122,7 @@ _EXTENT = st.floats(1e-3, 1e4)
 def _layouts(draw):
     names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True), min_size=1, max_size=6, unique=True))
     rgb = st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 255))
-    palette = tuple(lo.SemanticLabel(i, name, draw(rgb)) for i, name in enumerate(names))
+    palette = tuple(lo.SemanticLabel(name, draw(rgb)) for name in names)
     prim = st.builds(
         SemanticPrimitive,
         label=st.integers(0, len(names) - 1),
@@ -139,6 +138,57 @@ def _layouts(draw):
 @given(lay=_layouts())
 def test_parse_serialize_roundtrip_property(lay):
     assert_layouts_close(parse_layout(serialize_layout(lay)), lay)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Layout(palette=(SemanticLabel("a", (0, 0, 0)), SemanticLabel("a", (1, 1, 1)))), "duplicate label name 'a'"),
+        (lambda: SemanticLabel("parked car", (0, 0, 142)), "label name must be one printable token without '#', got 'parked car'"),
+        (lambda: SemanticLabel("car#2", (0, 0, 142)), "label name must be one printable token without '#', got 'car#2'"),
+        (lambda: SemanticLabel("", (0, 0, 142)), "label name must be one printable token without '#', got ''"),
+        (lambda: SemanticLabel("car\ud800", (0, 0, 142)), "label name must be one printable token"),
+        (lambda: SemanticLabel("car", (0, 0, 300)), re.escape("label color must be three integers 0-255, got (0, 0, 300)")),
+        (lambda: SemanticLabel("car", (0, 0, 1.5)), re.escape("label color must be three integers 0-255, got (0, 0, 1.5)")),
+        (lambda: SemanticLabel("car", (0, 0)), re.escape("label color must be three integers 0-255, got (0, 0)")),
+        (lambda: SemanticPrimitive(0, "cuboid", (0, 0, 0), (1, 1, 1), 1e307), "yaw must be finite in degrees, got 1e\\+307"),
+    ],
+    ids=["duplicate-name", "name-with-space", "name-with-hash", "empty-name", "lone-surrogate", "color-300", "color-1.5", "two-colors", "yaw-1e307"],
+)
+def test_what_a_layout_file_cannot_hold_is_refused_when_built(make, message):
+    # Each of these used to be saved by save_layout and then refused by load_layout.
+    with pytest.raises(LayoutError, match=message):
+        make()
+
+
+def test_palette_colors_are_stored_as_python_ints():
+    lab = SemanticLabel("car", np.array([0, 0, 142], dtype=np.uint8))
+    assert lab.color == (0, 0, 142) and all(type(c) is int for c in lab.color)
+
+
+# Every code point, lone surrogates included: the label's own check decides.
+_ANY_NAME = st.text(st.characters(blacklist_categories=()), min_size=1, max_size=8)
+
+
+def _built(make, *args):
+    """``make(*args)``, or None where the types refuse it."""
+    try:
+        return make(*args)
+    except LayoutError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(names=st.lists(_ANY_NAME, min_size=1, max_size=6, unique=True), yaws=st.lists(_FINITE, max_size=4))
+def test_every_layout_the_types_accept_reloads_from_its_file(tmp_path_factory, names, yaws):
+    palette = [lab for i, name in enumerate(names) if (lab := _built(SemanticLabel, name, (i, 7, 255)))]
+    assume(palette)
+    prims = [prim for k, yaw in enumerate(yaws)
+             if (prim := _built(SemanticPrimitive, k % len(palette), "ellipsoid", (1.0, -2.5, 0.5), (1.0, 2.0, 3.0), yaw))]
+    lay = Layout(palette, prims)
+    path = tmp_path_factory.mktemp("layout") / "scene.layout"
+    lo.save_layout(path, lay)
+    assert_layouts_close(lo.load_layout(path), lay)
 
 
 def test_layout_rejects_unknown_label():
@@ -240,8 +290,6 @@ def test_palette_color_keeps_integer_components():
 
 
 def test_layout_rejects_duplicate_ids_and_unknown_lookups():
-    with pytest.raises(LayoutError, match="^duplicate label ids in palette$"):
-        Layout(palette=(SemanticLabel(0, "a", (0, 0, 0)), SemanticLabel(0, "b", (1, 1, 1))))
     with pytest.raises(LayoutError, match="^primitive label id 99 not in palette$"):
         Layout(primitives=(SemanticPrimitive(99, "cuboid", (0, 0, 0), (1, 1, 1)),))
 
@@ -257,7 +305,7 @@ def test_layout_from_lists_or_arrays_hashes_and_equals_the_tuple_layout(vector):
     # Rendering memoizes the mesh by layout, so every layout must hash; a
     # list center used to make it unhashable.
     def scene(vec):
-        palette = [SemanticLabel(0, "ground", vec([81, 0, 81])), SemanticLabel(1, "car", vec([0, 0, 142]))]
+        palette = [SemanticLabel("ground", vec([81, 0, 81])), SemanticLabel("car", vec([0, 0, 142]))]
         prims = [
             SemanticPrimitive(0, "plane", vec([0, 0, 0]), vec([200.0, 200.0, 0.0])),
             SemanticPrimitive(1, "cuboid", vec([10.0, 2.0, 0.75]), vec([4.0, 1.8, 1.5]), np.float64(0.3)),

@@ -572,6 +572,33 @@ def test_a_refused_forward_leaves_the_last_forward_to_backward():
         np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        (0.0, r"^sigma must be finite and > 0, got \[0\.\]$"),
+        (-1.0, r"^sigma must be finite and > 0, got \[-1\.\]$"),
+        (math.nan, r"^sigma must be finite and > 0, got \[nan\]$"),
+        (math.inf, r"^sigma must be finite and > 0, got \[inf\]$"),
+        ([0.5, 0.0], r"^sigma must be finite and > 0, got \[0\.5 0\. \]$"),
+        ([0.5, 0.5, 0.5], "^expected 1 or 2 sigmas, got 3$"),
+    ],
+    ids=["zero", "negative", "nan", "inf", "one-zero-of-two", "three-for-two"],
+)
+def test_forward_refuses_a_bad_sigma_before_any_layer_runs(sigma, message):
+    x = np.random.default_rng(57).standard_normal((2, 1, 8, 16))
+    grads = []
+    for refuse in (False, True):
+        model = ScoreModel(TINY64, seed=58)
+        model.forward(x, [0.5, 0.25])
+        if refuse:
+            with pytest.raises(ScoreNetError, match=message):
+                model.forward(x, sigma)
+        model.backward(np.ones((2, 1, 8, 16)))
+        grads.append({name: p.grad for name, p in model.named_params().items()})
+    for name in grads[0]:
+        np.testing.assert_array_equal(grads[1][name], grads[0][name], err_msg=name)
+
+
 @pytest.mark.parametrize("path", ["uncond", "adapter"])
 def test_model_score_fn_keeps_no_activation_at_the_score_workload_size(path):
     """After a training step, one sampler call at the ``score`` workload's
