@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import math
 import os
 import re
@@ -48,6 +49,14 @@ def _read_trajectory(path):
     return poses
 
 
+def _directory(text):
+    """``text`` as a directory Path; an empty one is refused as the path ''
+    it names, not read as ``Path('')``, the working directory."""
+    if not text:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), text)
+    return Path(text)
+
+
 def _check_num(num):
     if num < 1:
         raise ValueError(f"--num must be >= 1, got {num}")
@@ -55,7 +64,7 @@ def _check_num(num):
 
 def cmd_gen_scenes(args):
     _check_num(args.num)
-    out = Path(args.out)
+    out = _directory(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = SceneParams()
     for i in range(args.num):
@@ -84,7 +93,7 @@ def cmd_render(args):
         return
     # (pose, range-image path, point-cloud path) per frame; a single pose is one frame.
     if args.trajectory is not None:
-        out = Path(args.out)
+        out = _directory(args.out)
         frames = [(pose, out / f"frame_{i:05d}.lri", out / f"frame_{i:05d}.xyz")
                   for i, pose in enumerate(_read_trajectory(args.trajectory))]
         out.mkdir(parents=True, exist_ok=True)
@@ -137,15 +146,15 @@ def _check_size(path, frame, ref_path, ref):
 
 def _frame_paths(data_dir):
     """The sorted *.lri frames in a directory, not their *.cond.lri partners."""
-    paths = sorted(p for p in Path(data_dir).glob("*.lri") if not p.name.endswith(".cond.lri"))
+    paths = sorted(p for p in _directory(data_dir).glob("*.lri") if not p.name.endswith(".cond.lri"))
     if not paths:
         raise ValueError(f"no .lri files in {data_dir}")
     return paths
 
 
 def _load_training_images(data_dir, conditional):
-    """Normalized depth channels of the frames and the control images of their
-    *.cond.lri partners: None unless every frame has one, which ``conditional`` requires."""
+    """Normalized depth channels of the frames and the control images of the
+    *.cond.lri partners they have; ``conditional`` requires one for every frame."""
     targets = _frame_paths(data_dir)
     images, conds = [], []
     for path in targets:
@@ -157,8 +166,7 @@ def _load_training_images(data_dir, conditional):
             _check_size(cond_path, conds[-1], path, images[-1])
         elif conditional:
             raise ValueError(f"{path} has no {cond_path.name}: --controlnet needs a partner for every frame")
-    conds = np.array(conds, dtype=np.float32) if len(conds) == len(images) else None
-    return np.array(images, dtype=np.float32), conds
+    return np.array(images, dtype=np.float32), np.array(conds, dtype=np.float32)
 
 
 def cmd_train(args):
@@ -200,7 +208,7 @@ def cmd_sample(args):
     if args.layout is not None and state.adapter is None:
         raise ValueError("checkpoint has no conditioning adapter; train with --controlnet")
     sampler_cfg = cfg.build("sampler")
-    out = Path(args.out)
+    out = _directory(args.out)
     nearest = next(p for p in (out, *out.parents) if p.exists())  # made a directory only once a sample is drawn
     if not nearest.is_dir():
         raise ValueError(f"--out {args.out}: {nearest} is not a directory")
@@ -257,10 +265,9 @@ def _eval_report(args, wanted):
     ref = _load_cloud_dir(args.ref)
     report = {}
     if "jsd" in wanted:
-        grid = metrics.BevGrid()
         merged_gen = sensor.LabeledPointCloud(np.vstack([c.points for _, c in gen]))
         merged_ref = sensor.LabeledPointCloud(np.vstack([c.points for _, c in ref]))
-        report["jsd"] = metrics.jsd(metrics.bev_histogram(merged_gen, grid), metrics.bev_histogram(merged_ref, grid))
+        report["jsd"] = metrics.jsd(metrics.bev_histogram(merged_gen), metrics.bev_histogram(merged_ref))
     if "mmd" in wanted:
         report["mmd"] = metrics.mmd([c.points for _, c in gen], [c.points for _, c in ref])
     if "frechet" in wanted:

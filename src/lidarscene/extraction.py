@@ -179,7 +179,6 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
     (label name -> ClusterParams) overrides them. Plane-shaped labels (ground,
     road) instead get a single plane spanning their XY AABB at the median z.
     A key that names no clustered label raises ExtractionError."""
-    palette = tuple(DEFAULT_PALETTE)
     params = {name: ClusterParams(*p) for name, p in DEFAULT_CLUSTER_PARAMS.items()}
     for name in params_by_label or {}:
         if name not in params:
@@ -187,7 +186,7 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
     params.update(params_by_label or {})
 
     prims = []
-    for label, lab in enumerate(palette):
+    for label, lab in enumerate(DEFAULT_PALETTE):
         mask = cloud.labels == label
         if not mask.any():
             continue
@@ -206,4 +205,4 @@ def extract_layout(cloud: LabeledPointCloud, params_by_label: dict | None = None
             cluster_pts = pts[ids == cid]
             center, extents, yaw = fit_box(cluster_pts)
             prims.append(SemanticPrimitive(label, shape, center, extents, yaw))
-    return Layout(palette=palette, primitives=tuple(prims))
+    return Layout(primitives=tuple(prims))

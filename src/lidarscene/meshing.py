@@ -114,7 +114,10 @@ def mesh_primitive(prim: SemanticPrimitive, tessellation: int = DEFAULT_TESSELLA
 
 
 def mesh_layout(layout: Layout, tessellation: int = DEFAULT_TESSELLATION) -> TriangleMesh:
-    """Concatenation of all primitive meshes, preserving primitive order."""
+    """Concatenation of all primitive meshes, preserving primitive order. A
+    tessellation below 3 is refused, with no primitive as with any."""
+    if tessellation < 3:
+        raise MeshError("tessellation must be >= 3")
     verts, faces, labels = [np.empty((0, 3))], [np.empty((0, 3), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     offset = 0
     for prim in layout.primitives:

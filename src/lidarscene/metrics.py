@@ -167,8 +167,7 @@ def layout_consistency(
     is, so a surface on a cell edge falls on the same side in both. The
     cloud is taken in world frame.
     """
-    car_ids = {label for label, lab in enumerate(layout.palette) if lab.name == "car"}
-    cars = [p for p in layout.primitives if p.label in car_ids]
+    cars = [p for p in layout.primitives if layout.palette[p.label].name == "car"]
     if cars:
         hits = 0
         for prim in cars:

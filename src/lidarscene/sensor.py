@@ -208,8 +208,7 @@ def control_image(img: RangeImage) -> np.ndarray:
     channel, or with an id that ``label_ids`` refuses, raises SensorError."""
     if img.semantic is None:
         raise SensorError("condition frame has no semantic channel (channel 1)")
-    label_ids(img.semantic)
-    return np.stack([normalize_depth(img.depth, img.spec), img.semantic / SEMANTIC_DENOM]).astype(np.float32)
+    return np.stack([normalize_depth(img.depth, img.spec), label_ids(img.semantic) / SEMANTIC_DENOM]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

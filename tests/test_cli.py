@@ -906,19 +906,36 @@ def test_sample_reads_an_empty_layout_path_as_a_path(tmp_path, train_cfg, capsys
 
 
 @pytest.mark.parametrize(
-    "given", [["render", "--trajectory", ""], ["eval", "--layout", ""], ["eval", "--csv", ""]],
-    ids=["render-trajectory", "eval-layout", "eval-csv"],
+    "given",
+    [["render", "--trajectory", ""], ["eval", "--layout", ""], ["eval", "--csv", ""],
+     ["gen-scenes", "--out", ""], ["render", "--out", ""], ["sample", "--out", ""],
+     ["train", "--data", ""], ["eval", "--gen", ""], ["eval", "--ref", ""]],
+    ids=["render-trajectory", "eval-layout", "eval-csv",
+         "gen-scenes-out", "render-out", "sample-out", "train-data", "eval-gen", "eval-ref"],
 )
-def test_empty_path_arguments_are_read_as_paths(tmp_path, scene_file, small_cfg, capsys, given):
+def test_empty_path_arguments_are_read_as_paths(tmp_path, scene_file, small_cfg, train_cfg, capsys, monkeypatch, given):
     # An empty path is given, so it is read like any path: no single frame at
-    # the default pose, no report without its layout scores or its CSV.
+    # the default pose, no report without its layout scores or its CSV, and
+    # an empty directory is never the working directory, read or written.
     data, out = _write_training_data(tmp_path), tmp_path / "frames"
-    rest = {"render": ["--layout", scene_file, "--sensor", small_cfg, "--out", str(out)],
+    poses = tmp_path / "poses.txt"
+    poses.write_text("0 0 0 0\n")
+    ckpt = tmp_path / "base.ldck"
+    cfg = cli.load_config(train_cfg)
+    scorenet.save_checkpoint(ckpt, scorenet.TrainState(scorenet.ScoreModel(cfg.build("model")), cfg.build("schedule")))
+    rest = {"gen-scenes": ["--num", "1", "--out", str(out)],
+            "render": ["--layout", scene_file, "--sensor", small_cfg, "--trajectory", str(poses), "--out", str(out)],
+            "sample": ["--ckpt", str(ckpt), "--config", train_cfg, "--out", str(out)],
+            "train": ["--data", data, "--config", train_cfg, "--steps", "1", "--out", str(tmp_path / "m.ldck")],
             "eval": ["--gen", data, "--ref", data, "--metrics", "jsd"]}
-    rc = main([*given, *rest[given[0]]])
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    rc = main([given[0], *rest[given[0]], *given[1:]])  # the given flag comes last, so it wins
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
-    assert not out.exists()
+    assert not out.exists() and not (tmp_path / "m.ldck").exists()
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("num", ["0", "-2"])
@@ -1107,11 +1124,16 @@ def test_a_failed_eval_removes_the_csv_it_created(tmp_path, capsys):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize("tessellation", [0, -5])
-def test_render_refuses_a_tessellation_below_3_without_an_ellipsoid(tmp_path, scene_file, capsys, tessellation):
-    # scene_file holds one car, a cuboid: no ellipsoid is meshed.
+@pytest.mark.parametrize(
+    "tessellation, primitives", [(0, True), (-5, True), (0, False)], ids=["0", "-5", "0-no-primitive"]
+)
+def test_render_refuses_a_tessellation_below_3_without_an_ellipsoid(tmp_path, scene_file, capsys, tessellation, primitives):
+    # scene_file holds one car, a cuboid: no ellipsoid is meshed. Without
+    # primitives the layout holds only its palette lines, so nothing is meshed.
     cfg, out = tmp_path / "bad.cfg", tmp_path / "d.lri"
     cfg.write_text(f"render.tessellation = {tessellation}\n")
+    if not primitives:
+        layout_mod.save_layout(scene_file, layout_mod.Layout())
     assert main(["render", "--layout", scene_file, "--sensor", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["error: tessellation must be >= 3"]
     assert not out.exists()
